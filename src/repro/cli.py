@@ -579,7 +579,7 @@ def _parse_fleet(path: str) -> RenderFleet:
          "migration": "migrate",           # optional: migrate | requeue
          "migration_penalty_ms": 120.0,    # optional
          "initial": ["a"],                 # optional: names up at t = 0
-         "overflow": "queue"}              # optional: queue | reject
+         "overflow": "queue"}              # optional: queue | reject | degrade
 
     Server values are a bare capacity (client-equivalents) or an object
     with a ``"capacity"`` key.

@@ -15,8 +15,10 @@ reproduction's server from a scalar capacity into a simulated cluster:
   (with graceful ``drain``), and :class:`ServerFail` — so
   :meth:`~repro.sim.session.Session.timeline` re-plans placement at
   every capacity *or* client event;
-* :func:`plan_fleet_timeline` — the fleet-aware planner behind
-  ``Session.timeline()``: on shrink or failure, displaced clients are
+* :func:`plan_fleet_timeline` — the one epoch walker behind
+  ``Session.timeline()``.  Every scheduled session plans here; a session
+  on a bare :class:`~repro.sim.server.RenderServer` is a one-server
+  fleet.  On shrink or failure, displaced clients are
   **migrated** to a surviving server (a configurable migration penalty
   is spliced into their ``(start_ms, share)`` schedules as a starvation
   window while state transfers) or — under the naive ``"requeue"``
@@ -37,10 +39,10 @@ Planning invariants:
   (:class:`~repro.gpu.config.RemoteServerConfig`) and may differ only in
   capacity, so a mid-run migration never changes the render-time model
   behind a frozen spec;
-* everything stays deterministic and cache-stable: the planner emits
-  ordinary specs whose schedules carry the whole story, and a
-  single-server fleet with no capacity events plans bit-identically to
-  the same session on a bare ``RenderServer``.
+* everything stays deterministic and cache-stable: the walker emits
+  ordinary specs whose schedules carry the whole story, so a session on
+  a bare ``RenderServer`` and the same session on a one-server fleet of
+  that server plan bit-identically.
 """
 
 from __future__ import annotations
@@ -50,14 +52,26 @@ from dataclasses import dataclass, replace
 
 from repro import constants
 from repro.errors import ConfigurationError
-from repro.network.profile import ShareSchedule
+from repro.network.profile import (
+    AllocatedProfile,
+    NetworkProfile,
+    ShareSchedule,
+    SwitchedProfile,
+    as_profile,
+)
 from repro.obs import trace as obs_trace
 from repro.sim.metrics import ServerWindow
-from repro.sim.runner import CLIENT_SEED_STRIDE
-from repro.sim.server import AdmissionDecision, ClientDemand, RenderServer
+from repro.sim.runner import CLIENT_SEED_STRIDE, RunSpec, effective_warmup
+from repro.sim.server import (
+    AdmissionDecision,
+    ClientDemand,
+    OVERFLOW_MODES,
+    RenderServer,
+)
 from repro.sim.session import (
     _HORIZON_SLACK,
     CapacityEvent,
+    ClientTimeline,
     Epoch,
     Join,
     Leave,
@@ -65,8 +79,8 @@ from repro.sim.session import (
     Session,
     SessionTimeline,
     _client_spec,
-    _ClientState,
 )
+from repro.sim.systems import PlatformConfig
 
 __all__ = [
     "ServerUp",
@@ -80,7 +94,6 @@ __all__ = [
     "PLACEMENT_NAMES",
     "placement_by_name",
     "MIGRATION_MODES",
-    "FLEET_OVERFLOW_MODES",
     "STALL_SHARE",
     "RenderFleet",
     "fleet_from_payload",
@@ -95,10 +108,6 @@ STALL_SHARE = 0.05
 
 #: How a fleet treats clients displaced by a shrink or failure.
 MIGRATION_MODES = ("migrate", "requeue")
-
-#: What happens to a *new* client no server can seat.  Displaced
-#: incumbents always park/queue — mid-session clients are never rejected.
-FLEET_OVERFLOW_MODES = ("queue", "reject")
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +264,11 @@ class RenderFleet:
         initially up join the pool through :class:`ServerUp` events.
     overflow:
         Fate of a *new* client no server can seat: ``"queue"`` (wait for
-        capacity, the default) or ``"reject"`` (final, as on a bare
-        server).
+        capacity, the default), ``"reject"`` (final), or ``"degrade"``
+        (placed anyway by the placement policy over every up server; a
+        server loaded past its capacity serves all its clients at
+        ``capacity / load`` of full demand).  Displaced incumbents are
+        never rejected: they park or queue when nothing can seat them.
     """
 
     servers: tuple[tuple[str, RenderServer], ...]
@@ -302,10 +314,10 @@ class RenderFleet:
                 f"unknown migration mode {self.migration!r}; "
                 f"known: {MIGRATION_MODES}"
             )
-        if self.overflow not in FLEET_OVERFLOW_MODES:
+        if self.overflow not in OVERFLOW_MODES:
             raise ConfigurationError(
                 f"unknown fleet overflow mode {self.overflow!r}; "
-                f"known: {FLEET_OVERFLOW_MODES}"
+                f"known: {OVERFLOW_MODES}"
             )
         if self.migration_penalty_ms < 0:
             raise ConfigurationError(
@@ -387,16 +399,92 @@ class RenderFleet:
                 )
 
 
+def fleet_from_payload(payload: object, source: str = "fleet") -> RenderFleet:
+    """Build a :class:`RenderFleet` from a decoded JSON description.
+
+    The one fleet schema shared by ``repro scenarios --fleet`` files and
+    the ``"fleet"`` section of demand scenarios (:mod:`repro.sim.demand`)::
+
+        {"servers": {"a": 2.0, "b": {"capacity": 1.0}},
+         "placement": "least-loaded",      # optional
+         "migration": "migrate",           # optional: migrate | requeue
+         "migration_penalty_ms": 120.0,    # optional
+         "initial": ["a"],                 # optional: names up at t = 0
+         "overflow": "queue"}              # optional: queue | reject | degrade
+
+    Server values are a bare capacity (client-equivalents) or an object
+    with a ``"capacity"`` key.  ``source`` names the payload's origin in
+    error messages.
+    """
+    if not isinstance(payload, dict) or not isinstance(payload.get("servers"), dict):
+        raise ConfigurationError(
+            f'{source} must be a JSON object with a "servers" mapping'
+        )
+    known = {
+        "servers", "placement", "migration", "migration_penalty_ms",
+        "initial", "overflow",
+    }
+    unknown = sorted(set(payload) - known)
+    if unknown:
+        raise ConfigurationError(
+            f"unknown fleet keys {unknown} in {source}; known: {sorted(known)}"
+        )
+    capacities: dict[str, float] = {}
+    for name, value in payload["servers"].items():
+        if isinstance(value, dict):
+            value = value.get("capacity")
+        try:
+            capacities[str(name)] = float(value)
+        except (TypeError, ValueError):
+            raise ConfigurationError(
+                f"bad capacity {value!r} for fleet server {name!r} in {source}"
+            ) from None
+    kwargs = {
+        key: payload[key]
+        for key in ("placement", "migration", "overflow")
+        if key in payload
+    }
+    if "migration_penalty_ms" in payload:
+        kwargs["migration_penalty_ms"] = float(payload["migration_penalty_ms"])
+    if "initial" in payload:
+        kwargs["initial"] = tuple(str(n) for n in payload["initial"])
+    return RenderFleet.from_capacities(capacities, **kwargs)
+
+
+#: Window-local share schedule of a fully stalled epoch.
+_STALLED = ((0.0, STALL_SHARE),)
+
+
 # ---------------------------------------------------------------------------
 # Per-client planner state
 # ---------------------------------------------------------------------------
 
 
-class _FleetClientState(_ClientState):
-    """Session client bookkeeping plus placement history and queue rank."""
+class _ClientState:
+    """Mutable per-client bookkeeping while the walker crosses the epochs:
+    membership, link history, share schedules, placement and queue rank."""
 
-    def __init__(self, index, spec, joined_ms, resolved) -> None:
-        super().__init__(index, spec, joined_ms, resolved)
+    def __init__(
+        self,
+        index: int,
+        spec,
+        joined_ms: float,
+        resolved: PlatformConfig,
+    ) -> None:
+        self.index = index
+        self.spec = spec
+        self.joined_ms = joined_ms
+        self.resolved = resolved
+        self.left_ms: float | None = None
+        self.rejected = False
+        self.profile_history: list[tuple[float, NetworkProfile]] = [
+            (0.0, as_profile(resolved.network))
+        ]
+        self.service_start: float | None = None
+        self.service_end: float | None = None
+        self.server_segments: list[tuple[float, float]] = []
+        self.downlink_segments: list[tuple[float, float]] = []
+        self.peak_roster = 0
         self.assigned: str | None = None
         self.last_server: str | None = None
         self.placement_history: list[tuple[float, str | None]] = []
@@ -405,6 +493,87 @@ class _FleetClientState(_ClientState):
         self.requeued = False
         self.holdoff_ms: float | None = None
         self.penalty_pending = False
+
+    def present_at(self, t_ms: float) -> bool:
+        """True when the client is in the session at ``t_ms``."""
+        return (
+            self.joined_ms <= t_ms and self.left_ms is None and not self.rejected
+        )
+
+    def leave(self, t_ms: float) -> None:
+        """Mark the client gone at ``t_ms``, ending any open service."""
+        self.left_ms = t_ms
+        if self.service_start is not None and self.service_end is None:
+            self.service_end = t_ms
+
+    def switch(self, t_ms: float, profile: NetworkProfile) -> None:
+        """Record a network-profile switch taking effect at ``t_ms``."""
+        self.profile_history.append((t_ms, profile))
+
+    def profile(self) -> NetworkProfile:
+        """The client's link history so far, as one sampleable profile."""
+        if len(self.profile_history) == 1:
+            return self.profile_history[0][1]
+        return SwitchedProfile(
+            segments=tuple(self.profile_history),
+            label=f"{self.profile_history[0][1].name}:switched",
+        )
+
+    def _switched_network(
+        self, session: Session, default_network, shared_start: bool
+    ) -> SwitchedProfile:
+        """The executable composite link of a client that roamed mid-run.
+
+        A client that began on the shared session link was contending on
+        the session downlink until its first switch, so that span must
+        sample the *allocated* view of the default link (the client's
+        scheduled downlink share, with the session's jitter growth) —
+        not the raw full-capacity link.  Splicing the allocation into
+        the profile here keeps the pre-switch epochs bit-identical to
+        the same session without the roam; the post-switch segments are
+        the client's private links, sampled at full capacity.
+        """
+        segments = list(self.profile_history)
+        if shared_start and self.downlink_segments:
+            # Session-time shares; the first segment starts at the
+            # client's service start, normalised to the 0-origin the
+            # schedule requires (instants before it are never sampled).
+            shares = tuple(self.downlink_segments)
+            shares = ((0.0, shares[0][1]),) + shares[1:]
+            segments[0] = (
+                0.0,
+                AllocatedProfile(
+                    base=as_profile(default_network),
+                    segments=shares,
+                    n_clients=max(self.peak_roster, 1),
+                    label=session.policy,
+                ),
+            )
+        return SwitchedProfile(
+            segments=tuple(segments),
+            label=f"{self.profile_history[0][1].name}:switched",
+        )
+
+    @property
+    def switched(self) -> bool:
+        """True once the client has changed network profile."""
+        return len(self.profile_history) > 1
+
+    def record_segments(
+        self,
+        t0: float,
+        server_segments,
+        downlink_segments,
+        roster_size: int,
+    ) -> None:
+        """Append one epoch's window-local share schedules at offset ``t0``."""
+        if self.service_start is None:
+            self.service_start = t0
+        self.peak_roster = max(self.peak_roster, roster_size)
+        for start, share in server_segments:
+            _append_merged(self.server_segments, t0 + start, share)
+        for start, share in downlink_segments:
+            _append_merged(self.downlink_segments, t0 + start, share)
 
     def assign(self, t_ms: float, server: str) -> bool:
         """Seat the client; returns True when this is a cross-server move."""
@@ -452,7 +621,14 @@ class _FleetClientState(_ClientState):
             self.holdoff_ms = t_ms
 
     def priority(self) -> tuple:
-        """Placement order: seated/serviced incumbents, then waiters FCFS."""
+        """Placement order: seated/serviced incumbents, then waiters FCFS.
+
+        Incumbents go first by service start, so re-placement never evicts
+        or demotes a running client; freed capacity then goes to the
+        oldest waiting client that fits (greedy first-fit, so a light
+        late-comer may pass a heavy queued client instead of head-of-line
+        blocking).
+        """
         incumbent = self.assigned is not None or (
             self.service_start is not None and not self.requeued
         )
@@ -465,74 +641,95 @@ class _FleetClientState(_ClientState):
             return (0, start, self.joined_ms, self.index)
         return (1, self.queue_since, self.joined_ms, self.index)
 
-    def freeze(self, **kwargs):
-        """Freeze the client row, stamping its placement history."""
-        row = super().freeze(**kwargs)
-        return replace(
-            row,
+    def freeze(
+        self,
+        session: Session,
+        system: str,
+        n_frames: int,
+        seed: int,
+        warmup_frames: int | None,
+        duration_ms: float,
+        default_network,
+    ) -> ClientTimeline:
+        """Close the books: one RunSpec if the client was ever serviced."""
+        if self.service_start is None:
+            return ClientTimeline(
+                index=self.index,
+                spec=self.spec,
+                joined_ms=self.joined_ms,
+                start_ms=None,
+                end_ms=self.left_ms,
+                run=None,
+                servers=tuple(self.placement_history),
+                migrations=self.migrations,
+            )
+        start = self.service_start
+        end = self.service_end
+        active_ms = (end if end is not None else duration_ms) - start
+        frames = max(1, int(round(n_frames * active_ms / duration_ms)))
+        warmup = effective_warmup(
+            frames, effective_warmup(n_frames) if warmup_frames is None else warmup_frames
+        )
+        # A client is on the shared session downlink only while it holds
+        # the default link: an override privatises it from the start; a
+        # mid-session switch privatises it *from the switch on* (the
+        # pre-switch span keeps its allocated share of the session link
+        # — see _switched_network — so a later roam cannot retroactively
+        # rewrite epochs the client spent contending on the downlink).
+        shared_start = self.resolved.network == default_network
+        shared_link = shared_start and not self.switched
+        platform = (
+            replace(
+                self.resolved,
+                network=self._switched_network(session, default_network, shared_start),
+            )
+            if self.switched
+            else self.resolved
+        )
+        run = RunSpec(
+            system=self.spec.system if self.spec.system is not None else system,
+            app=self.spec.app,
+            platform=platform,
+            n_frames=frames,
+            seed=seed + CLIENT_SEED_STRIDE * self.index,
+            warmup_frames=warmup,
+            shared_clients=max(self.peak_roster, 1),
+            sharing_efficiency=session.sharing_efficiency,
+            shared_downlink=shared_link,
+            policy=session.policy,
+            server_allocation=tuple(
+                (s - start, share) for s, share in self.server_segments
+            ),
+            downlink_allocation=(
+                tuple((s - start, share) for s, share in self.downlink_segments)
+                if shared_link
+                else None
+            ),
+            start_ms=start,
+        )
+        return ClientTimeline(
+            index=self.index,
+            spec=self.spec,
+            joined_ms=self.joined_ms,
+            start_ms=start,
+            end_ms=end,
+            run=run,
             servers=tuple(self.placement_history),
             migrations=self.migrations,
         )
 
 
-def fleet_from_payload(payload: object, source: str = "fleet") -> RenderFleet:
-    """Build a :class:`RenderFleet` from a decoded JSON description.
-
-    The one fleet schema shared by ``repro scenarios --fleet`` files and
-    the ``"fleet"`` section of demand scenarios (:mod:`repro.sim.demand`)::
-
-        {"servers": {"a": 2.0, "b": {"capacity": 1.0}},
-         "placement": "least-loaded",      # optional
-         "migration": "migrate",           # optional: migrate | requeue
-         "migration_penalty_ms": 120.0,    # optional
-         "initial": ["a"],                 # optional: names up at t = 0
-         "overflow": "queue"}              # optional: queue | reject
-
-    Server values are a bare capacity (client-equivalents) or an object
-    with a ``"capacity"`` key.  ``source`` names the payload's origin in
-    error messages.
-    """
-    if not isinstance(payload, dict) or not isinstance(payload.get("servers"), dict):
-        raise ConfigurationError(
-            f'{source} must be a JSON object with a "servers" mapping'
-        )
-    known = {
-        "servers", "placement", "migration", "migration_penalty_ms",
-        "initial", "overflow",
-    }
-    unknown = sorted(set(payload) - known)
-    if unknown:
-        raise ConfigurationError(
-            f"unknown fleet keys {unknown} in {source}; known: {sorted(known)}"
-        )
-    capacities: dict[str, float] = {}
-    for name, value in payload["servers"].items():
-        if isinstance(value, dict):
-            value = value.get("capacity")
-        try:
-            capacities[str(name)] = float(value)
-        except (TypeError, ValueError):
-            raise ConfigurationError(
-                f"bad capacity {value!r} for fleet server {name!r} in {source}"
-            ) from None
-    kwargs = {
-        key: payload[key]
-        for key in ("placement", "migration", "overflow")
-        if key in payload
-    }
-    if "migration_penalty_ms" in payload:
-        kwargs["migration_penalty_ms"] = float(payload["migration_penalty_ms"])
-    if "initial" in payload:
-        kwargs["initial"] = tuple(str(n) for n in payload["initial"])
-    return RenderFleet.from_capacities(capacities, **kwargs)
-
-
-#: Window-local share schedule of a fully stalled epoch.
-_STALLED = ((0.0, STALL_SHARE),)
+def _append_merged(
+    segments: list[tuple[float, float]], start_ms: float, share: float
+) -> None:
+    """Append a segment, merging runs of identical shares across epochs."""
+    if segments and segments[-1][1] == share:
+        return
+    segments.append((start_ms, share))
 
 
 # ---------------------------------------------------------------------------
-# The fleet planner
+# The epoch walker
 # ---------------------------------------------------------------------------
 
 
@@ -545,19 +742,28 @@ def plan_fleet_timeline(
 ) -> SessionTimeline:
     """Epoch-by-epoch placement, migration, and re-allocation over a fleet.
 
-    The fleet-aware twin of the session's dynamic planner: every client
-    *or* capacity event opens a planning boundary where departures and
-    capacity losses apply first (the enforced same-timestamp order),
-    displaced clients are re-seated by the placement policy or parked,
-    freed capacity promotes waiters FCFS, and each server's rendering
-    throughput is re-allocated among the clients placed on it while the
-    session downlink is allocated across the whole serviced roster.  The
-    output is an ordinary :class:`~repro.sim.session.SessionTimeline`
-    whose epochs additionally carry placements and per-server occupancy
-    windows.
+    The one epoch walker behind ``Session.timeline()``: every scheduled
+    session plans here, a session without a fleet on a one-server fleet
+    named ``"server"`` built from its :attr:`~repro.sim.session.Session.server`
+    (default :class:`~repro.sim.server.RenderServer`) with that server's
+    overflow mode.  Every client *or* capacity event opens a planning
+    boundary where departures and capacity losses apply first (the
+    enforced same-timestamp order), displaced clients are re-seated by
+    the placement policy or parked, freed capacity promotes waiters
+    FCFS, and each server's rendering throughput is re-allocated among
+    the clients placed on it while the session downlink is allocated
+    across the whole serviced roster.  Under the ``"degrade"`` overflow
+    mode a client no server can seat is placed anyway, and every server
+    loaded past its capacity serves all its clients at
+    ``capacity / load``.  The output is an ordinary
+    :class:`~repro.sim.session.SessionTimeline` whose epochs carry
+    placements and per-server occupancy windows.
     """
     fleet = session.fleet
-    assert fleet is not None and session.platform is not None
+    if fleet is None:
+        server = session.server if session.server is not None else RenderServer()
+        fleet = RenderFleet(servers=(("server", server),), overflow=server.overflow)
+    assert session.platform is not None
     duration_ms = n_frames * constants.FRAME_BUDGET_MS
     horizon_ms = duration_ms * _HORIZON_SLACK
     ordered = session.ordered_events()
@@ -569,12 +775,11 @@ def plan_fleet_timeline(
             )
     default_network = session.platform.network
     placement = placement_by_name(fleet.placement)
-    capacities = {name: fleet.server(name).capacity for name in fleet.names}
+    servers = dict(fleet.servers)
+    capacities = {name: server.capacity for name, server in fleet.servers}
 
     states = [
-        _FleetClientState(
-            index, spec, 0.0, spec.resolved_platform(session.platform)
-        )
+        _ClientState(index, spec, 0.0, spec.resolved_platform(session.platform))
         for index, spec in enumerate(session.clients)
     ]
     up = {name: fleet.initially_up(name) for name in fleet.names}
@@ -584,6 +789,7 @@ def plan_fleet_timeline(
         events_at.setdefault(event.t_ms, []).append(event)
     boundaries = sorted(set(events_at) | {0.0})
 
+    tracer = obs_trace.active()
     epochs: list[Epoch] = []
     for k, t0 in enumerate(boundaries):
         t1 = boundaries[k + 1] if k + 1 < len(boundaries) else duration_ms
@@ -593,7 +799,7 @@ def plan_fleet_timeline(
             if isinstance(event, Join):
                 spec = _client_spec(event.spec)
                 states.append(
-                    _FleetClientState(
+                    _ClientState(
                         len(states),
                         spec,
                         t0,
@@ -633,11 +839,14 @@ def plan_fleet_timeline(
 
         roster = sorted(
             (s for s in states if s.present_at(t0)),
-            key=_FleetClientState.priority,
+            key=_ClientState.priority,
         )
         demands = tuple(
             ClientDemand.estimate(
                 app=s.spec.app,
+                # The allocation planner samples the profile with the
+                # channel's seed, so Markov links replay the same state
+                # sequence the run will observe.
                 profile=s.profile(),
                 seed=seed + CLIENT_SEED_STRIDE * s.index + 7,
                 weight=s.spec.weight,
@@ -651,28 +860,27 @@ def plan_fleet_timeline(
             if s.assigned is not None:
                 loads[s.assigned] += s.spec.weight
 
-        decisions: list[AdmissionDecision] = []
+        # Unseated clients' verdicts ("queue"/"reject"); a rejection is
+        # final, only queued clients are re-tried at later boundaries.
+        unseated: dict[int, str] = {}
         arrivals: dict[str, list[int]] = {}
         migrated_in: dict[str, list[int]] = {}
         for s, demand in zip(roster, demands):
             if s.assigned is not None:
-                decisions.append(AdmissionDecision(s.index, "admit"))
                 continue
             candidates = tuple(
                 name
                 for name in up_names
-                if fleet.server(name).fits(demand.weight, loads[name])
+                if servers[name].fits(demand.weight, loads[name])
             )
+            if not candidates and fleet.overflow == "degrade":
+                candidates = up_names  # seated anyway, at degraded service
             if not candidates or s.holdoff_ms == t0:
                 if s.service_start is None and fleet.overflow == "reject":
                     s.rejected = True
-                    decisions.append(
-                        AdmissionDecision(s.index, "reject", service_level=0.0)
-                    )
+                    unseated[s.index] = "reject"
                 else:
-                    decisions.append(
-                        AdmissionDecision(s.index, "queue", service_level=0.0)
-                    )
+                    unseated[s.index] = "queue"
                 continue
             target = placement.place(candidates, loads, capacities, s.last_server)
             loads[target] += demand.weight
@@ -680,7 +888,28 @@ def plan_fleet_timeline(
             arrivals.setdefault(target, []).append(s.index)
             if moved:
                 migrated_in.setdefault(target, []).append(s.index)
-            decisions.append(AdmissionDecision(s.index, "admit"))
+
+        # Only degrade-mode placement overloads a server; it then serves
+        # every client placed on it at the same fraction of full demand.
+        levels = {
+            name: capacities[name] / load
+            for name, load in loads.items()
+            if load > capacities[name]
+        }
+        decisions = []
+        for s in roster:
+            if s.assigned is None:
+                decisions.append(
+                    AdmissionDecision(s.index, unseated[s.index], service_level=0.0)
+                )
+            elif s.assigned in levels:
+                decisions.append(
+                    AdmissionDecision(
+                        s.index, "degrade", service_level=levels[s.assigned]
+                    )
+                )
+            else:
+                decisions.append(AdmissionDecision(s.index, "admit"))
 
         placed = [s for s in roster if s.assigned is not None]
         window_end = horizon_ms if k + 1 == len(boundaries) else t1
@@ -699,14 +928,14 @@ def plan_fleet_timeline(
             # min() rather than next(iter(...)): the set is a singleton on
             # this branch, but pulling its element via iteration order is
             # a determinism hazard the moment that invariant slips.
-            session_alloc = fleet.server(
+            session_alloc = servers[
                 up_names[0] if len(hosts) > 1 else min(hosts)
-            ).allocate(
+            ].allocate(
                 placed_demands,
                 session.policy,
                 horizon_ms=window,
                 sharing_efficiency=session.sharing_efficiency,
-                service_levels=(1.0,) * len(placed),
+                service_levels=tuple(levels.get(s.assigned, 1.0) for s in placed),
                 start_ms=t0,
             )
             downlink_of = {
@@ -725,12 +954,12 @@ def plan_fleet_timeline(
                     ]
                     if not group:
                         continue
-                    group_alloc = fleet.server(name).allocate(
+                    group_alloc = servers[name].allocate(
                         tuple(d for _, d in group),
                         session.policy,
                         horizon_ms=window,
                         sharing_efficiency=session.sharing_efficiency,
-                        service_levels=(1.0,) * len(group),
+                        service_levels=(levels.get(name, 1.0),) * len(group),
                         start_ms=t0,
                     )
                     for (s, _), allocation in zip(group, group_alloc):
@@ -780,6 +1009,10 @@ def plan_fleet_timeline(
                     for name in up_names
                 ),
             )
+        )
+        tracer.instant(
+            "session.epoch", epoch=k, t0_ms=t0,
+            roster=len(roster), serviced=len(placed),
         )
 
     client_rows = tuple(

@@ -246,7 +246,7 @@ class MultiUserScenario:
         ).specs
 
     def as_session(self):
-        """This scenario as a (static, event-free) dynamic session.
+        """This scenario as an event-free session.
 
         The bridge to the event-driven surface: add events to the
         returned :class:`~repro.sim.session.Session` and the same roster
@@ -272,13 +272,13 @@ class MultiUserScenario:
         """Admit, schedule and expand the session into frozen run specs.
 
         A thin compatibility shim over a single-epoch event-free
-        :class:`~repro.sim.session.Session` (see :meth:`as_session`),
-        whose static path is the exact planning logic of earlier
-        releases: the legacy fair-share path (no explicit server) admits
-        everyone and emits exactly the specs of those releases — same
-        cache keys, bit-identical results — and any other configuration
-        runs the full server pipeline (demand estimation, admission,
-        policy scheduling) whose share schedules ride inside the specs.
+        :class:`~repro.sim.session.Session` (see :meth:`as_session`).
+        The legacy fair-share scenario (no explicit server) admits
+        everyone and emits exactly the specs of earlier releases — same
+        cache keys, bit-identical results; any other configuration plans
+        on the session's one-server fleet (demand estimation, admission,
+        policy scheduling), whose share schedules ride inside the specs.
+        A warm-up that leaves no steady-state frame clamps to zero.
         """
         return self.as_session().timeline(
             system=system,

@@ -8,8 +8,10 @@ capability, and Coterie schedules shared infrastructure explicitly.
 This module is that server-side layer for the reproduction:
 
 * :class:`RenderServer` — capacity accounting (in *client-equivalents*
-  of rendering demand) plus an admission controller that rejects, queues
-  or degrades clients when a session oversubscribes the MCM GPU array;
+  of rendering demand) plus the overflow mode that rejects, queues or
+  degrades clients when a session oversubscribes the MCM GPU array (the
+  session walker, :func:`repro.sim.fleet.plan_fleet_timeline`, applies
+  it at every epoch);
 * :class:`SchedulingPolicy` — pluggable allocation of the server's
   rendering throughput and of the session's shared downlink across the
   admitted clients:
@@ -70,7 +72,7 @@ __all__ = [
 #: Admission actions a client of an oversubscribed session can receive.
 ADMISSION_ACTIONS = ("admit", "degrade", "reject", "queue")
 
-#: Overflow modes of the admission controller.
+#: Overflow modes of a server (and of a render fleet).
 OVERFLOW_MODES = ("degrade", "reject", "queue")
 
 #: Floor on per-tick weights so one starving client cannot zero out the rest.
@@ -283,9 +285,10 @@ class RenderServer:
         can only serve a lone client at half service.
     overflow:
         What happens to demand beyond capacity: ``"degrade"`` admits
-        everyone at proportionally reduced service (the default, matching
-        the legacy divide-everything behaviour), ``"reject"`` turns away
-        the excess clients, ``"queue"`` defers them to the next session.
+        everyone at proportionally reduced service ``capacity / load``
+        (the default, matching the legacy divide-everything behaviour),
+        ``"reject"`` turns away the clients that no longer fit (greedy in
+        arrival order), ``"queue"`` holds them until capacity frees.
     tick_ms:
         Granularity of the allocation schedule (profile sampling grid).
     """
@@ -317,47 +320,10 @@ class RenderServer:
     def fits(self, weight: float, load: float = 0.0) -> bool:
         """True when a client of ``weight`` fits beside ``load`` already placed.
 
-        The greedy capacity check shared by :meth:`admit` and the
-        render-fleet placement layer (:mod:`repro.sim.fleet`), so a
-        single-server fleet admits exactly the clients a bare server
-        would.
+        The greedy capacity check of the epoch walker's placement
+        (:func:`repro.sim.fleet.plan_fleet_timeline`).
         """
         return load + weight <= self.capacity
-
-    # -- admission -------------------------------------------------------------
-
-    def admit(self, demands: tuple[ClientDemand, ...]) -> tuple[AdmissionDecision, ...]:
-        """Decide each client's fate, in arrival order.
-
-        Within capacity every client is admitted at full service.  Over
-        capacity, ``degrade`` shrinks everyone proportionally, while
-        ``reject``/``queue`` service a prefix (greedy in arrival order,
-        the deterministic first-come-first-served baseline) and turn the
-        rest away.
-        """
-        if not demands:
-            return ()
-        total = sum(d.weight for d in demands)
-        if total <= self.capacity:
-            return tuple(
-                AdmissionDecision(i, "admit") for i in range(len(demands))
-            )
-        if self.overflow == "degrade":
-            service = self.capacity / total
-            return tuple(
-                AdmissionDecision(i, "degrade", service_level=service)
-                for i in range(len(demands))
-            )
-        decisions = []
-        admitted_weight = 0.0
-        spill = "reject" if self.overflow == "reject" else "queue"
-        for i, demand in enumerate(demands):
-            if self.fits(demand.weight, admitted_weight):
-                admitted_weight += demand.weight
-                decisions.append(AdmissionDecision(i, "admit"))
-            else:
-                decisions.append(AdmissionDecision(i, spill, service_level=0.0))
-        return tuple(decisions)
 
     # -- scheduling ------------------------------------------------------------
 
@@ -385,8 +351,8 @@ class RenderServer:
         allocations sample each profile at ``start_ms + tick`` (the
         conditions actually in force then) while the emitted segments
         stay window-local — ``horizon_ms`` is the window *duration* and
-        the first segment starts at 0, exactly as in the whole-session
-        call the static planner makes.
+        the first segment starts at 0, so a session without events makes
+        one whole-session call at ``start_ms=0``.
         """
         chosen = policy_by_name(policy) if isinstance(policy, str) else policy
         if not demands:

@@ -19,22 +19,25 @@ timeline —
   ``ServerUp`` / ``ServerDown`` / ``ServerFail`` grow and shrink a
   *fleet* of named rendering servers mid-session;
 
-and :meth:`Session.timeline` re-plans the session at every event: the
-:class:`~repro.sim.server.RenderServer` re-runs admission over the
-present roster (incumbents keep their slots — re-admission never
-evicts), **promotes queued clients into freed capacity** so they
-genuinely start late instead of sitting out, and re-allocates every
-policy's share schedules over each epoch.  The result is one frozen
+and :meth:`Session.timeline` re-plans the session at every event on
+one epoch walker, :func:`repro.sim.fleet.plan_fleet_timeline` — a
+session on a single :class:`~repro.sim.server.RenderServer` is a
+one-server fleet.  At every boundary the walker re-places the present
+roster (incumbents keep their seats — re-planning never evicts),
+**promotes queued clients into freed capacity** so they genuinely start
+late instead of sitting out, and re-allocates every policy's share
+schedules over the epoch.  The result is one frozen
 :class:`~repro.sim.runner.RunSpec` per serviced client — carrying its
 session start offset and the concatenated per-epoch ``(start_ms,
 share)`` schedules in client-local time — which the ordinary
 :class:`~repro.sim.runner.BatchEngine` executes deterministically, in
 parallel, and cacheably like any other spec.
 
-A session without events is planned exactly as
-:class:`~repro.sim.multiuser.MultiUserScenario` always planned it (that
-class is now a thin shim over a single-epoch session): same specs, same
-cache keys, bit-identical results.
+Only the legacy session — fair share, no server, no events — skips the
+walker: everyone is admitted with no share schedules, so its specs and
+cache keys are those of the releases before server scheduling.
+:class:`~repro.sim.multiuser.MultiUserScenario` is a thin shim over a
+single-epoch session.
 """
 
 from __future__ import annotations
@@ -48,12 +51,7 @@ from repro import constants
 from repro.errors import ConfigurationError
 from repro.obs import trace as obs_trace
 from repro.network.conditions import NetworkConditions
-from repro.network.profile import (
-    AllocatedProfile,
-    NetworkProfile,
-    SwitchedProfile,
-    as_profile,
-)
+from repro.network.profile import NetworkProfile, as_profile
 from repro.sim.metrics import (
     ServerWindow,
     SimulationResult,
@@ -65,17 +63,13 @@ from repro.sim.metrics import (
 from repro.sim.runner import (
     BatchEngine,
     CLIENT_SEED_STRIDE,
+    DEFAULT_WARMUP,
     RunSpec,
     default_engine,
     effective_warmup,
     spec_key,
 )
-from repro.sim.server import (
-    AdmissionDecision,
-    ClientDemand,
-    POLICY_NAMES,
-    RenderServer,
-)
+from repro.sim.server import AdmissionDecision, POLICY_NAMES, RenderServer
 from repro.sim.systems import PlatformConfig
 
 if TYPE_CHECKING:  # imported lazily at runtime (fleet imports session)
@@ -241,10 +235,10 @@ class Session:
         Clients present at t = 0 (bare app-name strings are promoted to
         :class:`~repro.sim.multiuser.ClientSpec`).
     events:
-        The churn timeline; events are applied in time order (ties keep
-        declaration order).  Without events the session is *static* and
-        plans exactly as :class:`~repro.sim.multiuser.MultiUserScenario`
-        always planned — same specs, same cache keys.
+        The churn timeline; events are applied in time order, then by
+        rank (see :class:`SessionEvent`), with declaration order breaking
+        ties within a rank.  Without events the session plans one epoch,
+        as :class:`~repro.sim.multiuser.MultiUserScenario` does.
     platform:
         The default single-user platform being shared.
     sharing_efficiency:
@@ -253,17 +247,18 @@ class Session:
         Server scheduling policy (:data:`~repro.sim.server.POLICY_NAMES`),
         re-applied at every epoch.
     server:
-        The rendering server.  ``None`` keeps the legacy behaviour for
-        static fair-share sessions (everyone admitted, no schedules) and
-        a default :class:`~repro.sim.server.RenderServer` otherwise; a
-        session *with events* always runs the full admission pipeline,
-        since even fair shares change when the roster does.
+        The rendering server.  The session plans on a one-server fleet
+        of it, named ``"server"``, with the server's overflow mode.
+        ``None`` keeps the legacy behaviour for event-free fair-share
+        sessions (everyone admitted, no schedules) and means a default
+        :class:`~repro.sim.server.RenderServer` otherwise; a session
+        *with events* always runs the full placement pipeline, since
+        even fair shares change when the roster does.
     fleet:
         A :class:`~repro.sim.fleet.RenderFleet` replacing the single
         ``server`` with a roster of named servers whose capacity changes
         through :class:`CapacityEvent`s; mutually exclusive with
-        ``server``.  A fleet session always runs the full placement
-        pipeline (the fleet *is* the admission controller).
+        ``server``.
     """
 
     clients: tuple = ()
@@ -381,499 +376,99 @@ class Session:
     ) -> "SessionTimeline":
         """Re-plan the session at every event and freeze it into run specs.
 
-        Static sessions (no events) take the exact legacy path of
-        ``MultiUserScenario.plan()``.  Event sessions walk the epoch list
-        chronologically: at each boundary the pending events apply, the
-        server re-admits the present roster **in arrival order** (so
-        incumbents keep their slots and freed capacity promotes queued
-        clients first-fit in arrival order — the oldest queued client
-        that *fits* goes first; a lighter late-comer may slip past a
-        heavy queued client rather than head-of-line block, matching the
-        server's greedy admission), and the policy re-allocates share
-        schedules over the epoch.  Every serviced
+        Every session plans on the one epoch walker,
+        :func:`repro.sim.fleet.plan_fleet_timeline` — a session without a
+        :attr:`fleet` on a one-server fleet of its :attr:`server` — except
+        the legacy case (fair-share policy, no server, no events), which
+        admits everyone with no share schedules and keeps the cache keys
+        of earlier releases.  The walker visits the epoch boundaries
+        chronologically: at each one the pending events apply, the fleet
+        re-places the present roster **in arrival order** (so incumbents
+        keep their seats and freed capacity promotes queued clients
+        first-fit in arrival order — the oldest queued client that
+        *fits* goes first; a lighter late-comer may slip past a heavy
+        queued client rather than head-of-line block), and the policy
+        re-allocates share schedules over the epoch.  Every serviced
         client freezes to one :class:`~repro.sim.runner.RunSpec` whose
         ``start_ms`` is its promotion instant and whose frame count
-        covers its active window.
-
-        A session with a :attr:`fleet` plans through the fleet's
-        placement pipeline (:func:`repro.sim.fleet.plan_fleet_timeline`)
-        instead — per-server placement, migration and parking on top of
-        the same epoch walk.
+        covers its active window.  A warm-up that leaves no steady-state
+        frame clamps to zero (:func:`~repro.sim.runner.effective_warmup`)
+        on every path.
         """
         tracer = obs_trace.active()
-        if self.fleet is not None:
-            from repro.sim.fleet import plan_fleet_timeline
+        if (
+            self.fleet is None
+            and self.server is None
+            and self.policy == "fair-share"
+            and not self.events
+        ):
+            with tracer.span("session.plan", mode="legacy", clients=len(self.clients)):
+                return self._legacy_timeline(system, n_frames, seed, warmup_frames)
+        from repro.sim.fleet import plan_fleet_timeline
 
-            with tracer.span("session.plan", mode="fleet", clients=len(self.clients)):
-                return plan_fleet_timeline(
-                    self,
-                    system=system,
-                    n_frames=n_frames,
-                    seed=seed,
-                    warmup_frames=warmup_frames,
-                )
-        if not self.events:
-            with tracer.span("session.plan", mode="static", clients=len(self.clients)):
-                return self._static_timeline(system, n_frames, seed, warmup_frames)
-        with tracer.span("session.plan", mode="dynamic", clients=len(self.clients)):
-            return self._dynamic_timeline(system, n_frames, seed, warmup_frames)
+        with tracer.span("session.plan", mode="fleet", clients=len(self.clients)):
+            return plan_fleet_timeline(
+                self,
+                system=system,
+                n_frames=n_frames,
+                seed=seed,
+                warmup_frames=warmup_frames,
+            )
 
-    # -- the static (legacy, bit-identical) path ---------------------------------
-
-    def _static_timeline(
+    def _legacy_timeline(
         self,
         system: str,
         n_frames: int,
         seed: int,
         warmup_frames: int | None,
     ) -> "SessionTimeline":
-        """The frozen-roster plan, byte-identical to earlier releases."""
-        warmup = (
-            effective_warmup(n_frames) if warmup_frames is None else warmup_frames
-        )
+        """Everyone admitted, no schedules: the specs of earlier releases."""
         assert self.platform is not None
+        warmup = effective_warmup(
+            n_frames, DEFAULT_WARMUP if warmup_frames is None else warmup_frames
+        )
         duration_ms = n_frames * constants.FRAME_BUDGET_MS
-        horizon_ms = duration_ms * _HORIZON_SLACK
         default_network = self.platform.network
-        resolved = [
-            client.resolved_platform(self.platform) for client in self.clients
-        ]
-        seeds = [
-            seed + CLIENT_SEED_STRIDE * index for index in range(len(self.clients))
-        ]
-
-        def base_spec(index: int, **overrides) -> RunSpec:
-            """Spec template for one client window of this plan."""
-            client = self.clients[index]
-            kwargs = dict(
+        clients = []
+        for index, client in enumerate(self.clients):
+            platform = client.resolved_platform(self.platform)
+            run = RunSpec(
                 system=client.system if client.system is not None else system,
                 app=client.app,
-                platform=resolved[index],
+                platform=platform,
                 n_frames=n_frames,
-                seed=seeds[index],
+                seed=seed + CLIENT_SEED_STRIDE * index,
                 warmup_frames=warmup,
                 shared_clients=len(self.clients),
                 sharing_efficiency=self.sharing_efficiency,
-                # A client on its own link shares the server but not
-                # the session downlink.
-                shared_downlink=resolved[index].network == default_network,
+                # A client on its own link shares the server but not the
+                # session downlink.
+                shared_downlink=platform.network == default_network,
             )
-            kwargs.update(overrides)
-            return RunSpec(**kwargs)
-
-        if self.policy == "fair-share" and self.server is None:
-            specs = tuple(base_spec(index) for index in range(len(self.clients)))
-            decisions = tuple(
-                AdmissionDecision(index, "admit")
-                for index in range(len(self.clients))
-            )
-        else:
-            server = self.server if self.server is not None else RenderServer()
-            demands = tuple(
-                ClientDemand.estimate(
-                    app=client.app,
-                    profile=resolved[index].network,
-                    # The allocation planner samples the profile with the
-                    # channel's seed, so Markov links replay the same
-                    # state sequence the run will observe.
-                    seed=seeds[index] + 7,
-                    weight=client.weight,
-                    server=server.config,
+            clients.append(
+                ClientTimeline(
+                    index=index,
+                    spec=client,
+                    joined_ms=0.0,
+                    start_ms=0.0,
+                    end_ms=None,
+                    run=run,
                 )
-                for index, client in enumerate(self.clients)
             )
-            decisions = server.admit(demands)
-            serviced = [d.client_index for d in decisions if d.serviced]
-            allocations = server.allocate(
-                tuple(demands[i] for i in serviced),
-                self.policy,
-                horizon_ms=horizon_ms,
-                sharing_efficiency=self.sharing_efficiency,
-                service_levels=tuple(
-                    d.service_level for d in decisions if d.serviced
-                ),
-            )
-            specs = tuple(
-                base_spec(
-                    index,
-                    policy=self.policy,
-                    # Rejected/queued clients transmit nothing: only the
-                    # serviced roster contends (shares, jitter growth).
-                    shared_clients=max(len(serviced), 1),
-                    server_allocation=allocation.server.segments,
-                    downlink_allocation=(
-                        allocation.downlink.segments
-                        if resolved[index].network == default_network
-                        else None
-                    ),
-                )
-                for index, allocation in zip(serviced, allocations)
-            )
-        serviced_indices = tuple(d.client_index for d in decisions if d.serviced)
-        runs = dict(zip(serviced_indices, specs))
-        client_rows = tuple(
-            ClientTimeline(
-                index=index,
-                spec=client,
-                joined_ms=0.0,
-                start_ms=0.0 if index in runs else None,
-                end_ms=None,
-                run=runs.get(index),
-            )
-            for index, client in enumerate(self.clients)
-        )
+        everyone = tuple(range(len(self.clients)))
         epoch = Epoch(
             start_ms=0.0,
             end_ms=duration_ms,
-            decisions=decisions,
-            serviced=serviced_indices,
+            decisions=tuple(AdmissionDecision(i, "admit") for i in everyone),
+            serviced=everyone,
         )
         return SessionTimeline(
             session=self,
             n_frames=n_frames,
             duration_ms=duration_ms,
             epochs=(epoch,),
-            clients=client_rows,
+            clients=tuple(clients),
         )
-
-    # -- the dynamic (event-driven) path ------------------------------------------
-
-    def _dynamic_timeline(
-        self,
-        system: str,
-        n_frames: int,
-        seed: int,
-        warmup_frames: int | None,
-    ) -> "SessionTimeline":
-        """Epoch-by-epoch re-admission, promotion, and re-allocation."""
-        assert self.platform is not None
-        duration_ms = n_frames * constants.FRAME_BUDGET_MS
-        horizon_ms = duration_ms * _HORIZON_SLACK
-        ordered = self.ordered_events()
-        for event in ordered:
-            if event.t_ms >= duration_ms:
-                raise ConfigurationError(
-                    f"event at {event.t_ms:g} ms falls outside the nominal "
-                    f"session ({n_frames} frames = {duration_ms:g} ms)"
-                )
-        server = self.server if self.server is not None else RenderServer()
-        default_network = self.platform.network
-
-        states = [
-            _ClientState(index, spec, 0.0, spec.resolved_platform(self.platform))
-            for index, spec in enumerate(self.clients)
-        ]
-
-        events_at: dict[float, list[SessionEvent]] = {}
-        for event in ordered:
-            events_at.setdefault(event.t_ms, []).append(event)
-        boundaries = [0.0] + sorted(events_at)
-
-        tracer = obs_trace.active()
-        epochs: list[Epoch] = []
-        for k, t0 in enumerate(boundaries):
-            t1 = boundaries[k + 1] if k + 1 < len(boundaries) else duration_ms
-            for event in events_at.get(t0, ()):
-                if isinstance(event, Join):
-                    spec = _client_spec(event.spec)
-                    states.append(
-                        _ClientState(
-                            len(states),
-                            spec,
-                            t0,
-                            spec.resolved_platform(self.platform),
-                        )
-                    )
-                elif isinstance(event, Leave):
-                    states[event.client].leave(t0)
-                else:  # ProfileSwitch
-                    states[event.client].switch(t0, event.profile)
-
-            # Admission priority: clients already being serviced first
-            # (by service start — the greedy admit() packs them before
-            # any newcomer, so re-admission can never evict or demote a
-            # running client: incumbents fit by construction and weights
-            # never change), then waiting clients by arrival.  Freed
-            # capacity goes to the oldest waiting client that fits
-            # (greedy first-fit, so a light late-comer may pass a heavy
-            # queued client instead of head-of-line blocking).
-            roster = sorted(
-                (s for s in states if s.present_at(t0)),
-                key=lambda s: (
-                    s.service_start is None,
-                    s.service_start if s.service_start is not None else s.joined_ms,
-                    s.joined_ms,
-                    s.index,
-                ),
-            )
-            demands = tuple(
-                ClientDemand.estimate(
-                    app=s.spec.app,
-                    profile=s.profile(),
-                    seed=seed + CLIENT_SEED_STRIDE * s.index + 7,
-                    weight=s.spec.weight,
-                    server=server.config,
-                )
-                for s in roster
-            )
-            raw = server.admit(demands)
-            decisions = tuple(
-                replace(d, client_index=roster[d.client_index].index) for d in raw
-            )
-            # A rejection is final: the client is turned away, not parked
-            # in the queue — only queue-mode clients are re-tried (and
-            # promoted) at later boundaries.
-            for state, decision in zip(roster, decisions):
-                if decision.action == "reject":
-                    state.rejected = True
-            serviced_pos = [i for i, d in enumerate(decisions) if d.serviced]
-            serviced = [roster[i] for i in serviced_pos]
-            window_end = horizon_ms if k + 1 == len(boundaries) else t1
-            allocations = server.allocate(
-                tuple(demands[i] for i in serviced_pos),
-                self.policy,
-                horizon_ms=window_end - t0,
-                sharing_efficiency=self.sharing_efficiency,
-                service_levels=tuple(
-                    d.service_level for d in decisions if d.serviced
-                ),
-                start_ms=t0,
-            )
-            for state, allocation in zip(serviced, allocations):
-                state.record_service(t0, allocation, len(serviced))
-            epochs.append(
-                Epoch(
-                    start_ms=t0,
-                    end_ms=t1,
-                    decisions=decisions,
-                    serviced=tuple(s.index for s in serviced),
-                )
-            )
-            tracer.instant(
-                "session.epoch", epoch=k, t0_ms=t0,
-                roster=len(roster), serviced=len(serviced),
-            )
-
-        client_rows = tuple(
-            state.freeze(
-                session=self,
-                system=system,
-                n_frames=n_frames,
-                seed=seed,
-                warmup_frames=warmup_frames,
-                duration_ms=duration_ms,
-                default_network=default_network,
-            )
-            for state in states
-        )
-        return SessionTimeline(
-            session=self,
-            n_frames=n_frames,
-            duration_ms=duration_ms,
-            epochs=tuple(epochs),
-            clients=client_rows,
-        )
-
-
-class _ClientState:
-    """Mutable per-client bookkeeping while the planner walks the epochs."""
-
-    def __init__(
-        self,
-        index: int,
-        spec,
-        joined_ms: float,
-        resolved: PlatformConfig,
-    ) -> None:
-        self.index = index
-        self.spec = spec
-        self.joined_ms = joined_ms
-        self.resolved = resolved
-        self.left_ms: float | None = None
-        self.rejected = False
-        self.profile_history: list[tuple[float, NetworkProfile]] = [
-            (0.0, as_profile(resolved.network))
-        ]
-        self.service_start: float | None = None
-        self.service_end: float | None = None
-        self.server_segments: list[tuple[float, float]] = []
-        self.downlink_segments: list[tuple[float, float]] = []
-        self.peak_roster = 0
-
-    def present_at(self, t_ms: float) -> bool:
-        """True when the client is in the session at ``t_ms``."""
-        return (
-            self.joined_ms <= t_ms and self.left_ms is None and not self.rejected
-        )
-
-    def leave(self, t_ms: float) -> None:
-        """Mark the client gone at ``t_ms``, ending any open service."""
-        self.left_ms = t_ms
-        if self.service_start is not None and self.service_end is None:
-            self.service_end = t_ms
-
-    def switch(self, t_ms: float, profile: NetworkProfile) -> None:
-        """Record a network-profile switch taking effect at ``t_ms``."""
-        self.profile_history.append((t_ms, profile))
-
-    def profile(self) -> NetworkProfile:
-        """The client's link history so far, as one sampleable profile."""
-        if len(self.profile_history) == 1:
-            return self.profile_history[0][1]
-        return SwitchedProfile(
-            segments=tuple(self.profile_history),
-            label=f"{self.profile_history[0][1].name}:switched",
-        )
-
-    def _switched_network(
-        self, session: Session, default_network, shared_start: bool
-    ) -> SwitchedProfile:
-        """The executable composite link of a client that roamed mid-run.
-
-        A client that began on the shared session link was contending on
-        the session downlink until its first switch, so that span must
-        sample the *allocated* view of the default link (the client's
-        scheduled downlink share, with the session's jitter growth) —
-        not the raw full-capacity link.  Splicing the allocation into
-        the profile here keeps the pre-switch epochs bit-identical to
-        the same session without the roam; the post-switch segments are
-        the client's private links, sampled at full capacity.
-        """
-        segments = list(self.profile_history)
-        if shared_start and self.downlink_segments:
-            # Session-time shares; the first segment starts at the
-            # client's service start, normalised to the 0-origin the
-            # schedule requires (instants before it are never sampled).
-            shares = tuple(self.downlink_segments)
-            shares = ((0.0, shares[0][1]),) + shares[1:]
-            segments[0] = (
-                0.0,
-                AllocatedProfile(
-                    base=as_profile(default_network),
-                    segments=shares,
-                    n_clients=max(self.peak_roster, 1),
-                    label=session.policy,
-                ),
-            )
-        return SwitchedProfile(
-            segments=tuple(segments),
-            label=f"{self.profile_history[0][1].name}:switched",
-        )
-
-    @property
-    def switched(self) -> bool:
-        """True once the client has changed network profile."""
-        return len(self.profile_history) > 1
-
-    def record_service(self, t0: float, allocation, roster_size: int) -> None:
-        """Record one service interval from a solved allocation."""
-        self.record_segments(
-            t0, allocation.server.segments, allocation.downlink.segments,
-            roster_size,
-        )
-
-    def record_segments(
-        self,
-        t0: float,
-        server_segments,
-        downlink_segments,
-        roster_size: int,
-    ) -> None:
-        """Append one epoch's window-local share schedules at offset ``t0``.
-
-        The hook the fleet planner uses directly: it records migration-
-        penalised and parked (starvation-share) epochs, which have no
-        single :class:`~repro.sim.server.SessionAllocation` behind them.
-        """
-        if self.service_start is None:
-            self.service_start = t0
-        self.peak_roster = max(self.peak_roster, roster_size)
-        for start, share in server_segments:
-            _append_merged(self.server_segments, t0 + start, share)
-        for start, share in downlink_segments:
-            _append_merged(self.downlink_segments, t0 + start, share)
-
-    def freeze(
-        self,
-        session: Session,
-        system: str,
-        n_frames: int,
-        seed: int,
-        warmup_frames: int | None,
-        duration_ms: float,
-        default_network,
-    ) -> "ClientTimeline":
-        """Close the books: one RunSpec if the client was ever serviced."""
-        if self.service_start is None:
-            return ClientTimeline(
-                index=self.index,
-                spec=self.spec,
-                joined_ms=self.joined_ms,
-                start_ms=None,
-                end_ms=self.left_ms,
-                run=None,
-            )
-        start = self.service_start
-        end = self.service_end
-        active_ms = (end if end is not None else duration_ms) - start
-        frames = max(1, int(round(n_frames * active_ms / duration_ms)))
-        warmup = effective_warmup(
-            frames, effective_warmup(n_frames) if warmup_frames is None else warmup_frames
-        )
-        # A client is on the shared session downlink only while it holds
-        # the default link: an override privatises it from the start; a
-        # mid-session switch privatises it *from the switch on* (the
-        # pre-switch span keeps its allocated share of the session link
-        # — see _switched_network — so a later roam cannot retroactively
-        # rewrite epochs the client spent contending on the downlink).
-        shared_start = self.resolved.network == default_network
-        shared_link = shared_start and not self.switched
-        platform = (
-            replace(
-                self.resolved,
-                network=self._switched_network(session, default_network, shared_start),
-            )
-            if self.switched
-            else self.resolved
-        )
-        run = RunSpec(
-            system=self.spec.system if self.spec.system is not None else system,
-            app=self.spec.app,
-            platform=platform,
-            n_frames=frames,
-            seed=seed + CLIENT_SEED_STRIDE * self.index,
-            warmup_frames=warmup,
-            shared_clients=max(self.peak_roster, 1),
-            sharing_efficiency=session.sharing_efficiency,
-            shared_downlink=shared_link,
-            policy=session.policy,
-            server_allocation=tuple(
-                (s - start, share) for s, share in self.server_segments
-            ),
-            downlink_allocation=(
-                tuple((s - start, share) for s, share in self.downlink_segments)
-                if shared_link
-                else None
-            ),
-            start_ms=start,
-        )
-        return ClientTimeline(
-            index=self.index,
-            spec=self.spec,
-            joined_ms=self.joined_ms,
-            start_ms=start,
-            end_ms=end,
-            run=run,
-        )
-
-
-def _append_merged(
-    segments: list[tuple[float, float]], start_ms: float, share: float
-) -> None:
-    """Append a segment, merging runs of identical shares across epochs."""
-    if segments and segments[-1][1] == share:
-        return
-    segments.append((start_ms, share))
 
 
 # ---------------------------------------------------------------------------
@@ -891,10 +486,12 @@ class Epoch:
     naming session indices; ``serviced`` lists the indices that actually
     render during the epoch.
 
-    Fleet sessions additionally fill ``placements`` (which named server
-    each serviced client renders on this epoch) and ``servers`` (one
-    :class:`~repro.sim.metrics.ServerWindow` of occupancy per up
-    server); both stay empty for single-server sessions.
+    ``placements`` names the server each serviced client renders on
+    this epoch and ``servers`` holds one
+    :class:`~repro.sim.metrics.ServerWindow` of occupancy per up server;
+    a one-server session places everyone on ``"server"``.  Both stay
+    empty only for the legacy session (fair share, no server, no
+    events).
     """
 
     start_ms: float
@@ -928,11 +525,10 @@ class ClientTimeline:
     the session's end).  ``run`` is the frozen executable spec, absent
     for clients that were rejected, or left while still queued.
 
-    Fleet sessions additionally fill ``servers`` — the client's
-    placement history as ``(t_ms, server)`` steps, where ``None`` marks
-    a parked span (displaced with nowhere to go, rendering at the
-    starvation share) — and ``migrations``, how many times the client
-    moved between servers.
+    ``servers`` is the client's placement history as ``(t_ms, server)``
+    steps, where ``None`` marks a parked span (displaced with nowhere
+    to go, rendering at the starvation share), and ``migrations`` counts
+    its moves between servers; the legacy session leaves both empty.
     """
 
     index: int
@@ -987,12 +583,13 @@ class SessionTimeline:
 
     @property
     def server_stats(self):
-        """Per-server utilisation/migration aggregates of a fleet session.
+        """Per-server utilisation/migration aggregates of the session.
 
-        One :class:`~repro.sim.metrics.ServerStats` per fleet server that
-        was ever up, folded from the epochs'
-        :class:`~repro.sim.metrics.ServerWindow` rows; empty for
-        single-server sessions.
+        One :class:`~repro.sim.metrics.ServerStats` per server that was
+        ever up, folded from the epochs'
+        :class:`~repro.sim.metrics.ServerWindow` rows: a one-server
+        session reports a single ``"server"`` row, and only the legacy
+        session (fair share, no server, no events) reports none.
         """
         return aggregate_server_stats(
             [window for epoch in self.epochs for window in epoch.servers]

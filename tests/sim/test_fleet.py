@@ -18,6 +18,7 @@ from repro.sim.fleet import (
     ServerFail,
     ServerUp,
     StickyPlacement,
+    fleet_from_payload,
     placement_by_name,
 )
 from repro.sim.metrics import ServerWindow, aggregate_server_stats
@@ -71,7 +72,7 @@ class TestFleetValidation:
         with pytest.raises(ConfigurationError):
             RenderFleet.from_capacities({"a": 1.0}, migration="teleport")
         with pytest.raises(ConfigurationError):
-            RenderFleet.from_capacities({"a": 1.0}, overflow="degrade")
+            RenderFleet.from_capacities({"a": 1.0}, overflow="evict")
         with pytest.raises(ConfigurationError):
             RenderFleet.from_capacities({"a": 1.0}, migration_penalty_ms=-1.0)
 
@@ -471,6 +472,79 @@ class TestCapacityShrinkEdgeCases:
         assert joiner.start_ms == pytest.approx(t_up)
         assert joiner.servers == ((t_up, "b"),)
         assert joiner.run.start_ms == pytest.approx(t_up)
+
+
+class TestDegradeOverflow:
+    """A degrade fleet seats everyone and slows each overloaded server."""
+
+    def _timeline(self, events=(), n_frames=60):
+        session = Session(
+            clients=("GRID", "Doom3-L", "UT3", "GRID"),
+            events=events,
+            fleet=RenderFleet.from_capacities(
+                {"a": 1.0, "b": 0.5}, placement="least-loaded", overflow="degrade"
+            ),
+        )
+        return session.timeline(n_frames=n_frames)
+
+    def test_service_level_is_capacity_over_load_per_server(self):
+        duration = _duration(60)
+        timeline = self._timeline(
+            (Leave(0.3 * duration, 0), Join(0.5 * duration, "HL2-H"))
+        )
+        degraded = 0
+        for epoch in timeline.epochs:
+            levels = {d.client_index: d for d in epoch.decisions}
+            for window in epoch.servers:
+                expected = min(1.0, window.capacity / window.load)
+                for client in window.clients:
+                    decision = levels[client]
+                    assert decision.service_level == expected
+                    assert decision.action == (
+                        "degrade" if window.load > window.capacity else "admit"
+                    )
+                    degraded += decision.action == "degrade"
+        assert degraded > 0
+
+    def test_level_scales_each_server_groups_fair_share(self):
+        timeline = self._timeline()
+        (epoch,) = timeline.epochs
+        assert {w.server: w.clients for w in epoch.servers} == {
+            "a": (0, 2, 3),
+            "b": (1,),
+        }
+        for window in epoch.servers:
+            level = min(1.0, window.capacity / window.load)
+            fair = min(1.0 / (len(window.clients) * 0.9), 1.0)
+            for index in window.clients:
+                run = timeline.client(index).run
+                # The downlink is split session-wide and never degraded.
+                assert run.downlink_allocation == ((0.0, pytest.approx(1 / 3.6)),)
+                assert run.server_allocation == ((0.0, pytest.approx(fair * level)),)
+
+    def test_no_client_queues_while_a_server_is_up(self):
+        duration = _duration(60)
+        timeline = self._timeline(
+            (
+                ServerFail(0.2 * duration, "b"),
+                Join(0.4 * duration, "Doom3-H"),
+                ServerDown(0.6 * duration, "a"),
+                ServerUp(0.8 * duration, "b"),
+            )
+        )
+        for epoch in timeline.epochs:
+            if epoch.servers:
+                assert epoch.queued == ()
+                assert set(epoch.serviced) == {d.client_index for d in epoch.decisions}
+            else:
+                assert epoch.serviced == ()
+        assert not timeline.epochs[3].servers  # both servers down
+
+    def test_payload_accepts_degrade(self):
+        fleet = fleet_from_payload(
+            {"servers": {"a": 1.0}, "overflow": "degrade"}, source="test"
+        )
+        assert fleet.overflow == "degrade"
 
 
 class TestServerStats:

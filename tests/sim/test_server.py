@@ -13,6 +13,7 @@ from repro.sim.multiuser import (
     simulate_shared_infrastructure,
 )
 from repro.sim.runner import BatchEngine, RunSpec, run_batch, spec_key
+from repro.sim.session import Session
 from repro.sim.server import (
     ClientDemand,
     DeadlinePolicy,
@@ -187,15 +188,14 @@ class TestCacheKeySeparation:
 
 
 class TestAdmission:
-    def _demands(self, n, weight=1.0):
-        return tuple(
-            ClientDemand.estimate("GRID", WIFI, seed=i, weight=weight)
-            for i in range(n)
-        )
+    """Admission verdicts of a one-server session's first epoch."""
+
+    def _decisions(self, server, clients=("GRID",) * 3):
+        session = Session(clients=clients, server=server)
+        return session.timeline(n_frames=24).epochs[0].decisions
 
     def test_within_capacity_all_admitted(self):
-        server = RenderServer(capacity_clients=4.0)
-        decisions = server.admit(self._demands(3))
+        decisions = self._decisions(RenderServer(capacity_clients=4.0))
         assert [d.action for d in decisions] == ["admit"] * 3
         assert all(d.service_level == 1.0 for d in decisions)
 
@@ -203,33 +203,38 @@ class TestAdmission:
         assert RenderServer().capacity == 8.0
 
     def test_degrade_shrinks_everyone_proportionally(self):
-        server = RenderServer(capacity_clients=2.0, overflow="degrade")
-        decisions = server.admit(self._demands(4))
+        decisions = self._decisions(
+            RenderServer(capacity_clients=2.0, overflow="degrade"), ("GRID",) * 4
+        )
         assert [d.action for d in decisions] == ["degrade"] * 4
         assert all(d.service_level == pytest.approx(0.5) for d in decisions)
 
     def test_sub_client_capacity_degrades_a_lone_client(self):
         """capacity < 1 client-equivalent still serves, at reduced service."""
-        server = RenderServer(capacity_clients=0.5, overflow="degrade")
-        (decision,) = server.admit(self._demands(1))
+        (decision,) = self._decisions(
+            RenderServer(capacity_clients=0.5, overflow="degrade"), ("GRID",)
+        )
         assert decision.action == "degrade"
         assert decision.service_level == pytest.approx(0.5)
         assert decision.serviced
 
     def test_sub_client_capacity_with_reject_turns_everyone_away(self):
-        server = RenderServer(capacity_clients=0.5, overflow="reject")
-        (decision,) = server.admit(self._demands(1))
+        (decision,) = self._decisions(
+            RenderServer(capacity_clients=0.5, overflow="reject"), ("GRID",)
+        )
         assert decision.action == "reject"
         assert not decision.serviced
 
     def test_reject_services_a_prefix(self):
-        server = RenderServer(capacity_clients=2.0, overflow="reject")
-        decisions = server.admit(self._demands(3))
+        decisions = self._decisions(
+            RenderServer(capacity_clients=2.0, overflow="reject")
+        )
         assert [d.action for d in decisions] == ["admit", "admit", "reject"]
 
     def test_queue_marks_the_excess(self):
-        server = RenderServer(capacity_clients=1.0, overflow="queue")
-        decisions = server.admit(self._demands(2))
+        decisions = self._decisions(
+            RenderServer(capacity_clients=1.0, overflow="queue"), ("GRID",) * 2
+        )
         assert [d.action for d in decisions] == ["admit", "queue"]
 
     def test_rejected_clients_produce_no_specs_but_keep_verdicts(self):
@@ -250,12 +255,10 @@ class TestAdmission:
         assert all(spec.shared_clients == 2 for spec in plan.specs)
 
     def test_client_weights_consume_capacity(self):
-        server = RenderServer(capacity_clients=2.0, overflow="reject")
-        demands = (
-            ClientDemand.estimate("GRID", WIFI, weight=1.5),
-            ClientDemand.estimate("Doom3-L", WIFI, weight=1.0),
+        decisions = self._decisions(
+            RenderServer(capacity_clients=2.0, overflow="reject"),
+            (ClientSpec("GRID", weight=1.5), ClientSpec("Doom3-L", weight=1.0)),
         )
-        decisions = server.admit(demands)
         assert [d.action for d in decisions] == ["admit", "reject"]
 
     def test_bad_configuration_rejected(self):

@@ -175,6 +175,31 @@ class TestLegacyParity:
             timeline.plan()
 
 
+class TestWarmupClamp:
+    """A warm-up with no steady state left clamps to zero on every path."""
+
+    @pytest.mark.parametrize(
+        "server, policy",
+        [
+            (None, "fair-share"),  # the legacy path
+            (None, "deadline"),
+            (RenderServer(capacity_clients=1.0, overflow="queue"), "fair-share"),
+        ],
+    )
+    def test_session_clamps_an_oversized_warmup(self, server, policy):
+        session = Session(clients=("GRID", "Doom3-L"), server=server, policy=policy)
+        timeline = session.timeline(n_frames=3, warmup_frames=5)
+        assert timeline.specs
+        assert all(spec.warmup_frames == 0 for spec in timeline.specs)
+
+    @pytest.mark.parametrize("server", [None, RenderServer()])
+    def test_scenario_plan_clamps_an_oversized_warmup(self, server):
+        scenario = MultiUserScenario.uniform("GRID", 2, server=server)
+        plan = scenario.plan(n_frames=3, warmup_frames=5)
+        assert [spec.warmup_frames for spec in plan.specs] == [0, 0]
+        assert [spec.n_frames for spec in plan.specs] == [3, 3]
+
+
 class TestQueuePromotion:
     def test_queued_client_starts_late_when_capacity_frees(self):
         n_frames = 90
