@@ -8,12 +8,13 @@ timing artifact:
   oracle (the original per-frame execution model);
 * ``serial_s`` — one spec at a time on the requested ``--engine``
   (default: the vectorized frame kernels);
-* ``parallel_cold_s`` — the batch engine at ``--jobs`` workers with a
-  cold on-disk cache;
-* ``shard_cold_s`` — the sharded work-stealing executor (``--shards``
-  shards, process mode) with a cold cache and a spill-to-disk stream;
-* ``parallel_warm_s`` — the flat engine invoked again, so every spec is
-  answered by the cache;
+* ``parallel_cold_s`` — the batch engine at ``--jobs`` workers (its
+  derived shard count, spilled through a temporary stream) with a cold
+  on-disk cache;
+* ``shard_cold_s`` — the batch engine at ``--shards`` shards, process
+  mode, with a cold cache and a configured spill-to-disk stream;
+* ``parallel_warm_s`` — the ``--jobs`` engine invoked again, so every
+  spec is answered by the cache;
 * ``serial_warm_s`` / ``obs_untraced_s`` / ``obs_traced_s`` — the
   serial sweep re-timed min-of-reps with warm memo caches: before any
   tracer exists, after configure/shutdown cycles (disabled again), and
@@ -167,8 +168,8 @@ def bench(
         # result cache — writing both would double-serialize every result
         # and time an artifact no sharded deployment produces.  Cold-for-
         # cold the two legs are symmetric: each starts empty and leaves a
-        # store the next run could resume from (the cache for the flat
-        # engine, the stream for the sharded one).
+        # store the next run could resume from (the cache for the
+        # parallel leg, the stream for the sharded one).
         with tempfile.TemporaryDirectory(prefix="qvr-bench-shards-") as stream_dir:
             shard_engine = BatchEngine(
                 jobs=jobs, shards=shards, shard_mode="process", stream_dir=stream_dir
@@ -223,7 +224,6 @@ def bench(
         "shard_stats": {
             "shards": shard_stats.shards,
             "workers": shard_stats.workers,
-            "steals": shard_stats.steals,
             "requeues": shard_stats.requeues,
             "executed": shard_stats.executed,
         },

@@ -9,8 +9,8 @@ the two phases the population path is made of:
   expansion, fleet placement.  Reported as ``plan_s`` and
   ``specs_per_s``;
 * **execute** — ``run_population`` folding every client-session through
-  the batch path, once serially (flat in-process engine) and once
-  through the sharded work-stealing executor
+  the batch path, once serially (in-process) and once on
+  process-pool shards
   (``population_serial_s`` vs ``population_shard_s``;
   ``speedup_population_shard`` is their same-run ratio, so machine
   speed cancels and the gate tracks executor overhead).

@@ -16,7 +16,7 @@ committed ``BENCH_batch.json`` baseline:
   of the array-programmed frame kernels; baselines written before the
   field existed are reported informationally instead of gated;
 * ``speedup_shard_cold`` (serial time over cold *sharded* batched time,
-  the work-stealing executor's headline) is gated exactly like
+  the sharded executor's headline) is gated exactly like
   ``speedup_cold`` with ``--max-shard-regression`` (default 25%);
   baselines written before sharded execution existed are reported
   informationally instead of gated;
@@ -137,7 +137,7 @@ def compare(
 
     # The sharded executor's headline shares the same structure again:
     # serial and sharded-cold are timed in the same fresh run, so the
-    # ratio tracks executor overhead (spill I/O, claim files, stealing)
+    # ratio tracks executor overhead (spill I/O and pool dispatch)
     # rather than machine speed.  Baselines committed before sharded
     # execution existed lack the field and are not gated.
     if "speedup_shard_cold" in fresh:

@@ -3,9 +3,9 @@
 
 Expands a population-scale parameter grid — every system design of the
 paper, all seven Table 3 titles, and a couple dozen random seeds — into
-1,029 run specs, executes them through the sharded work-stealing
-executor, and aggregates per-system latency and frame-rate statistics
-*while results stream past*.  No full-sweep result list ever exists:
+1,029 run specs, executes them through the sharded executor, and
+aggregates per-system latency and frame-rate statistics *while results
+stream past*.  No full-sweep result list ever exists:
 each ``(spec, result)`` pair is folded into O(1) mergeable summaries
 (:class:`~repro.sim.metrics.StreamSummary`) and dropped, so peak memory
 is one in-flight result regardless of population size.  The spill
@@ -77,8 +77,7 @@ def main() -> None:
     )
     print(
         f"\nExecutor: {stats.shards} shards, {stats.workers or 1} worker(s), "
-        f"{stats.executed} specs executed, {stats.steals} steals, "
-        f"{stats.requeues} requeues."
+        f"{stats.executed} specs executed, {stats.requeues} requeues."
     )
 
 

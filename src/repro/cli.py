@@ -120,23 +120,24 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--shards", type=int, default=None,
-        help="route uncached runs through the sharded work-stealing "
-        "executor with this many spec shards (results are bit-identical "
-        "to the flat pool at any shard/worker count)",
+        help="spec shards for the executor that runs uncached specs "
+        "(default: four per job, capped at the spec count; results are "
+        "bit-identical at any shard/worker count)",
     )
     parser.add_argument(
         "--shard-mode", default="process", choices=list(SHARD_MODES),
-        help="sharded execution mode: process pool with parent-scheduled "
-        "stealing (default), subprocess workers simulating a multi-machine "
-        "fleet (claim files, heartbeats, requeue), or inline",
+        help="execution mode: in-process with one job and a process pool "
+        "with more (default), or subprocess workers simulating a "
+        "multi-machine fleet (claim files, heartbeats, requeue)",
     )
     parser.add_argument(
         "--stream", nargs="?", const="", default=None, metavar="DIR",
         dest="stream_dir",
-        help="stream sharded results through a spill-to-disk directory; "
-        "with DIR, reusing it resumes an interrupted sweep (completed "
-        "shards are skipped, partial shard files resume after their valid "
-        "prefix); without DIR, results spill through a temporary directory",
+        help="stream results through a spill-to-disk directory; with "
+        "DIR, reusing it resumes an interrupted sweep (completed shards "
+        "are skipped, partial shard files resume after their valid "
+        "prefix); without DIR, nothing is kept: multi-worker runs spill "
+        "through a temporary directory and in-process runs do not spill",
     )
     parser.add_argument(
         "--trace", default=None, metavar="DIR", dest="trace_dir",
@@ -456,15 +457,18 @@ def _cmd_batch(args: argparse.Namespace) -> None:
         f"{stats.executed} executed, {stats.cache_hits} cache hits, "
         f"{stats.deduplicated} deduplicated in-batch; total {total_s:.2f}s"
     )
-    shard_stats = engine.last_shard_stats
-    if shard_stats is not None:
-        print(
-            f"shards: {shard_stats.shards} planned ({shard_stats.specs} specs), "
-            f"{shard_stats.skipped_shards} resumed complete, "
-            f"{shard_stats.salvaged} frames salvaged, "
-            f"{shard_stats.steals} steals, {shard_stats.requeues} requeues, "
-            f"{shard_stats.workers} workers ({args.shard_mode})"
-        )
+    if engine.last_shard_stats is not None:
+        print(_shard_line(engine.last_shard_stats, args.shard_mode))
+
+
+def _shard_line(stats, mode: str) -> str:
+    """The ``shards:`` report line of a batch that ran sharded."""
+    return (
+        f"shards: {stats.shards} planned ({stats.specs} specs), "
+        f"{stats.skipped_shards} resumed complete, "
+        f"{stats.salvaged} frames salvaged, {stats.requeues} requeues, "
+        f"{stats.workers} workers ({mode})"
+    )
 
 
 def _parse_client(token: str) -> ClientSpec:
@@ -926,14 +930,8 @@ def _cmd_population(args: argparse.Namespace) -> None:
         f"total {wall:.2f}s",
         file=sys.stderr,
     )
-    shard_stats = engine.last_shard_stats
-    if shard_stats is not None:
-        print(
-            f"shards: {shard_stats.shards} planned ({shard_stats.specs} specs), "
-            f"{shard_stats.steals} steals, {shard_stats.requeues} requeues, "
-            f"{shard_stats.workers} workers ({args.shard_mode})",
-            file=sys.stderr,
-        )
+    if engine.last_shard_stats is not None:
+        print(_shard_line(engine.last_shard_stats, args.shard_mode), file=sys.stderr)
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:

@@ -18,7 +18,7 @@ dynamically (see ``docs/determinism.md`` for the war stories):
   carries a machine-checked justification.
 * DET005 — bare float accumulation in aggregator modules.  Streaming
   reports are bit-identical at any shard count only because sums route
-  through ``ExactMoments`` / ``RunningMoments``; a bare ``sum()`` or
+  through ``ExactMoments``' exact sums; a bare ``sum()`` or
   loop-carried ``+=`` silently reintroduces order sensitivity.
 * MP001 — fork-unsafety around worker entry points: mutable default
   arguments, and module-global mutable state reachable from functions
@@ -455,7 +455,7 @@ class BareFloatAccumulation(SyntaxRule):
     code = "DET005"
     description = (
         "bare sum()/loop += accumulation in an aggregator module; route "
-        "through ExactMoments/RunningMoments (or math.fsum) so results "
+        "through ExactMoments (or math.fsum) so results "
         "stay bit-identical at any shard/worker/completion order"
     )
     #: Only meaningful with a configured aggregator-module list.
@@ -475,7 +475,7 @@ class BareFloatAccumulation(SyntaxRule):
         ctx.report(
             self.code, node,
             "bare sum() accumulates left-to-right in iteration order; use "
-            "math.fsum or fold through ExactMoments/RunningMoments",
+            "math.fsum or fold through ExactMoments",
         )
 
     def visit_AugAssign(self, node: ast.AugAssign, ctx: FileContext) -> None:
@@ -496,7 +496,7 @@ class BareFloatAccumulation(SyntaxRule):
         ctx.report(
             self.code, node,
             "loop-carried += accumulation is order-sensitive for floats; "
-            "fold through ExactMoments/RunningMoments (int counters: "
+            "fold through ExactMoments (int counters: "
             "use an integer literal step or len(...))",
         )
 

@@ -1,12 +1,12 @@
 """Counters, gauges, and histograms with mergeable snapshots.
 
 A process-local registry in the spirit of the streaming aggregates in
-:mod:`repro.sim.metrics` — and literally built on them: histograms pair
-a :class:`~repro.sim.metrics.RunningMoments` with a
-:class:`~repro.sim.metrics.QuantileSketch`, and snapshot merging folds
-partial aggregates with the same Chan / add-the-counters semantics the
-population report already trusts.  Counter merge is integer addition
-and therefore exactly associative, which ``tests/obs`` asserts.
+:mod:`repro.sim.metrics` — and literally built on them: a histogram is a
+:class:`~repro.sim.metrics.StreamSummary` (exact moments plus a
+log-binned quantile sketch), and snapshot merging folds
+partial aggregates with the same exact-sum / add-the-counters semantics
+the population report already trusts.  Every merge is exact, so merged
+snapshots are identical in any order, which ``tests/obs`` asserts.
 
 When tracing is disabled (the default) the module-level accessors
 return shared null instruments whose methods are empty — no allocation,
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.sim.metrics import QuantileSketch, RunningMoments
+from repro.sim.metrics import StreamSummary
 
 __all__ = [
     "Counter",
@@ -63,18 +63,12 @@ class Gauge:
         self.updates += 1
 
 
-class Histogram:
-    """Moments + log-binned sketch over one observation stream."""
+class Histogram(StreamSummary):
+    """A :class:`~repro.sim.metrics.StreamSummary` fed by ``observe``."""
 
-    __slots__ = ("moments", "sketch")
+    __slots__ = ()
 
-    def __init__(self) -> None:
-        self.moments = RunningMoments()
-        self.sketch = QuantileSketch()
-
-    def observe(self, value: float) -> None:
-        self.moments.add(value)
-        self.sketch.add(value)
+    observe = StreamSummary.add
 
 
 class _NullCounter:
@@ -142,7 +136,7 @@ class MetricsRegistry:
                 for name, g in sorted(self._gauges.items())
             },
             "histograms": {
-                name: _histogram_state(h)
+                name: h.state()
                 for name, h in sorted(self._histograms.items())
             },
         }
@@ -206,55 +200,18 @@ def deactivate() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Snapshot serialization + merge
+# Snapshot merge
 # ---------------------------------------------------------------------------
-
-
-def _histogram_state(h: Histogram) -> dict:
-    m, s = h.moments, h.sketch
-    return {
-        "count": m.count,
-        "mean": m.mean,
-        "m2": m._m2,
-        "min": m.min,
-        "max": m.max,
-        "sketch": {
-            "lo": s.lo,
-            "hi": s.hi,
-            "bins_per_decade": s.bins_per_decade,
-            "counts": {str(index): n for index, n in sorted(s._counts.items())},
-        },
-    }
-
-
-def _histogram_from_state(state: dict) -> Histogram:
-    h = Histogram()
-    m = h.moments
-    m.count = int(state["count"])
-    m.mean = float(state["mean"])
-    m._m2 = float(state["m2"])
-    m.min = float(state["min"])
-    m.max = float(state["max"])
-    geometry = state["sketch"]
-    h.sketch = QuantileSketch(
-        min_value=geometry["lo"],
-        max_value=geometry["hi"],
-        bins_per_decade=geometry["bins_per_decade"],
-    )
-    h.sketch._counts = {
-        int(index): int(n) for index, n in geometry["counts"].items()
-    }
-    h.sketch.count = sum(h.sketch._counts.values())
-    return h
 
 
 def merge_snapshots(snapshots: Iterable[dict]) -> dict:
     """Fold per-process snapshots into one (associative for counters).
 
     Counters add exactly; histograms merge through the underlying
-    ``RunningMoments``/``QuantileSketch`` fold; a gauge keeps the value
-    with the most updates (ties broken toward the larger value, so the
-    fold is order-independent).
+    ``ExactMoments``/``QuantileSketch`` fold, which is exact, so the
+    merged state is identical for every order of ``snapshots``; a gauge
+    keeps the value with the most updates (ties broken toward the larger
+    value, so the fold is order-independent).
     """
     counters: dict[str, int] = {}
     gauges: dict[str, dict] = {}
@@ -267,18 +224,17 @@ def merge_snapshots(snapshots: Iterable[dict]) -> dict:
             if held is None or _gauge_wins(state, held):
                 gauges[name] = dict(state)
         for name, state in snapshot.get("histograms", {}).items():
-            incoming = _histogram_from_state(state)
+            incoming = Histogram.from_state(state)
             held_h = histograms.get(name)
             if held_h is None:
                 histograms[name] = incoming
             else:
-                held_h.moments.merge(incoming.moments)
-                held_h.sketch.merge(incoming.sketch)
+                held_h.merge(incoming)
     return {
         "counters": dict(sorted(counters.items())),
         "gauges": dict(sorted(gauges.items())),
         "histograms": {
-            name: _histogram_state(h) for name, h in sorted(histograms.items())
+            name: h.state() for name, h in sorted(histograms.items())
         },
     }
 

@@ -39,8 +39,8 @@ batch path: per-policy, every session re-plans via
 :meth:`~repro.sim.session.Session.with_policy` and its frozen specs
 stream through :meth:`~repro.sim.runner.BatchEngine.stream_specs`; each
 ``(spec, result)`` pair is folded into order-independent streaming
-aggregates (:class:`~repro.sim.metrics.StreamSummary` in ``exact``
-mode) and dropped, so 10k+ client-sessions execute in bounded memory —
+aggregates (exact-sum :class:`~repro.sim.metrics.StreamSummary`) and
+dropped, so 10k+ client-sessions execute in bounded memory —
 no full result dict ever exists.  The headline metric is fleet-wide SLO
 attainment: the fraction of measurable client-windows whose steady-state
 p99 FPS meets the scenario's floor, reported per policy.  Because every
@@ -766,9 +766,9 @@ class _PolicyAccumulator:
         self.client_sessions = 0
         self.executed = 0
         self.frames = 0
-        self.latency = StreamSummary(exact=True)
-        self.fps = StreamSummary(exact=True)
-        self.client_p99 = StreamSummary(exact=True)
+        self.latency = StreamSummary()
+        self.fps = StreamSummary()
+        self.client_p99 = StreamSummary()
         self.met = 0
         self.measured = 0
         self.unmeasured = 0

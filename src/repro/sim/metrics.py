@@ -28,7 +28,6 @@ __all__ = [
     "ExactMoments",
     "FrameRecord",
     "QuantileSketch",
-    "RunningMoments",
     "SimulationResult",
     "ServerStats",
     "ServerWindow",
@@ -79,93 +78,14 @@ def tail_fps(display_times_ms, percentile: float = 99.0) -> float:
 # ---------------------------------------------------------------------------
 
 
-class RunningMoments:
-    """Mergeable running count / mean / variance / extremes (Welford-Chan).
+class ExactMoments:
+    """Mergeable count / mean / variance / extremes from exact partial sums.
 
     The constant-memory replacement for collect-then-``np.mean`` when a
     sweep is too large to hold: feed values one at a time with
-    :meth:`add`, or fold two partial aggregates with :meth:`merge` (the
-    parallel Chan update), and read the summary statistics at any point.
-    NaN values are skipped (they carry no information about the stream);
-    an empty aggregate reports NaN statistics, matching the steady-state
-    metrics' convention.
-    """
-
-    __slots__ = ("count", "mean", "_m2", "min", "max")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-        self.min = float("inf")
-        self.max = float("-inf")
-
-    def add(self, value: float) -> None:
-        """Fold one observation into the aggregate."""
-        value = float(value)
-        if math.isnan(value):
-            return
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (value - self.mean)
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-
-    def extend(self, values: Iterable[float]) -> None:
-        """Fold an iterable of observations (consumed lazily)."""
-        for value in values:
-            self.add(value)
-
-    def merge(self, other: "RunningMoments") -> None:
-        """Fold another partial aggregate into this one (in place)."""
-        if not isinstance(other, RunningMoments):
-            raise ConfigurationError(
-                "RunningMoments merges only with RunningMoments, got "
-                f"{type(other).__name__}"
-            )
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count = other.count
-            self.mean = other.mean
-            self._m2 = other._m2
-            self.min = other.min
-            self.max = other.max
-            return
-        total = self.count + other.count
-        delta = other.mean - self.mean
-        self.mean += delta * other.count / total
-        self._m2 += other._m2 + delta * delta * self.count * other.count / total
-        self.count = total
-        if other.min < self.min:
-            self.min = other.min
-        if other.max > self.max:
-            self.max = other.max
-
-    @property
-    def variance(self) -> float:
-        """Population variance of the observations seen so far."""
-        if self.count == 0:
-            return float("nan")
-        return self._m2 / self.count
-
-    @property
-    def std(self) -> float:
-        """Population standard deviation."""
-        variance = self.variance
-        return math.sqrt(variance) if variance == variance else float("nan")
-
-
-class ExactMoments:
-    """Order-independent mergeable moments: exact partial-sum accumulation.
-
-    A drop-in alternative to :class:`RunningMoments` whose mean and
-    standard deviation do not depend on the order observations (or
-    partial aggregates) were folded in: the running sum and sum of
-    squares are kept as exact floating-point expansions (Shewchuk's
+    :meth:`add`, or fold two partial aggregates with :meth:`merge`, and
+    read the summary statistics at any point.  The running sum and sum
+    of squares are kept as exact floating-point expansions (Shewchuk's
     grow-expansion, the algorithm behind ``math.fsum``), so the exact
     accumulated value — and therefore its correctly rounded reading — is
     invariant under any permutation of :meth:`add` / :meth:`merge`
@@ -173,14 +93,16 @@ class ExactMoments:
 
     This is the property population-scale consumers need: the sharded
     executor yields results in nondeterministic completion order, and a
-    Welford fold of the same values in two different orders differs in
-    the last ULPs.  With exact sums, two runs that fold the same
-    multiset of values report bit-identical statistics however the
+    running (Welford) fold of the same values in two different orders
+    differs in the last ULPs.  With exact sums, two runs that fold the
+    same multiset of values report bit-identical statistics however the
     scheduler interleaved them.
 
-    NaN observations are skipped (as in :class:`RunningMoments`);
-    infinities are tallied separately (an exact expansion cannot carry
-    them) and saturate the statistics deterministically.
+    NaN observations are skipped (they carry no information about the
+    stream); infinities are tallied separately (an exact expansion
+    cannot carry them) and saturate the statistics deterministically.
+    An empty aggregate reports NaN statistics, matching the steady-state
+    metrics' convention.
     """
 
     __slots__ = ("count", "_sum", "_sumsq", "min", "max", "_pos_inf", "_neg_inf")
@@ -256,6 +178,40 @@ class ExactMoments:
         if other.max > self.max:
             self.max = other.max
 
+    def state(self) -> dict:
+        """A JSON-serializable image that depends only on the folded values.
+
+        Each exact sum is written as its canonical expansion — the
+        greedy sequence of correctly rounded remainders, largest first —
+        which is a function of the exact value alone, so two aggregates
+        of one multiset serialize identically whatever the fold or merge
+        order.
+        """
+        return {
+            "count": self.count,
+            "sum": _canonical_expansion(self._sum),
+            "sumsq": _canonical_expansion(self._sumsq),
+            "pos_inf": self._pos_inf,
+            "neg_inf": self._neg_inf,
+            "min": self.min,
+            "max": self.max,
+        }
+
+    @classmethod
+    def from_state(cls, state: dict) -> "ExactMoments":
+        """Rebuild an aggregate from :meth:`state` (exactly)."""
+        moments = cls()
+        moments.count = int(state["count"])
+        for x in state["sum"]:
+            cls._grow(moments._sum, float(x))
+        for x in state["sumsq"]:
+            cls._grow(moments._sumsq, float(x))
+        moments._pos_inf = int(state["pos_inf"])
+        moments._neg_inf = int(state["neg_inf"])
+        moments.min = float(state["min"])
+        moments.max = float(state["max"])
+        return moments
+
     @property
     def mean(self) -> float:
         """Correctly rounded mean of the observations seen so far."""
@@ -287,6 +243,23 @@ class ExactMoments:
         return math.sqrt(variance) if variance == variance else float("nan")
 
 
+def _canonical_expansion(partials: list[float]) -> list[float]:
+    """The exact value of ``sum(partials)`` as greedy rounded remainders.
+
+    ``math.fsum`` rounds an exact sum correctly, so peeling off its
+    result and re-summing the exact remainder yields a sequence that
+    depends only on the exact value, not on how ``partials`` split it.
+    """
+    rest = list(partials)
+    out: list[float] = []
+    head = math.fsum(rest)
+    while head:
+        out.append(head)
+        rest.append(-head)
+        head = math.fsum(rest)
+    return out
+
+
 #: Default sub-buckets per decade of the log-binned quantile sketch —
 #: worst-case relative quantile error is ``10**(1/(2*64)) - 1`` (~1.8%).
 _SKETCH_BINS_PER_DECADE = 64
@@ -304,13 +277,17 @@ class QuantileSketch:
     deterministic — the properties the sharded batch executor needs to
     aggregate a 10k-spec sweep without materializing it.
 
-    Quantiles are answered to within one bucket: the worst-case relative
-    error is ``10**(1/(2*bins_per_decade)) - 1`` (< 2% at the default
-    resolution).  Values below ``min_value`` (including zeros and
-    negatives) clamp into the lowest bucket and values at or above
-    ``max_value`` into the highest; NaNs are skipped.  The defaults span
-    1 µs to 10⁷ ms, generous for every millisecond- or FPS-scale series
-    the simulator produces.
+    Accuracy contract: when every observation lies in
+    ``[min_value, max_value)``, :meth:`quantile` is within relative
+    error ``10**(1/(2*bins_per_decade)) - 1`` (< 2% at the default
+    resolution; up to floating-point rounding at bucket edges) of the
+    exact inverted-CDF quantile — ``np.quantile(values, q,
+    method="inverted_cdf")``, the ``ceil(q * n)``-th smallest value.
+    Values below ``min_value`` (including zeros and negatives) clamp
+    into the lowest bucket and values at or above ``max_value`` into the
+    highest, where the bound no longer holds; NaNs are skipped.  The
+    defaults span 1 µs to 10⁷ ms, generous for every millisecond- or
+    FPS-scale series the simulator produces.
     """
 
     __slots__ = ("lo", "hi", "bins_per_decade", "_counts", "count")
@@ -375,6 +352,23 @@ class QuantileSketch:
             self._counts[index] = self._counts.get(index, 0) + n
         self.count += other.count
 
+    def state(self) -> dict:
+        """A JSON-serializable image: the geometry and the bucket counts."""
+        return {
+            "lo": self.lo,
+            "hi": self.hi,
+            "bins_per_decade": self.bins_per_decade,
+            "counts": {str(index): n for index, n in sorted(self._counts.items())},
+        }
+
+    @classmethod
+    def from_state(cls, state: dict) -> "QuantileSketch":
+        """Rebuild a sketch from :meth:`state`."""
+        sketch = cls(state["lo"], state["hi"], state["bins_per_decade"])
+        sketch._counts = {int(index): int(n) for index, n in state["counts"].items()}
+        sketch.count = sum(sketch._counts.values())
+        return sketch
+
     def quantile(self, q: float) -> float:
         """The value at quantile ``q`` in [0, 1], to one-bucket resolution.
 
@@ -396,29 +390,21 @@ class QuantileSketch:
 
 
 class StreamSummary:
-    """Running moments plus a percentile sketch over one value stream.
+    """Exact moments plus a percentile sketch over one value stream.
 
-    The unit of streaming sweep aggregation: exact count / mean / std /
-    min / max via :class:`RunningMoments` and approximate percentiles via
+    The unit of streaming sweep aggregation: count / mean / std / min /
+    max via :class:`ExactMoments` and approximate percentiles via
     :class:`QuantileSketch`, mergeable across shards.  This is what the
     population-scale paths fold per-spec metrics into instead of holding
-    a full-sweep result list.
-
-    ``exact=True`` swaps the Welford moments for :class:`ExactMoments`,
-    making every reported statistic independent of fold/merge order —
-    the mode the population demand path uses so a sharded run's report
-    is bit-identical at any shard count and completion order (sketch
-    counters and extremes are order-independent either way; only the
-    Welford mean/std are not).  Summaries merge only with summaries of
-    the same mode.
+    a full-sweep result list.  Every reported statistic is independent
+    of fold and merge order, so a sharded run's report is bit-identical
+    at any shard count and completion order.
     """
 
     __slots__ = ("moments", "sketch")
 
-    def __init__(
-        self, sketch: QuantileSketch | None = None, exact: bool = False
-    ) -> None:
-        self.moments = ExactMoments() if exact else RunningMoments()
+    def __init__(self, sketch: QuantileSketch | None = None) -> None:
+        self.moments = ExactMoments()
         self.sketch = sketch if sketch is not None else QuantileSketch()
 
     def add(self, value: float) -> None:
@@ -435,6 +421,17 @@ class StreamSummary:
         """Fold another summary into this one (in place)."""
         self.moments.merge(other.moments)
         self.sketch.merge(other.sketch)
+
+    def state(self) -> dict:
+        """A JSON-serializable image (see :meth:`ExactMoments.state`)."""
+        return {**self.moments.state(), "sketch": self.sketch.state()}
+
+    @classmethod
+    def from_state(cls, state: dict) -> "StreamSummary":
+        """Rebuild a summary from :meth:`state` (exactly)."""
+        summary = cls(QuantileSketch.from_state(state["sketch"]))
+        summary.moments = ExactMoments.from_state(state)
+        return summary
 
     @property
     def count(self) -> int:

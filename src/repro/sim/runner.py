@@ -12,15 +12,16 @@ through one engine:
   is just a spec variant rather than a parallel API;
 * :class:`Sweep` declaratively expands a parameter grid
   (system x app x platform x seed) into frozen specs;
-* :class:`BatchEngine` executes spec batches over an optional
-  ``concurrent.futures`` process pool and memoizes results in an on-disk
-  cache keyed by a stable content hash of the spec (:func:`spec_key`).
+* :class:`BatchEngine` executes spec batches and memoizes results in an
+  on-disk cache keyed by a stable content hash of the spec
+  (:func:`spec_key`).
 
-Population-scale sweeps route through the sharded, work-stealing
-executor (:mod:`repro.sim.shard`): ``BatchEngine(shards=...)`` partitions
-the miss list into spec shards, streams every completed run to an
+Every batch executes through the sharded executor
+(:mod:`repro.sim.shard`): serial execution is its one-worker case, run
+in this process; with more jobs the miss list is partitioned into spec
+shards for a process pool, every completed run streams to an
 append-only spill file, and — via :meth:`BatchEngine.stream_specs` —
-yields ``(spec, result)`` pairs in bounded memory instead of
+``(spec, result)`` pairs are yielded in bounded memory instead of
 materializing the whole sweep's output.
 
 Execution is deterministic per spec: every run derives all randomness
@@ -30,7 +31,6 @@ any job count, any shard/worker count, and across cache round-trips.
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import hashlib
 import itertools
@@ -573,7 +573,7 @@ class BatchStats:
 
 
 class BatchEngine:
-    """Executes batches of :class:`RunSpec` with dedup, cache and a pool.
+    """Executes batches of :class:`RunSpec` with dedup, a cache and shards.
 
     Parameters
     ----------
@@ -590,24 +590,25 @@ class BatchEngine:
         by the *requested* specs, and cache keys ignore the engine field,
         so overriding changes how runs execute, never what callers see.
     shards:
-        Route uncached specs through the sharded work-stealing executor
-        (:mod:`repro.sim.shard`) with this target shard count instead of
-        the flat per-spec pool.  ``jobs`` becomes the worker count.
-        Results are bit-identical to the flat path — sharding only
-        changes scheduling and spill behaviour, never computation — and
+        Shard count for the sharded executor (:mod:`repro.sim.shard`),
+        which runs every batch.  None derives it from the inputs: four
+        shards per job, capped at the miss count.  Results are
+        bit-identical at any shard count — sharding only changes
+        scheduling and spill behaviour, never computation — and
         :class:`ResultCache` keys are unchanged.
     shard_mode:
-        Sharded-execution mode (see :data:`repro.sim.shard.SHARD_MODES`):
-        ``"process"`` (default) runs shards on a process pool with
-        parent-scheduled stealing; ``"subprocess"`` simulates a
+        Execution mode (see :data:`repro.sim.shard.SHARD_MODES`):
+        ``"process"`` (default) runs shards in this process with one job
+        and on a process pool with more; ``"subprocess"`` simulates a
         multi-machine fleet of claim-based workers with heartbeat and
-        requeue; ``"inline"`` executes shards sequentially in-process.
+        requeue.
     stream_dir:
-        Directory for the sharded executor's spill-to-disk result
-        stream.  Reusing the directory resumes an interrupted sweep:
-        completed shards are skipped and partial shard files resume
-        after their salvaged prefix.  None spills to a temporary
-        directory that is removed when execution finishes.
+        Directory for the executor's spill-to-disk result stream.
+        Reusing the directory resumes an interrupted sweep: completed
+        shards are skipped and partial shard files resume after their
+        salvaged prefix.  None spills multi-worker runs to a temporary
+        directory that is removed when execution finishes, and keeps
+        in-process runs off disk.
 
     Completed runs are always memoized in-memory for the engine's
     lifetime, so overlapping batches (e.g. Table 4 and Fig. 15 sharing
@@ -615,7 +616,11 @@ class BatchEngine:
     directory; ``cache_dir`` additionally persists results across
     engines and processes.  The bounded-memory entry points
     (:meth:`stream_specs` / :meth:`stream_sweep`) skip that memo —
-    results flow straight from the spill files to the caller.
+    results flow straight from the executor to the caller.
+
+    :attr:`last_shard_stats` holds the executor statistics of the last
+    batch run with an explicit shard count or through a result stream;
+    serial batches with neither leave it None.
     """
 
     def __init__(
@@ -659,102 +664,84 @@ class BatchEngine:
         """Execute a batch; returns results keyed by spec, input-ordered.
 
         Duplicate specs are executed once; cached specs are loaded from
-        disk; the remainder runs on the process pool (``jobs`` > 1) or
-        in-process, and lands in the cache for the next batch.
+        disk; the remainder runs on the sharded executor (in-process with
+        one job) and lands in the cache for the next batch.
         """
         requested = list(specs)
         unique = list(dict.fromkeys(requested))
-        self.stats.requested += len(requested)
-        self.stats.unique += len(unique)
-
         tracer = obs_trace.active()
         with tracer.span(
             "batch.run_specs", requested=len(requested), unique=len(unique)
         ):
-            results: dict[RunSpec, SimulationResult] = {}
-            misses: list[RunSpec] = []
-            for spec in unique:
-                cached = self._memo.get(spec)
-                if cached is None and self.cache is not None:
-                    cached = self.cache.get(spec)
-                if cached is not None:
-                    results[spec] = cached
-                    self._memo[spec] = cached
-                    self.stats.cache_hits += 1
-                else:
-                    misses.append(spec)
-
-            for spec, result in self._execute(misses):
-                results[spec] = result
-                self._memo[spec] = result
-                if self.cache is not None:
-                    self.cache.put(spec, result)
-                self.stats.executed += 1
+            results = dict(self._serve(requested, memoize=True))
             return {spec: results[spec] for spec in unique}
+
+    def _serve(
+        self, specs: Iterable[RunSpec], memoize: bool
+    ) -> Iterator[tuple[RunSpec, SimulationResult]]:
+        """Yield each unique spec's result: memo and cache hits, then runs.
+
+        ``specs`` is consumed incrementally — duplicates are dropped and
+        hits yielded as they arrive — and the misses execute once the
+        input is drained.  Executed results land in the disk cache, and
+        with ``memoize`` every result also lands in the engine memo.
+        """
+        seen: set[RunSpec] = set()
+        misses: list[RunSpec] = []
+        for spec in specs:
+            self.stats.requested += 1
+            if spec in seen:
+                continue
+            seen.add(spec)
+            self.stats.unique += 1
+            cached = self._memo.get(spec)
+            if cached is None and self.cache is not None:
+                cached = self.cache.get(spec)
+            if cached is not None:
+                self.stats.cache_hits += 1
+                if memoize:
+                    self._memo[spec] = cached
+                yield spec, cached
+            else:
+                misses.append(spec)
+        for spec, result in self._execute(misses):
+            if memoize:
+                self._memo[spec] = result
+            if self.cache is not None:
+                self.cache.put(spec, result)
+            self.stats.executed += 1
+            yield spec, result
 
     def _execute(
         self, specs: list[RunSpec]
     ) -> Iterator[tuple[RunSpec, SimulationResult]]:
-        """Yield (spec, result) as runs complete.
+        """Yield (spec, result) as runs complete, through the sharded executor.
 
         Results stream back in completion order so each lands in the
         cache immediately — an interrupted or partially failed sweep
         keeps every run that finished.  Callers key by spec, so the
-        non-deterministic completion order never reaches outputs.
-
-        An engine override rewrites each spec's ``engine`` field just for
-        execution; yielded keys are the requested specs, so callers (and
-        the cache, whose keys ignore the field anyway) are unaffected.
-
-        With ``shards`` configured the batch instead flows through the
-        sharded work-stealing executor, which spills every completed run
-        to disk and already handles the engine override itself.
-        """
-        if self.shards is not None:
-            yield from self._execute_sharded(specs)
-            return
-        if self.engine is None:
-            executed = list(specs)
-        else:
-            executed = [replace(spec, engine=self.engine) for spec in specs]
-        if self.jobs > 1 and len(specs) > 1:
-            workers = min(self.jobs, len(specs))
-            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {
-                    pool.submit(run, job): spec
-                    for spec, job in zip(specs, executed)
-                }
-                for future in concurrent.futures.as_completed(futures):
-                    yield futures[future], future.result()
-        else:
-            for spec, job in zip(specs, executed):
-                yield spec, run(job)
-
-    def _execute_sharded(
-        self, specs: list[RunSpec]
-    ) -> Iterator[tuple[RunSpec, SimulationResult]]:
-        """Run the miss list through the sharded work-stealing executor.
-
-        Frames are yielded lazily from the executor's spill files; a
-        temporary stream directory (when none was configured) is removed
-        once the batch finishes, while a configured ``stream_dir`` keeps
-        its spill files for resumption and post-hoc reads.
+        non-deterministic completion order never reaches outputs.  The
+        executor applies the engine override itself and yields the
+        requested specs.  A temporary stream directory is removed once
+        the batch finishes, while a configured ``stream_dir`` keeps its
+        spill files for resumption and post-hoc reads.
         """
         from repro.sim.shard import ShardedExecutor
 
         if not specs:
             return
         executor = ShardedExecutor(
-            shards=self.shards,
+            shards=self.shards if self.shards is not None else 4 * self.jobs,
             workers=self.jobs,
             mode=self.shard_mode,
             stream_dir=self.stream_dir,
             engine=self.engine,
         )
-        self.last_shard_stats = executor.stats
         try:
             yield from executor.execute(specs)
         finally:
+            if self.shards is not None or executor.stream is not None:
+                self.last_shard_stats = executor.stats
             executor.cleanup()
 
     def run_sweep(self, sweep: Sweep) -> dict[RunSpec, SimulationResult]:
@@ -787,27 +774,7 @@ class BatchEngine:
         planner can emit specs session by session without ever
         materializing the duplicate-bearing request list.
         """
-        seen: set[RunSpec] = set()
-        misses: list[RunSpec] = []
-        for spec in specs:
-            self.stats.requested += 1
-            if spec in seen:
-                continue
-            seen.add(spec)
-            self.stats.unique += 1
-            cached = self._memo.get(spec)
-            if cached is None and self.cache is not None:
-                cached = self.cache.get(spec)
-            if cached is not None:
-                self.stats.cache_hits += 1
-                yield spec, cached
-            else:
-                misses.append(spec)
-        for spec, result in self._execute(misses):
-            if self.cache is not None:
-                self.cache.put(spec, result)
-            self.stats.executed += 1
-            yield spec, result
+        yield from self._serve(specs, memoize=False)
 
     def stream_sweep(
         self, sweep: Sweep

@@ -43,7 +43,7 @@ single-epoch session.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, ClassVar, Iterable
+from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
 
@@ -55,7 +55,6 @@ from repro.network.profile import NetworkProfile, as_profile
 from repro.sim.metrics import (
     ServerWindow,
     SimulationResult,
-    StreamSummary,
     WindowStats,
     aggregate_server_stats,
     window_stats,
@@ -67,7 +66,6 @@ from repro.sim.runner import (
     RunSpec,
     default_engine,
     effective_warmup,
-    spec_key,
 )
 from repro.sim.server import AdmissionDecision, POLICY_NAMES, RenderServer
 from repro.sim.systems import PlatformConfig
@@ -315,6 +313,7 @@ class Session:
         """Statically replay membership so bad indices fail at build time."""
         known = len(self.clients)
         left: set[int] = set()
+        switched: set[tuple[float, int]] = set()
         for event in self.ordered_events():
             if isinstance(event, CapacityEvent):
                 continue  # server references validated by the fleet
@@ -334,6 +333,13 @@ class Session:
                 )
             if isinstance(event, Leave):
                 left.add(index)
+            elif isinstance(event, ProfileSwitch):
+                if (event.t_ms, index) in switched:
+                    raise ConfigurationError(
+                        f"two ProfileSwitch events name client {index} at "
+                        f"{event.t_ms:g} ms; a client switches at most once per instant"
+                    )
+                switched.add((event.t_ms, index))
 
     def ordered_events(self) -> tuple[SessionEvent, ...]:
         """Events in application order: by time, then rank, then declaration.
@@ -594,28 +600,6 @@ class SessionTimeline:
         return aggregate_server_stats(
             [window for epoch in self.epochs for window in epoch.servers]
         )
-
-    def stream_stats(
-        self, results: "dict[RunSpec, SimulationResult] | Iterable"
-    ) -> tuple[StreamSummary, StreamSummary]:
-        """Session-wide streaming latency / FPS summaries of executed runs.
-
-        Folds each serviced client's steady-state per-frame series into
-        one mergeable ``(latency, fps)`` :class:`StreamSummary` pair —
-        the bounded-memory aggregation population-scale paths use
-        instead of keeping per-client timelines around.  ``results`` may
-        be the batch engine's spec-keyed dict or any iterable of
-        ``(spec, result)`` pairs (e.g. a spill-to-disk result stream);
-        pairs for specs outside this session are ignored, so one shared
-        stream can feed many sessions' stats.
-        """
-        latency, fps = StreamSummary(), StreamSummary()
-        wanted = {spec_key(spec) for spec in self.specs}
-        pairs = results.items() if hasattr(results, "items") else results
-        for spec, result in pairs:
-            if spec_key(spec) in wanted:
-                result.fold_into(latency=latency, fps=fps)
-        return latency, fps
 
     def plan(self):
         """The legacy single-epoch view (``MultiUserScenario.plan()``)."""

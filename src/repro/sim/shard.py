@@ -1,23 +1,23 @@
-"""Sharded, work-stealing batch execution with spill-to-disk result streams.
+"""Sharded batch execution with spill-to-disk result streams.
 
-This is the execution substrate underneath :class:`~repro.sim.runner.
-BatchEngine` for population-scale sweeps: the spec list is partitioned
-into contiguous **shards**, shards are served from per-worker queues
-with idle workers **stealing** from the tail of the busiest queue, and
-every completed run is **streamed to disk** as an append-only pickle
-frame in a per-shard result file — so a 10k-spec sweep executes in
-memory bounded by one shard, an interrupted sweep resumes from the spill
-files, and a killed worker's shard is requeued and re-executed without
-losing the frames it already wrote.
+This is the one execution substrate underneath :class:`~repro.sim.runner.
+BatchEngine`, from a serial sweep to a population-scale one: the spec
+list is partitioned into contiguous **shards**, and every completed run
+can be **streamed to disk** as an append-only pickle frame in a
+per-shard result file — so a 10k-spec sweep executes in memory bounded
+by one shard, an interrupted sweep resumes from the spill files, and a
+killed worker's shard is requeued and re-executed without losing the
+frames it already wrote.
 
-Three execution modes share one on-disk protocol (:class:`ResultStream`):
+Two execution modes share one on-disk protocol (:class:`ResultStream`):
 
-* ``inline`` — shards run one after another in this process (the
-  reference order; also the fallback when every worker has died);
-* ``process`` — shards run on a ``concurrent.futures`` process pool,
-  scheduled by the parent from per-worker queues with steal-from-tail
-  (the pool executes wherever a process is free, so the queues model
-  *scheduling order*, not CPU pinning);
+* ``process`` (the default) — with one worker, shards run one after
+  another in this process (the serial case and the reference order);
+  with more, every shard is submitted to a ``concurrent.futures``
+  process pool, which runs each wherever a process is free, and shards
+  are read back in completion order.  In-process execution spills only
+  when a stream directory is given: without one nothing could resume
+  from the spill, so frames are yielded straight from execution;
 * ``subprocess`` — the simulated multi-machine mode: independent
   ``python -m repro.sim.shard`` worker processes claim shards from the
   spool directory via atomic claim files, heartbeat while executing,
@@ -29,9 +29,12 @@ Three execution modes share one on-disk protocol (:class:`ResultStream`):
 
 Determinism contract: shard planning is a pure function of the spec
 list, frames within a shard are written in spec order, and each run is
-bit-reproducible from its spec — so the stream's contents are identical
-at any shard count, worker count, mode, and across crash/requeue or
-interrupt/resume cycles.
+bit-reproducible from its spec — so the stream decodes to identical
+results at any shard count, worker count and mode, and across
+crash/requeue or interrupt/resume cycles.  A resumed shard file is
+byte-identical to an uninterrupted run's at the same worker count (a
+frame pickled in this process shares strings between its spec and
+result that a worker's frame does not, so the two differ in bytes).
 """
 
 from __future__ import annotations
@@ -43,8 +46,8 @@ import os
 import pickle
 import subprocess
 import sys
+import tempfile
 import time
-from collections import deque
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -65,7 +68,7 @@ __all__ = [
 ]
 
 #: Execution modes of the sharded executor (see the module docstring).
-SHARD_MODES = ("inline", "process", "subprocess")
+SHARD_MODES = ("process", "subprocess")
 
 #: Heartbeat period (seconds) subprocess workers refresh their claim at.
 DEFAULT_HEARTBEAT_S = 1.0
@@ -246,21 +249,21 @@ class ResultStream:
             )
         return shard
 
-    def spooled_indices(self) -> list[int]:
-        """Indices of every spooled shard, ascending."""
+    def _indices(self, suffix: str) -> list[int]:
         return sorted(
             int(path.stem.split("-")[1])
-            for path in self.directory.glob("shard-*.spec")
+            for path in self.directory.glob(f"shard-*{suffix}")
         )
+
+    def spooled_indices(self) -> list[int]:
+        """Indices of every spooled shard, ascending."""
+        return self._indices(".spec")
 
     # -- completion state ------------------------------------------------------
 
     def completed_shards(self) -> list[int]:
         """Indices of shards whose result files are complete, ascending."""
-        return sorted(
-            int(path.stem.split("-")[1])
-            for path in self.directory.glob("shard-*.results")
-        )
+        return self._indices(".results")
 
     def is_complete(self, index: int) -> bool:
         """True when shard ``index`` has a completed results file."""
@@ -299,6 +302,34 @@ class ResultStream:
         return sum(1 for _ in self.iter_results())
 
 
+def _valid_prefix(stream: ResultStream, shard: Shard) -> tuple[int, int]:
+    """Frames and bytes of ``shard``'s resumable ``.part`` prefix.
+
+    The prefix ends at the first torn frame or at the first frame whose
+    spec breaks the shard's spec order.
+    """
+    frames = offset = 0
+    try:
+        handle = stream.part_path(shard.index).open("rb")
+    except OSError:
+        return 0, 0
+    with handle:
+        while frames < len(shard.specs):
+            try:
+                frame = pickle.load(handle)
+            except _TORN_FRAME_ERRORS:
+                break
+            if (
+                not isinstance(frame, tuple)
+                or len(frame) != 2
+                or frame[0] != shard.specs[frames]
+            ):
+                break
+            frames += 1
+            offset = handle.tell()
+    return frames, offset
+
+
 class _ShardWriter:
     """Appends one shard's frames, salvaging any valid prefix on resume.
 
@@ -307,34 +338,25 @@ class _ShardWriter:
     are kept (their byte prefix is preserved verbatim, so the final file
     is bit-identical to an uninterrupted run), everything after the first
     mismatch or torn frame is truncated, and execution resumes at
-    :attr:`start`.
+    :attr:`start`.  A salvaged prefix is recorded as a ``shard.resume``
+    instant on the active tracer.
     """
 
     def __init__(self, stream: ResultStream, shard: Shard) -> None:
         self.stream = stream
         self.shard = shard
         self.part = stream.part_path(shard.index)
-        self.start = 0
-        offset = 0
-        if self.part.exists():
-            with self.part.open("rb") as handle:
-                while self.start < len(shard.specs):
-                    try:
-                        frame = pickle.load(handle)
-                    except _TORN_FRAME_ERRORS:
-                        break
-                    if (
-                        not isinstance(frame, tuple)
-                        or len(frame) != 2
-                        or frame[0] != shard.specs[self.start]
-                    ):
-                        break
-                    offset = handle.tell()
-                    self.start += 1
+        self.start, offset = _valid_prefix(stream, shard)
         self._handle = self.part.open("r+b" if self.part.exists() else "wb")
         self._handle.truncate(offset)
         self._handle.seek(offset)
         self._written = self.start
+        tracer = obs_trace.active()
+        if self.start and tracer.enabled:
+            tracer.instant(
+                "shard.resume", key=("resume", shard.index, self.start),
+                shard=shard.index, salvaged=self.start,
+            )
 
     def append(self, spec: RunSpec, result: SimulationResult) -> None:
         """Append one (spec, result) record and flush it to disk."""
@@ -359,52 +381,67 @@ class _ShardWriter:
 # ---------------------------------------------------------------------------
 
 
-def _execute_shard(
+def _shard_frames(
     shard: Shard,
-    stream_dir: str | os.PathLike,
+    writer: _ShardWriter | None,
     engine: str | None,
-    delay_ms: float = 0.0,
-    heartbeat: Callable[[], None] | None = None,
-    trace_dir: str | None = None,
-) -> tuple[int, int]:
-    """Run one shard, streaming frames to disk; returns (index, executed).
+    after_spec: Callable[[], None] | None = None,
+) -> Iterator[tuple[RunSpec, SimulationResult]]:
+    """Execute one shard's remaining specs, yielding each frame as it lands.
 
-    Skips work already on disk: a completed shard is a no-op, a partial
-    ``.part`` file resumes after its salvaged prefix.  An engine override
-    rewrites how each spec executes; the *requested* spec is what lands
-    in the frame, so stream contents are override-invariant.  With
-    ``trace_dir`` set, a fork-safe per-process tracer records one
-    execute span per spec (keyed by shard ordinal + spec key) and a
-    resume event for any salvaged prefix.
+    The per-shard loop of every mode.  With a ``writer``, execution
+    starts after its salvaged prefix, each frame is spilled before it is
+    yielded, and the shard's results file is published once the last
+    spec lands; without one nothing touches disk.  An engine override
+    rewrites how each spec executes; the *requested* spec is what is
+    yielded and spilled, so stream contents are override-invariant.
+    With tracing on, each spec runs under a ``shard.execute`` span keyed
+    by shard ordinal + spec key.  ``after_spec`` runs once each frame
+    has been consumed (a subprocess worker's heartbeat).
     """
-    tracer = obs_trace.ensure(trace_dir)
-    stream = ResultStream(stream_dir)
-    if stream.is_complete(shard.index):
-        return shard.index, 0
-    writer = _ShardWriter(stream, shard)
-    if writer.start and tracer.enabled:
-        tracer.instant(
-            "shard.resume", key=("resume", shard.index, writer.start),
-            shard=shard.index, salvaged=writer.start,
-        )
-    executed = 0
+    tracer = obs_trace.active()
+    start = 0 if writer is None else writer.start
     try:
-        for spec in shard.specs[writer.start :]:
+        for spec in shard.specs[start:]:
             job = spec if engine is None else replace(spec, engine=engine)
             key = (shard.index, spec_key(job)) if tracer.enabled else None
             with tracer.span("shard.execute", key=key, shard=shard.index):
                 result = run(job)
-            writer.append(spec, result)
-            executed += 1
-            if heartbeat is not None:
-                heartbeat()
-            if delay_ms > 0.0:
-                time.sleep(delay_ms / 1000.0)
+            if writer is not None:
+                writer.append(spec, result)
+            yield spec, result
+            if after_spec is not None:
+                after_spec()
     except BaseException:
-        writer.close(completed=False)
+        if writer is not None:
+            writer.close(completed=False)
         raise
-    writer.close(completed=True)
-    return shard.index, executed
+    if writer is not None:
+        writer.close(completed=True)
+
+
+def _execute_shard(
+    shard: Shard,
+    stream_dir: str | os.PathLike,
+    engine: str | None,
+    after_spec: Callable[[], None] | None = None,
+    trace_dir: str | None = None,
+) -> tuple[int, int, int]:
+    """Run one shard to its spill file; returns (index, salvaged, executed).
+
+    Every spilled shard runs through here, in this process or a worker.
+    Skips work already on disk: a completed shard is a no-op, a partial
+    ``.part`` file resumes after its salvaged prefix.  With ``trace_dir`` set, a fork-safe
+    per-process tracer records the shard's spans and instants.
+    """
+    obs_trace.ensure(trace_dir)
+    stream = ResultStream(stream_dir)
+    if stream.is_complete(shard.index):
+        return shard.index, 0, 0
+    writer = _ShardWriter(stream, shard)
+    for _ in _shard_frames(shard, writer, engine, after_spec):
+        pass
+    return shard.index, writer.start, len(shard.specs) - writer.start
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +458,6 @@ class ShardStats:
     executed: int = 0
     salvaged: int = 0
     skipped_shards: int = 0
-    steals: int = 0
     requeues: int = 0
     workers: int = 0
     inline_fallback: int = 0
@@ -433,20 +469,23 @@ class ShardStats:
 
 
 class ShardedExecutor:
-    """Work-stealing execution of spec shards over a spill-to-disk stream.
+    """Execution of spec shards, in process or on workers, over a result stream.
 
     Parameters
     ----------
     shards:
         Target shard count (capped at the spec count).
     workers:
-        Concurrent workers (ignored by ``inline`` mode).
+        Concurrent workers.  One ``process``-mode worker (or a single
+        pending shard) runs the shards in this process.
     mode:
         One of :data:`SHARD_MODES`.
     stream_dir:
         Directory for the :class:`ResultStream`.  Reusing a directory
         resumes the identical sweep: completed shards are skipped, a
-        partial shard resumes after its salvaged prefix.
+        partial shard resumes after its salvaged prefix.  None spills
+        multi-worker runs through a temporary directory and keeps
+        in-process runs off disk entirely.
     engine:
         Optional execution-engine override (``"vector"`` / ``"scalar"``)
         applied at execution only; streamed frames keep requested specs.
@@ -459,7 +498,7 @@ class ShardedExecutor:
         self,
         shards: int = 4,
         workers: int = 1,
-        mode: str = "inline",
+        mode: str = "process",
         stream_dir: str | os.PathLike | None = None,
         engine: str | None = None,
         heartbeat_s: float = DEFAULT_HEARTBEAT_S,
@@ -486,8 +525,6 @@ class ShardedExecutor:
 
     def _resolve_stream(self) -> ResultStream:
         if self._stream_dir is None:
-            import tempfile
-
             self._tempdir = tempfile.TemporaryDirectory(prefix="qvr-shards-")
             self._stream_dir = self._tempdir.name
         self.stream = ResultStream(self._stream_dir)
@@ -499,6 +536,10 @@ class ShardedExecutor:
             self._tempdir.cleanup()
             self._tempdir = None
 
+    def _in_process(self, n_shards: int) -> bool:
+        """Whether ``n_shards`` pending shards run in this process."""
+        return self.mode == "process" and (self.workers == 1 or n_shards == 1)
+
     # -- public API -----------------------------------------------------------
 
     def execute(
@@ -506,18 +547,26 @@ class ShardedExecutor:
     ) -> Iterator[tuple[RunSpec, SimulationResult]]:
         """Execute specs shard by shard, yielding frames as shards complete.
 
-        Frames stream lazily from the spill files (memory stays bounded
-        by one pickle frame plus whatever the consumer retains); each
-        unique spec is yielded exactly once.  Yield order follows shard
+        Each unique spec is yielded exactly once.  Without a stream,
+        in-process frames are yielded live as they execute; otherwise
+        frames stream lazily from the spill files (memory stays bounded
+        by one pickle frame plus whatever the consumer retains), in shard
         *completion* order, which is timing-dependent — consumers key by
         spec, and the on-disk stream itself is deterministic.
         """
         planned = plan_shards(list(specs), self.shards)
-        stream = self._resolve_stream()
         self.stats.shards = len(planned)
         self.stats.specs = sum(len(s) for s in planned)
         if not planned:
             return
+        if self._stream_dir is None and self._in_process(len(planned)):
+            self.stats.workers = 1
+            for shard in planned:
+                for frame in _shard_frames(shard, None, self.engine):
+                    self.stats.executed += 1
+                    yield frame
+            return
+        stream = self._resolve_stream()
         digest = _plan_digest([s for shard in planned for s in shard.specs], len(planned))
         stream.write_manifest(planned, digest)
 
@@ -528,127 +577,54 @@ class ShardedExecutor:
             yield from stream.iter_shard(index)
         if not pending:
             return
-
-        one_worker = len(pending) == 1 or self.workers == 1
-        if self.mode == "inline" or (self.mode == "process" and one_worker):
-            # A single process-pool worker is sequential execution with
-            # pickling overhead; run the reference inline order instead.
-            yield from self._run_inline(pending)
-            return
-        if self.mode == "process":
+        if self._in_process(len(pending)):
+            self.stats.workers = 1
+            runner = (
+                self._tally(_execute_shard(shard, stream.directory, self.engine))
+                for shard in pending
+            )
+        elif self.mode == "process":
             runner = self._run_pool(pending)
         else:
             runner = self._run_subprocess(pending)
         for index in runner:
             yield from stream.iter_shard(index)
 
-    # -- inline ---------------------------------------------------------------
-
-    def _run_inline(
-        self, pending: list[Shard]
-    ) -> Iterator[tuple[RunSpec, SimulationResult]]:
-        """Execute shards in this process, yielding frames as they finish.
-
-        Results cross no process boundary here, so each frame is yielded
-        live while its bytes are spilled — the multi-process modes'
-        write-then-read-back round trip would be pure overhead.  The
-        spill files still record every frame (same resume and provenance
-        contract as the other modes); a salvaged prefix is replayed from
-        disk before execution resumes after it.
-        """
-        tracer = obs_trace.active()
-        for shard in pending:
-            writer = _ShardWriter(self.stream, shard)
-            self.stats.salvaged += writer.start
-            if writer.start:
-                if tracer.enabled:
-                    tracer.instant(
-                        "shard.resume",
-                        key=("resume", shard.index, writer.start),
-                        shard=shard.index, salvaged=writer.start,
-                    )
-                # The writer truncated the spill to exactly the salvaged
-                # prefix, so a plain scan replays just those frames.
-                yield from ResultStream._iter_frames(
-                    self.stream.part_path(shard.index)
-                )
-            try:
-                for spec in shard.specs[writer.start :]:
-                    job = spec if self.engine is None else replace(spec, engine=self.engine)
-                    key = (shard.index, spec_key(job)) if tracer.enabled else None
-                    with tracer.span("shard.execute", key=key, shard=shard.index):
-                        result = run(job)
-                    writer.append(spec, result)
-                    self.stats.executed += 1
-                    yield spec, result
-            except BaseException:
-                writer.close(completed=False)
-                raise
-            writer.close(completed=True)
+    def _tally(self, outcome: tuple[int, int, int]) -> int:
+        """Account one :func:`_execute_shard` outcome; returns its index."""
+        index, salvaged, executed = outcome
+        self.stats.salvaged += salvaged
+        self.stats.executed += executed
+        return index
 
     # -- process pool ----------------------------------------------------------
 
     def _run_pool(self, pending: list[Shard]) -> Iterator[int]:
-        """Parent-scheduled work stealing over a process pool.
+        """Run every pending shard on a process pool; yield indices as they finish.
 
-        Shards are dealt round-robin into per-worker queues; a finishing
-        worker takes the next shard from the head of its own queue, or —
-        once drained — steals from the *tail* of the longest surviving
-        queue.  The pool itself runs tasks wherever a process is free,
-        so the queues model scheduling order (which shard is dispatched
-        when and counted as a steal), not processor affinity.
+        All shards are submitted up front and the pool runs each wherever
+        a process is free, so no worker idles while a shard is queued.
         """
         workers = min(self.workers, len(pending))
         self.stats.workers = workers
-        queues: list[deque[Shard]] = [deque() for _ in range(workers)]
-        for position, shard in enumerate(pending):
-            queues[position % workers].append(shard)
-        for shard in pending:
-            self.stats.salvaged += _salvage_count(self.stream, shard)
-
-        def next_shard(worker: int) -> tuple[Shard, bool] | None:
-            """Pop local work, or steal from the longest queue."""
-            if queues[worker]:
-                return queues[worker].popleft(), False
-            victim = max(range(workers), key=lambda w: (len(queues[w]), -w))
-            if queues[victim]:
-                return queues[victim].pop(), True
-            return None
-
-        tracer = obs_trace.active()
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures: dict[concurrent.futures.Future, int] = {}
-
-            def dispatch(worker: int) -> None:
-                """Run one claimed shard, then requeue this worker."""
-                claimed = next_shard(worker)
-                if claimed is None:
-                    return
-                shard, stolen = claimed
-                if stolen:
-                    self.stats.steals += 1
-                    tracer.instant(
-                        "shard.steal", key=("steal", shard.index),
-                        shard=shard.index, worker=worker,
-                    )
-                future = pool.submit(
+        trace_dir = obs_trace.active().directory
+        pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+        try:
+            futures = [
+                pool.submit(
                     _execute_shard,
                     shard,
                     str(self.stream.directory),
                     self.engine,
-                    trace_dir=tracer.directory,
+                    trace_dir=trace_dir,
                 )
-                futures[future] = worker
-
-            for worker in range(workers):
-                dispatch(worker)
-            while futures:
-                completed = next(concurrent.futures.as_completed(futures))
-                worker = futures.pop(completed)
-                index, executed = completed.result()
-                self.stats.executed += executed
-                dispatch(worker)
-                yield index
+                for shard in pending
+            ]
+            for future in concurrent.futures.as_completed(futures):
+                yield self._tally(future.result())
+        finally:
+            # An abandoned sweep must not wait for its queued shards to run.
+            pool.shutdown(cancel_futures=True)
 
     # -- subprocess (simulated multi-machine) -----------------------------------
 
@@ -657,14 +633,14 @@ class ShardedExecutor:
 
         The parent's only runtime roles are liveness and completion: it
         requeues shards whose claimant died or stopped heartbeating (the
-        surviving workers then steal them), and falls back to inline
+        surviving workers then steal them), and falls back to in-process
         execution if every worker has exited with work still pending, so
         the sweep always completes.
         """
         stream = self.stream
         stream.write_shard_specs(pending)
-        for shard in pending:
-            self.stats.salvaged += _salvage_count(stream, shard)
+        salvaged = {shard.index: _valid_prefix(stream, shard)[0] for shard in pending}
+        self.stats.salvaged += sum(salvaged.values())
         workers = min(self.workers, len(pending))
         self.stats.workers = workers
         env = dict(os.environ)
@@ -673,42 +649,28 @@ class ShardedExecutor:
         env["PYTHONPATH"] = (
             package_root if not existing else package_root + os.pathsep + existing
         )
+        command = [
+            sys.executable, "-m", "repro.sim.shard",
+            "--spool", str(stream.directory),
+            "--workers", str(workers),
+            "--heartbeat", str(self.heartbeat_s),
+        ]
+        if self.engine is not None:
+            command += ["--engine", self.engine]
+        if obs_trace.active().directory is not None:
+            command += ["--trace", obs_trace.active().directory]
         procs = [
-            subprocess.Popen(
-                [
-                    sys.executable,
-                    "-m",
-                    "repro.sim.shard",
-                    "--spool",
-                    str(stream.directory),
-                    "--worker-id",
-                    str(worker),
-                    "--workers",
-                    str(workers),
-                    "--heartbeat",
-                    str(self.heartbeat_s),
-                ]
-                + ([] if self.engine is None else ["--engine", self.engine])
-                + (
-                    []
-                    if obs_trace.active().directory is None
-                    else ["--trace", obs_trace.active().directory]
-                ),
-                env=env,
-            )
+            subprocess.Popen(command + ["--worker-id", str(worker)], env=env)
             for worker in range(workers)
         ]
         stale_after = self.heartbeat_s * _STALE_HEARTBEATS
         remaining = {shard.index: shard for shard in pending}
-        executed_before = {
-            shard.index: _salvage_count(stream, shard) for shard in pending
-        }
         try:
             while remaining:
                 for index in sorted(remaining):
                     if stream.is_complete(index):
                         shard = remaining.pop(index)
-                        self.stats.executed += len(shard.specs) - executed_before[index]
+                        self.stats.executed += len(shard.specs) - salvaged[index]
                         yield index
                 if not remaining:
                     break
@@ -722,16 +684,15 @@ class ShardedExecutor:
                     ]
                     for shard in leftovers:
                         stream.claim_path(shard.index).unlink(missing_ok=True)
-                        before = _salvage_count(stream, shard)
                         obs_trace.active().instant(
                             "shard.fallback", key=("fallback", shard.index),
                             shard=shard.index,
                         )
-                        _execute_shard(
+                        _, _, executed = _execute_shard(
                             shard, stream.directory, self.engine,
                             trace_dir=obs_trace.active().directory,
                         )
-                        self.stats.executed += len(shard.specs) - before
+                        self.stats.executed += executed
                         self.stats.inline_fallback += 1
                         _write_owner(stream, shard.index, "parent")
                         del remaining[shard.index]
@@ -770,18 +731,6 @@ class ShardedExecutor:
                     "shard.requeue", key=("requeue", index, self.stats.requeues),
                     shard=index, owner_pid=pid, dead=dead,
                 )
-
-
-def _salvage_count(stream: ResultStream, shard: Shard) -> int:
-    """Frames of ``shard`` already valid on disk (its resumable prefix)."""
-    if stream.is_complete(shard.index):
-        return len(shard.specs)
-    count = 0
-    for spec, _ in stream._iter_frames(stream.part_path(shard.index)):
-        if count >= len(shard.specs) or spec != shard.specs[count]:
-            break
-        count += 1
-    return count
 
 
 def _pid_alive(pid: int) -> bool:
@@ -857,7 +806,7 @@ def worker_main(argv: list[str] | None = None) -> int:
     last_beat = obs_clock.monotonic_s()
 
     def heartbeat_for(index: int) -> Callable[[], None]:
-        """Build the liveness heartbeat callback for shard ``index``."""
+        """Build the per-spec liveness callback for shard ``index``."""
         claim = stream.claim_path(index)
 
         def beat() -> None:
@@ -871,6 +820,8 @@ def worker_main(argv: list[str] | None = None) -> int:
                     pass
                 last_beat = now
                 tracer.instant("shard.heartbeat", shard=index, worker=args.worker_id)
+            if delay_ms > 0.0:
+                time.sleep(delay_ms / 1000.0)
 
         return beat
 
@@ -894,12 +845,8 @@ def worker_main(argv: list[str] | None = None) -> int:
         try:
             shard = stream.load_shard(index)
             _execute_shard(
-                shard,
-                stream.directory,
-                args.engine,
-                delay_ms=delay_ms,
-                heartbeat=heartbeat_for(index),
-                trace_dir=args.trace,
+                shard, stream.directory, args.engine,
+                after_spec=heartbeat_for(index), trace_dir=args.trace,
             )
             _write_owner(stream, index, label)
         finally:

@@ -1,0 +1,135 @@
+"""Generated-case properties of the streaming aggregators.
+
+The population report is bit-identical at any shard count because its
+aggregates do not depend on how a value stream is partitioned or in
+which order partial aggregates merge.  These properties check that on
+generated streams — NaN, ±inf and magnitudes from subnormal to 1e100 —
+for ``ExactMoments``/``StreamSummary``, the ``QuantileSketch`` counters
+and merged ``repro.obs`` histogram snapshots, and check the sketch's
+stated relative-error contract against NumPy's inverted-CDF quantile.
+"""
+
+import itertools
+import json
+import math
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from repro.obs import metrics as obs_metrics
+from repro.sim.metrics import ExactMoments, QuantileSketch, StreamSummary
+
+_VALUES = st.lists(
+    st.one_of(
+        st.floats(
+            min_value=-1e100, max_value=1e100, allow_nan=False, allow_infinity=False
+        ),
+        st.floats(min_value=1e-3, max_value=1e7),
+        st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+    ),
+    max_size=60,
+)
+
+
+@st.composite
+def _partitioned(draw):
+    """A value list, a random partition of it, and a merge order."""
+    values = draw(_VALUES)
+    n_parts = draw(st.integers(min_value=1, max_value=5))
+    labels = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=n_parts - 1),
+            min_size=len(values),
+            max_size=len(values),
+        )
+    )
+    parts = [
+        [value for value, label in zip(values, labels) if label == part]
+        for part in range(n_parts)
+    ]
+    order = draw(st.permutations(range(n_parts)))
+    return values, parts, order
+
+
+def _bits(value: float) -> str:
+    """Exact identity of a float: sign and every bit (all NaNs alike)."""
+    return "nan" if math.isnan(value) else float(value).hex()
+
+
+def _statistics(aggregate) -> tuple:
+    return (aggregate.count,) + tuple(
+        _bits(value)
+        for value in (
+            aggregate.mean, aggregate.std, aggregate.min, aggregate.max,
+        )
+    )
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_partitioned())
+def test_exact_moments_are_partition_and_order_invariant(case):
+    values, parts, order = case
+    whole = ExactMoments()
+    whole.extend(values)
+    merged = ExactMoments()
+    for index in order:
+        part = ExactMoments()
+        part.extend(parts[index])
+        merged.merge(part)
+    assert _statistics(merged) == _statistics(whole)
+    assert _bits(merged.variance) == _bits(whole.variance)
+    assert json.dumps(merged.state()) == json.dumps(whole.state())
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_partitioned())
+def test_stream_summary_and_sketch_counts_are_invariant(case):
+    values, parts, order = case
+    whole = StreamSummary()
+    whole.extend(values)
+    merged = StreamSummary()
+    for index in order:
+        part = StreamSummary()
+        part.extend(parts[index])
+        merged.merge(part)
+    assert _statistics(merged) == _statistics(whole)
+    assert merged.sketch.count == whole.sketch.count
+    assert merged.sketch._counts == whole.sketch._counts
+    for q in (0.0, 0.5, 0.99, 1.0):
+        assert _bits(merged.quantile(q)) == _bits(whole.quantile(q))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(_VALUES, min_size=3, max_size=3))
+def test_histogram_snapshot_merge_is_identical_in_every_order(streams):
+    registries = [obs_metrics.MetricsRegistry() for _ in streams]
+    whole = obs_metrics.MetricsRegistry()
+    for registry, values in zip(registries, streams):
+        for value in values:
+            registry.histogram("h").observe(value)
+            whole.histogram("h").observe(value)
+    snapshots = [registry.snapshot() for registry in registries]
+    merged = {
+        json.dumps(obs_metrics.merge_snapshots(list(order)), sort_keys=True)
+        for order in itertools.permutations(snapshots)
+    }
+    assert merged == {json.dumps(whole.snapshot(), sort_keys=True)}
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.floats(min_value=1e-3, max_value=1e7, exclude_max=True),
+        min_size=1,
+        max_size=200,
+    ),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.sampled_from([8, 64]),
+)
+def test_quantile_sketch_meets_its_relative_error_bound(values, q, bins):
+    sketch = QuantileSketch(bins_per_decade=bins)
+    sketch.extend(values)
+    exact = float(np.quantile(values, q, method="inverted_cdf"))
+    bound = 10.0 ** (1.0 / (2 * bins)) - 1.0
+    # A value on a bucket edge may round into the neighbouring bucket.
+    assert abs(sketch.quantile(q) - exact) / exact <= bound + 1e-12

@@ -218,10 +218,10 @@ class TestCache:
                 raise RuntimeError("worker died")
             return original_run(spec)
 
-        import repro.sim.runner as runner_module
+        import repro.sim.shard as shard_module
 
         monkey = pytest.MonkeyPatch()
-        monkey.setattr(runner_module, "run", boom)
+        monkey.setattr(shard_module, "run", boom)
         try:
             with pytest.raises(RuntimeError):
                 engine.run_specs(specs)

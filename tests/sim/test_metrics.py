@@ -9,7 +9,6 @@ from repro.sim.metrics import (
     ExactMoments,
     FrameRecord,
     QuantileSketch,
-    RunningMoments,
     SimulationResult,
     StreamSummary,
 )
@@ -181,57 +180,6 @@ class TestTailFps:
 # ---------------------------------------------------------------------------
 
 
-class TestRunningMoments:
-    def test_matches_exact_statistics(self):
-        import numpy as np
-
-        values = np.random.default_rng(7).lognormal(2.0, 0.8, size=500)
-        moments = RunningMoments()
-        moments.extend(values)
-        assert moments.count == 500
-        assert moments.mean == pytest.approx(float(np.mean(values)))
-        assert moments.std == pytest.approx(float(np.std(values)))
-        assert moments.min == float(np.min(values))
-        assert moments.max == float(np.max(values))
-
-    def test_merge_of_halves_equals_whole(self):
-        import numpy as np
-
-        values = np.random.default_rng(11).normal(50.0, 9.0, size=401)
-        whole = RunningMoments()
-        whole.extend(values)
-        left, right = RunningMoments(), RunningMoments()
-        left.extend(values[:137])
-        right.extend(values[137:])
-        left.merge(right)
-        assert left.count == whole.count
-        assert left.mean == pytest.approx(whole.mean)
-        assert left.variance == pytest.approx(whole.variance)
-        assert left.min == whole.min
-        assert left.max == whole.max
-
-    def test_merge_into_empty_copies(self):
-        source = RunningMoments()
-        source.extend([1.0, 2.0, 3.0])
-        target = RunningMoments()
-        target.merge(source)
-        assert target.count == 3
-        assert target.mean == pytest.approx(2.0)
-        source.merge(RunningMoments())  # merging an empty is a no-op
-        assert source.count == 3
-
-    def test_nan_values_are_skipped(self):
-        moments = RunningMoments()
-        moments.extend([1.0, float("nan"), 3.0])
-        assert moments.count == 2
-        assert moments.mean == pytest.approx(2.0)
-
-    def test_empty_reports_nan(self):
-        moments = RunningMoments()
-        assert math.isnan(moments.variance)
-        assert math.isnan(moments.std)
-
-
 class TestExactMoments:
     def test_matches_exact_statistics(self):
         import numpy as np
@@ -281,6 +229,34 @@ class TestExactMoments:
         assert merged_forward.std == merged_reverse.std
         assert merged_forward.count == merged_reverse.count == 999
 
+    def test_merge_of_halves_equals_whole(self):
+        import numpy as np
+
+        values = np.random.default_rng(11).normal(50.0, 9.0, size=401)
+        whole = ExactMoments()
+        whole.extend(values)
+        left, right = ExactMoments(), ExactMoments()
+        left.extend(values[:137])
+        right.extend(values[137:])
+        left.merge(right)
+        assert left.count == whole.count
+        assert left.mean == whole.mean  # exact sums: bit-identical
+        assert left.variance == whole.variance
+        assert left.min == whole.min
+        assert left.max == whole.max
+
+    def test_merge_into_empty_copies(self):
+        source = ExactMoments()
+        source.extend([1.0, 2.0, 3.0])
+        target = ExactMoments()
+        target.merge(source)
+        assert target.count == 3
+        assert target.mean == 2.0
+        assert (target.min, target.max) == (1.0, 3.0)
+        source.merge(ExactMoments())  # merging an empty is a no-op
+        assert source.count == 3
+        assert source.mean == 2.0
+
     def test_nan_skipped_and_inf_saturates(self):
         moments = ExactMoments()
         moments.extend([1.0, float("nan"), 3.0])
@@ -298,17 +274,30 @@ class TestExactMoments:
 
     def test_mode_mixing_rejected(self):
         with pytest.raises(ConfigurationError):
-            ExactMoments().merge(RunningMoments())
-        with pytest.raises(ConfigurationError):
-            RunningMoments().merge(ExactMoments())
+            ExactMoments().merge(QuantileSketch())
 
     def test_exact_stream_summary_uses_exact_moments(self):
-        summary = StreamSummary(exact=True)
+        summary = StreamSummary()
         assert isinstance(summary.moments, ExactMoments)
         summary.extend([1.0, 2.0, 3.0])
         assert summary.mean == 2.0
-        with pytest.raises(ConfigurationError):
-            summary.merge(StreamSummary())
+        other = StreamSummary()
+        other.extend([4.0])
+        summary.merge(other)
+        assert summary.mean == 2.5
+
+    def test_state_round_trip_is_exact(self):
+        values = [1e16, 1.0, -1e16, 0.5, float("inf")]
+        moments = ExactMoments()
+        moments.extend(values)
+        copy = ExactMoments.from_state(moments.state())
+        assert copy.state() == moments.state()
+        assert (copy.count, copy.min, copy.max) == (5, -1e16, float("inf"))
+        finite = ExactMoments()
+        finite.extend(values[:4])
+        # The 1.0 survives cancellation of the large terms exactly.
+        assert finite.state()["sum"] == [1.5]
+        assert ExactMoments.from_state(finite.state()).mean == finite.mean
 
 
 class TestQuantileSketch:
@@ -388,6 +377,31 @@ class TestStreamSummary:
         assert summary.count == 0
         assert math.isnan(summary.mean)
         assert math.isnan(summary.p50)
+
+    def test_moments_match_exact_statistics(self):
+        import numpy as np
+
+        values = np.random.default_rng(7).lognormal(2.0, 0.8, size=500)
+        summary = StreamSummary()
+        summary.extend(values)
+        assert summary.count == summary.sketch.count == 500
+        assert summary.mean == pytest.approx(float(np.mean(values)))
+        assert summary.std == pytest.approx(float(np.std(values)))
+        assert summary.min == float(np.min(values))
+        assert summary.max == float(np.max(values))
+
+    def test_nan_values_are_skipped(self):
+        summary = StreamSummary()
+        summary.extend([1.0, float("nan"), 3.0])
+        assert summary.count == summary.sketch.count == 2
+        assert summary.mean == 2.0
+        assert (summary.min, summary.max) == (1.0, 3.0)
+
+    def test_empty_row_reports_nan(self):
+        row = StreamSummary().row()
+        assert row["count"] == 0
+        for key in ("mean", "std", "min", "p50", "p90", "p99", "max"):
+            assert math.isnan(row[key]), key
 
     def test_fold_into_consumes_steady_state_series(self):
         n, warmup, period = 12, 2, 10.0

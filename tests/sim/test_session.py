@@ -105,6 +105,20 @@ class TestEventValidation:
                 ),
             )
 
+    def test_same_instant_switches_for_one_client_rejected(self):
+        events = (
+            ProfileSwitch(100.0, client=0, profile="4g"),
+            ProfileSwitch(100.0, client=0, profile="wifi"),
+        )
+        with pytest.raises(ConfigurationError, match=r"client 0 at 100 ms"):
+            Session(clients=("GRID", "Doom3-L"), events=events, policy="deadline")
+        # One switch per client per instant still plans.
+        Session(
+            clients=("GRID", "Doom3-L"),
+            events=(events[0], ProfileSwitch(100.0, client=1, profile="wifi")),
+            policy="deadline",
+        ).timeline(n_frames=30)
+
     def test_session_needs_a_client(self):
         with pytest.raises(ConfigurationError):
             Session(clients=())

@@ -80,12 +80,15 @@ class TestPlanShards:
 
 
 class TestBitParityAcrossShards:
-    def test_inline_parity_at_every_shard_count(self):
+    def test_inline_parity_at_every_shard_count(self, tmp_path):
         specs = _sweep_specs()
         reference = _reference(specs)
         for shards in (1, 4, 16):
-            executor = ShardedExecutor(shards=shards, mode="inline")
-            assert _collect(executor, specs) == reference
+            # In-process, both live (no stream) and through the spill files.
+            assert _collect(ShardedExecutor(shards=shards), specs) == reference
+            spilled = ShardedExecutor(shards=shards, stream_dir=tmp_path / str(shards))
+            assert _collect(spilled, specs) == reference
+            assert spilled.stats.executed == len(specs)
 
     def test_process_pool_parity_with_stealing(self):
         specs = _sweep_specs()
@@ -117,7 +120,7 @@ class TestBitParityAcrossShards:
         assert executor.stats.shards == 1
 
     def test_empty_sweep_yields_nothing(self):
-        executor = ShardedExecutor(shards=4, mode="inline")
+        executor = ShardedExecutor(shards=4)
         assert _collect(executor, []) == {}
         assert executor.stats.shards == 0
 
@@ -143,10 +146,10 @@ class TestExecutorValidation:
 class TestResultStream:
     def test_manifest_binds_stream_to_one_plan(self, tmp_path):
         specs = _sweep_specs(seeds=(0,))
-        executor = ShardedExecutor(shards=2, mode="inline", stream_dir=tmp_path)
+        executor = ShardedExecutor(shards=2, stream_dir=tmp_path)
         _collect(executor, specs)
         other = _sweep_specs(seeds=(1,))
-        stale = ShardedExecutor(shards=2, mode="inline", stream_dir=tmp_path)
+        stale = ShardedExecutor(shards=2, stream_dir=tmp_path)
         with pytest.raises(ConfigurationError):
             list(stale.execute(other))
 
@@ -163,7 +166,7 @@ class TestResultStream:
 
     def test_len_counts_completed_frames(self, tmp_path):
         specs = _sweep_specs(seeds=(0,))
-        executor = ShardedExecutor(shards=3, mode="inline", stream_dir=tmp_path)
+        executor = ShardedExecutor(shards=3, stream_dir=tmp_path)
         _collect(executor, specs)
         assert len(ResultStream(tmp_path)) == len(specs)
 
@@ -171,9 +174,9 @@ class TestResultStream:
 class TestResume:
     def test_completed_stream_is_not_reexecuted(self, tmp_path):
         specs = _sweep_specs(seeds=(0,))
-        first = ShardedExecutor(shards=3, mode="inline", stream_dir=tmp_path)
+        first = ShardedExecutor(shards=3, stream_dir=tmp_path)
         reference = _collect(first, specs)
-        second = ShardedExecutor(shards=3, mode="inline", stream_dir=tmp_path)
+        second = ShardedExecutor(shards=3, stream_dir=tmp_path)
         assert _collect(second, specs) == reference
         assert second.stats.executed == 0
         assert second.stats.skipped_shards == 3
@@ -191,7 +194,7 @@ class TestResume:
             return real_run(spec)
 
         monkeypatch.setattr(shard_module, "run", interrupted)
-        first = ShardedExecutor(shards=1, mode="inline", stream_dir=tmp_path)
+        first = ShardedExecutor(shards=1, stream_dir=tmp_path)
         with pytest.raises(KeyboardInterrupt):
             list(first.execute(specs))
         monkeypatch.setattr(shard_module, "run", real_run)
@@ -204,7 +207,7 @@ class TestResume:
         with stream.part_path(0).open("ab") as handle:
             handle.write(b"\x80torn")
 
-        second = ShardedExecutor(shards=1, mode="inline", stream_dir=tmp_path)
+        second = ShardedExecutor(shards=1, stream_dir=tmp_path)
         assert _collect(second, specs) == reference
         assert second.stats.salvaged == 2
         assert second.stats.executed == len(specs) - 2
@@ -336,7 +339,7 @@ class TestBatchEngineIntegration:
         reference = {
             spec_key(s): pickle.dumps(r) for s, r in flat.run_specs(specs).items()
         }
-        engine = BatchEngine(jobs=1, shards=4, shard_mode="inline")
+        engine = BatchEngine(jobs=1, shards=4)
         got = {
             spec_key(s): pickle.dumps(r) for s, r in engine.stream_specs(specs)
         }
@@ -364,13 +367,48 @@ class TestBatchEngineIntegration:
         with pytest.raises(ConfigurationError):
             BatchEngine(shards=2, shard_mode="cluster")
 
-    def test_resumable_stream_dir_through_engine(self, tmp_path):
+    def test_stream_dir_without_shards_spills_and_resumes(self, tmp_path):
         specs = _sweep_specs(seeds=(0,))
-        first = BatchEngine(shards=3, shard_mode="inline", stream_dir=tmp_path)
+        first = BatchEngine(jobs=1, stream_dir=tmp_path)
         reference = {
             spec_key(s): pickle.dumps(r) for s, r in first.run_specs(specs).items()
         }
-        second = BatchEngine(shards=3, shard_mode="inline", stream_dir=tmp_path)
+        manifest = ResultStream(tmp_path).manifest()
+        assert manifest is not None
+        assert manifest["n_specs"] == len(specs)
+        assert manifest["n_shards"] == first.last_shard_stats.shards == 4
+        second = BatchEngine(jobs=1, stream_dir=tmp_path)
+        got = {
+            spec_key(s): pickle.dumps(r) for s, r in second.run_specs(specs).items()
+        }
+        assert got == reference
+        assert second.last_shard_stats.skipped_shards == manifest["n_shards"]
+        assert second.last_shard_stats.executed == 0
+
+    def test_serial_engine_stays_off_disk(self, tmp_path, monkeypatch):
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        engine = BatchEngine()
+        assert len(engine.run_specs(_sweep_specs(seeds=(0,)))) == 6
+        assert engine.last_shard_stats is None
+        assert list(tmp_path.iterdir()) == []
+
+    def test_derived_shard_count_is_four_per_job(self):
+        specs = _sweep_specs()
+        engine = BatchEngine(jobs=2)
+        engine.run_specs(specs)
+        assert engine.last_shard_stats.shards == 8
+        assert engine.last_shard_stats.workers == 2
+        assert engine.last_shard_stats.executed == len(specs)
+
+    def test_resumable_stream_dir_through_engine(self, tmp_path):
+        specs = _sweep_specs(seeds=(0,))
+        first = BatchEngine(shards=3, stream_dir=tmp_path)
+        reference = {
+            spec_key(s): pickle.dumps(r) for s, r in first.run_specs(specs).items()
+        }
+        second = BatchEngine(shards=3, stream_dir=tmp_path)
         got = {
             spec_key(s): pickle.dumps(r) for s, r in second.run_specs(specs).items()
         }

@@ -82,6 +82,23 @@ class TestBatchCommand:
         second = capsys.readouterr().out
         assert "0 executed, 28 cache hits" in second
 
+    def test_stream_without_shards_spills_and_resumes(self, capsys, tmp_path):
+        stream = tmp_path / "stream"
+        argv = [
+            "batch", "--experiments", "fig13", "--frames", "40",
+            "--stream", str(stream),
+        ]
+        assert main(argv) == 0
+        assert "28 executed" in capsys.readouterr().out
+        assert (stream / "manifest.json").exists()
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "shards: 4 planned (28 specs), 4 resumed complete" in out
+
+    def test_serial_batch_prints_no_shard_line(self, capsys):
+        assert main(["batch", "--experiments", "fig13", "--frames", "40"]) == 0
+        assert "shards:" not in capsys.readouterr().out
+
     def test_clear_cache_evicts_before_running(self, capsys, tmp_path):
         argv = [
             "batch", "--experiments", "fig13", "--frames", "40",
