@@ -31,6 +31,7 @@ from __future__ import annotations
 import csv
 from abc import ABC, abstractmethod
 from bisect import bisect_right
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -54,6 +55,10 @@ __all__ = [
     "profile_by_name",
     "PROFILES",
 ]
+
+#: Per-process LRU of :meth:`TraceProfile._segments` schedules.
+_SEGMENT_CACHE: OrderedDict = OrderedDict()
+_SEGMENT_CACHE_MAX = 64
 
 #: Seed salt decorrelating the Markov state stream from the channel jitter
 #: stream (both derive from the same channel seed).
@@ -362,6 +367,31 @@ class TraceProfile(NetworkProfile):
         )
 
     def _segments(self) -> tuple[tuple[float, NetworkConditions], ...]:
+        """The step schedule, memoised per process on the frozen profile.
+
+        The memo lives in a module-level table, not on the instance, so
+        it never reaches the pickled state or the spec key.  Its entries
+        are pure functions of the key: a fork-inherited or rebuilt entry
+        is equal to a fresh build.
+        """
+        # Imported here: repro.obs imports the simulation layer, which
+        # imports this module.
+        from repro.obs import metrics as obs_metrics
+
+        segments = _SEGMENT_CACHE.get(self)
+        if segments is None:
+            obs_metrics.counter("profile.segments.miss").inc()
+            segments = self._build_segments()
+            _SEGMENT_CACHE[self] = segments
+            if len(_SEGMENT_CACHE) > _SEGMENT_CACHE_MAX:
+                _SEGMENT_CACHE.popitem(last=False)
+                obs_metrics.counter("profile.segments.evict").inc()
+        else:
+            obs_metrics.counter("profile.segments.hit").inc()
+            _SEGMENT_CACHE.move_to_end(self)
+        return segments
+
+    def _build_segments(self) -> tuple[tuple[float, NetworkConditions], ...]:
         segments = []
         for index, start in enumerate(self.times_ms):
             conditions = replace(

@@ -35,12 +35,15 @@ aggregate across sessions).  All randomness flows from one seeded
 city, bit for bit.
 
 :func:`run_population` folds the expansion through the existing sharded
-batch path: per-policy, every session re-plans via
-:meth:`~repro.sim.session.Session.with_policy` and its frozen specs
-stream through :meth:`~repro.sim.runner.BatchEngine.stream_specs`; each
-``(spec, result)`` pair is folded into order-independent streaming
-aggregates (exact-sum :class:`~repro.sim.metrics.StreamSummary`) and
-dropped, so 10k+ client-sessions execute in bounded memory —
+batch path in one session-major pass: every session re-plans under each
+policy in turn via :meth:`~repro.sim.session.Session.with_policy`, and
+the frozen specs of all policies stream through a single
+:meth:`~repro.sim.runner.BatchEngine.stream_specs` call (one result
+stream for the whole run), a session's policies back to back so the
+kernel memos reuse each client's workload stream and gaze trace.  Each
+``(spec, result)`` pair is folded into its policy's order-independent
+streaming aggregates (exact-sum :class:`~repro.sim.metrics.StreamSummary`)
+and dropped, so 10k+ client-sessions execute in bounded memory —
 no full result dict ever exists.  The headline metric is fleet-wide SLO
 attainment: the fraction of measurable client-windows whose steady-state
 p99 FPS meets the scenario's floor, reported per policy.  Because every
@@ -53,7 +56,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -744,9 +746,10 @@ class DemandScenario:
 
 
 class _PolicyAccumulator:
-    """Order-independent streaming aggregates of one policy pass.
+    """Order-independent streaming aggregates of one policy's results.
 
-    Everything here is invariant under result completion order: integer
+    Everything here is invariant under result completion order (and
+    under how results of different policies interleave): integer
     counters, exact-sum :class:`~repro.sim.metrics.StreamSummary`
     aggregates, and sketch percentiles — so the report is bit-identical
     at any shard/worker count.
@@ -801,7 +804,7 @@ class _PolicyAccumulator:
         return self.met / self.measured
 
     def report(self) -> dict:
-        """The policy pass as a deterministic, JSON-ready dict."""
+        """The policy's aggregates as a deterministic, JSON-ready dict."""
         return {
             "sessions": self.sessions,
             "clients": self.clients,
@@ -832,22 +835,26 @@ def run_population(
 ) -> dict:
     """Expand a demand scenario and stream it through the batch path.
 
-    For each policy, every planned session re-plans under that policy
-    (:meth:`~repro.sim.session.Session.with_policy`) and its frozen
-    specs are fed — lazily, session by session — to
-    :meth:`~repro.sim.runner.BatchEngine.stream_specs`; each completed
-    ``(spec, result)`` pair folds into a :class:`_PolicyAccumulator` and
-    is dropped, so memory stays bounded regardless of city size.  When
-    the engine spills to a configured stream directory, each policy pass
-    gets its own subdirectory (plans differ per policy, and spill
-    resumption is plan-digest-guarded).
+    One session-major pass: every planned session re-plans under each
+    policy in turn (:meth:`~repro.sim.session.Session.with_policy`) and
+    its frozen specs are fed — lazily, session by session, a session's
+    policies back to back — to one
+    :meth:`~repro.sim.runner.BatchEngine.stream_specs` call.  A client
+    keeps its app, seed and link under every policy, so its workload
+    stream and foveation kernel are built once and reused from the
+    kernel memos by the next policy's spec.  Each completed
+    ``(spec, result)`` pair folds into the :class:`_PolicyAccumulator`
+    of ``spec.policy`` and is dropped, so memory stays bounded
+    regardless of city size.  When the engine spills to a configured
+    stream directory, the run's one stream (one manifest, every policy)
+    lives there directly.
 
     Returns the deterministic population report: per-policy client-window
     counts, streamed latency / FPS / per-client-p99 summaries, and SLO
     attainment against the scenario's p99-FPS floor.  Bit-identical for
     the same ``(scenario, seed)`` at any shard, worker, or job count.
     ``progress(policy, done, total)`` is called as results fold, if
-    given.
+    given; calls for different policies interleave.
     """
     if engine is None:
         engine = BatchEngine()
@@ -859,44 +866,39 @@ def run_population(
                 f"{scenario.policies}"
             )
     planned = scenario.expand(seed, max_sessions=max_sessions)
-    base_stream_dir = engine.stream_dir
-    policy_reports: dict[str, dict] = {}
+    accs = {
+        policy: _PolicyAccumulator(policy, scenario.slo_p99_fps_floor)
+        for policy in wanted
+    }
+
+    def spec_stream() -> "Iterator[RunSpec]":
+        """Yield each planned session's specs under every policy in turn."""
+        for item in planned:
+            for policy, acc in accs.items():
+                timeline = item.session.with_policy(policy).timeline(
+                    system=scenario.system,
+                    n_frames=item.n_frames,
+                    seed=item.seed,
+                )
+                acc.observe_plan(timeline)
+                yield from timeline.specs
+
     tracer = obs_trace.active()
-    try:
-        for policy in wanted:
-            if base_stream_dir is not None:
-                policy_dir = os.path.join(str(base_stream_dir), policy)
-                os.makedirs(policy_dir, exist_ok=True)
-                engine.stream_dir = policy_dir
-            acc = _PolicyAccumulator(policy, scenario.slo_p99_fps_floor)
-
-            def spec_stream() -> "Iterator[RunSpec]":
-                """Yield every planned client-session spec for this policy."""
-                for item in planned:
-                    timeline = item.session.with_policy(policy).timeline(
-                        system=scenario.system,
-                        n_frames=item.n_frames,
-                        seed=item.seed,
-                    )
-                    acc.observe_plan(timeline)
-                    yield from timeline.specs
-
-            slo_gauge = obs_metrics.gauge(f"population.slo.{policy}")
-            with tracer.span(
-                "population.policy",
-                key=("population.policy", scenario.name, seed, policy),
-                policy=policy,
-            ):
-                for _, result in engine.stream_specs(spec_stream()):
-                    acc.observe_result(result)
-                    obs_metrics.counter(f"population.executed.{policy}").inc()
-                    if acc.measured:
-                        slo_gauge.set(acc.attainment)
-                    if progress is not None:
-                        progress(policy, acc.executed, acc.client_sessions)
-            policy_reports[policy] = acc.report()
-    finally:
-        engine.stream_dir = base_stream_dir
+    # One span over the whole pass; its ``policies`` attribute lists them.
+    with tracer.span(
+        "population.policy",
+        key=("population.policy", scenario.name, seed, tuple(accs)),
+        policies=list(accs),
+    ):
+        for spec, result in engine.stream_specs(spec_stream()):
+            acc = accs[spec.policy]
+            acc.observe_result(result)
+            obs_metrics.counter(f"population.executed.{acc.policy}").inc()
+            if acc.measured:
+                obs_metrics.gauge(f"population.slo.{acc.policy}").set(acc.attainment)
+            if progress is not None:
+                progress(acc.policy, acc.executed, acc.client_sessions)
+    policy_reports = {policy: acc.report() for policy, acc in accs.items()}
     first = next(iter(policy_reports.values()), {})
     return {
         "scenario": scenario.name,

@@ -30,7 +30,9 @@ against the original (see ``tests/sim/test_kernels.py``):
 
 Workload streams and foveation geometry are memoized across runs (both
 are deterministic in ``(app, seed, n_frames)`` / resolution), which is
-where most of the cross-spec batch speedup comes from.
+where most of the cross-spec batch speedup comes from.  The geometry
+memo is two-level: a seed-free per-resolution lattice, shared by every
+seed, under a per-``(resolution, seed, n_frames)`` gaze kernel.
 """
 
 from __future__ import annotations
@@ -95,6 +97,9 @@ _WORKLOAD_CACHE_MAX = 32
 _GEOMETRY_CACHE: OrderedDict = OrderedDict()
 _GEOMETRY_CACHE_MAX = 8
 
+_LATTICE_CACHE: OrderedDict = OrderedDict()
+_LATTICE_CACHE_MAX = 8
+
 #: Per-(GPU, server) memo of the pure foveated render times, keyed by the
 #: (full workload, partition plan) pair.  ``GPUPerfModel``/``RemoteRenderer``
 #: render timings carry no cross-frame state, so systems that reach the
@@ -106,57 +111,64 @@ _RENDER_CACHES_MAX = 8
 _RENDER_CACHE_ENTRIES_MAX = 200_000
 
 
+def _memoized(cache: OrderedDict, limit: int, name: str, key, build):
+    """LRU lookup of ``key`` in ``cache``, calling ``build()`` on a miss.
+
+    Counts ``{name}.hit`` / ``.miss`` / ``.evict`` so every memo reports
+    its hit rate.
+    """
+    value = cache.get(key)
+    if value is None:
+        obs_metrics.counter(f"{name}.miss").inc()
+        value = build()
+        cache[key] = value
+        if len(cache) > limit:
+            cache.popitem(last=False)
+            obs_metrics.counter(f"{name}.evict").inc()
+    else:
+        obs_metrics.counter(f"{name}.hit").inc()
+        cache.move_to_end(key)
+    return value
+
+
 def _render_cache(config_key: tuple) -> dict:
     """Memo dict for one (mobile GPU, remote server) hardware config."""
-    # repro-lint: disable=MP001 -- per-process memo of pure functions of the key: a fork-inherited or rebuilt cache yields bit-identical values and never flows back to the parent
-    cache = _RENDER_CACHES.get(config_key)
-    if cache is None:
-        obs_metrics.counter("kernels.render_cache.miss").inc()
-        cache = {}
-        _RENDER_CACHES[config_key] = cache
-        if len(_RENDER_CACHES) > _RENDER_CACHES_MAX:
-            _RENDER_CACHES.popitem(last=False)
-            obs_metrics.counter("kernels.render_cache.evict").inc()
-    else:
-        obs_metrics.counter("kernels.render_cache.hit").inc()
-        _RENDER_CACHES.move_to_end(config_key)
-    return cache
+    return _memoized(
+        # repro-lint: disable=MP001 -- per-process memo of pure functions of the key: a fork-inherited or rebuilt cache yields bit-identical values and never flows back to the parent
+        _RENDER_CACHES, _RENDER_CACHES_MAX, "kernels.render_cache", config_key, dict
+    )
 
 
 def _workloads(app: VRApp, seed: int, n_frames: int):
     """Memoized workload stream — deterministic in (app, seed, n_frames)."""
-    key = (app, seed, n_frames)
-    # repro-lint: disable=MP001 -- per-process memo of pure functions of the key: fork-inherited and rebuilt entries are bit-identical
-    stream = _WORKLOAD_CACHE.get(key)
-    if stream is None:
-        obs_metrics.counter("kernels.workloads.miss").inc()
-        stream = WorkloadGenerator(app, seed=seed).generate(n_frames)
-        _WORKLOAD_CACHE[key] = stream
-        if len(_WORKLOAD_CACHE) > _WORKLOAD_CACHE_MAX:
-            _WORKLOAD_CACHE.popitem(last=False)
-            obs_metrics.counter("kernels.workloads.evict").inc()
-    else:
-        obs_metrics.counter("kernels.workloads.hit").inc()
-        _WORKLOAD_CACHE.move_to_end(key)
-    return stream
+    return _memoized(
+        # repro-lint: disable=MP001 -- per-process memo of pure functions of the key: fork-inherited and rebuilt entries are bit-identical
+        _WORKLOAD_CACHE, _WORKLOAD_CACHE_MAX, "kernels.workloads",
+        (app, seed, n_frames),
+        lambda: WorkloadGenerator(app, seed=seed).generate(n_frames),
+    )
+
+
+def _lattice(width_px: int, height_px: int) -> "_Lattice":
+    """Memoized seed-free foveation lattice of one panel resolution."""
+    return _memoized(
+        # repro-lint: disable=MP001 -- per-process memo of pure functions of the key: fork-inherited and rebuilt entries are bit-identical
+        _LATTICE_CACHE, _LATTICE_CACHE_MAX, "kernels.lattice",
+        (width_px, height_px),
+        lambda: _Lattice(width_px, height_px),
+    )
 
 
 def _foveation_kernel(app: VRApp, seed: int, n_frames: int) -> "_FoveationKernel":
     """Memoized geometry kernel — the gaze trace depends only on resolution."""
-    key = (app.width_px, app.height_px, seed, n_frames)
-    # repro-lint: disable=MP001 -- per-process memo of pure functions of the key: fork-inherited and rebuilt entries are bit-identical
-    kern = _GEOMETRY_CACHE.get(key)
-    if kern is None:
-        obs_metrics.counter("kernels.fov.miss").inc()
-        kern = _FoveationKernel(app.width_px, app.height_px, seed, n_frames)
-        _GEOMETRY_CACHE[key] = kern
-        if len(_GEOMETRY_CACHE) > _GEOMETRY_CACHE_MAX:
-            _GEOMETRY_CACHE.popitem(last=False)
-            obs_metrics.counter("kernels.fov.evict").inc()
-    else:
-        obs_metrics.counter("kernels.fov.hit").inc()
-        _GEOMETRY_CACHE.move_to_end(key)
-    return kern
+    return _memoized(
+        # repro-lint: disable=MP001 -- per-process memo of pure functions of the key: fork-inherited and rebuilt entries are bit-identical
+        _GEOMETRY_CACHE, _GEOMETRY_CACHE_MAX, "kernels.fov",
+        (app.width_px, app.height_px, seed, n_frames),
+        lambda: _FoveationKernel(
+            _lattice(app.width_px, app.height_px), seed, n_frames
+        ),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -168,41 +180,30 @@ _SAMPLES_2D = 129
 _STEP_DEG = 0.5
 
 
-class _FoveationKernel:
-    """Per-(resolution, seed, n_frames) replica of ``FoveationModel.plan``.
+class _Lattice:
+    """Per-resolution, seed-free half of ``FoveationModel.plan``.
 
-    Holds the master eccentricity lattice, per-frame gaze positions and
-    lazily-built per-frame area sweeps / area integrals / plans, shared by
-    every foveated system (and every same-resolution app) in the process.
+    Holds the display constants, the master eccentricity lattice with its
+    outer-layer sampling factors and radii, and the verified lattice
+    offsets — everything that depends on the panel alone, so every gaze
+    trace at this resolution shares one instance.
     """
 
-    def __init__(self, width_px: int, height_px: int, seed: int, n_frames: int) -> None:
+    def __init__(self, width_px: int, height_px: int) -> None:
         display = DisplayGeometry(width_px, height_px)
         model = FoveationModel(display)
-        self.model = model
         self.mar = model.mar
         self.eyes = model.eyes
         self.cap = model.scale_cap
         self.ppd = display.pixels_per_degree
         self.omega_star = display.native_mar_deg
         self.corner = display.corner_eccentricity_deg
+        self.width_px = width_px
+        self.height_px = height_px
         self.width = float(width_px)
         self.height = float(height_px)
         self.total = float(display.total_pixels)
         self.native = float(model.eyes * display.total_pixels)
-
-        # Gaze per frame: the motion trace depends only on the panel
-        # resolution, the frame budget and the seed — identical for every
-        # app at this resolution, so the per-frame sweeps are shared.
-        trace = generate_trace(
-            n_frames=n_frames,
-            frame_dt_ms=constants.FRAME_BUDGET_MS,
-            panel_width_px=width_px,
-            panel_height_px=height_px,
-            seed=seed,
-        )
-        self.gx = [s.gaze.x_px for s in trace]
-        self.gy = [s.gaze.y_px for s in trace]
 
         # Master candidate lattice of optimize_e2 starting at the minimum
         # eccentricity; a call at e1 == master[k] evaluates exactly the
@@ -219,7 +220,7 @@ class _FoveationKernel:
         s_out = (self.mar.omega_0 + self.mar.slope * master) / self.omega_star
         s_out = np.minimum(s_out, self.cap)
         s_out = np.maximum(s_out, 1.0)
-        self._s_out_sq = s_out * s_out
+        self.s_out_sq = s_out * s_out
         self.lattice_offsets: dict[float, int] = {}
         for k in range(len(master)):
             v = float(master[k])
@@ -229,6 +230,54 @@ class _FoveationKernel:
             cand = np.minimum(np.arange(v, e_max + _STEP_DEG, _STEP_DEG), e_max)
             if len(cand) == len(master) - k and np.array_equal(cand, master[k:]):
                 self.lattice_offsets[v] = k
+        self.radii = master * self.ppd
+
+        # Read-only sample positions of the integration kernels.
+        self.t2d = np.linspace(0.0, 1.0, _SAMPLES_2D)
+        self.idx1d = np.arange(_SAMPLES_1D, dtype=float)  # repro-lint: disable=DET004 -- integer lattice 0..N-1: exact in float64, no accumulation hazard
+
+
+class _FoveationKernel:
+    """Per-(resolution, seed, n_frames) replica of ``FoveationModel.plan``.
+
+    Pairs a shared per-resolution :class:`_Lattice` with one seed's
+    per-frame gaze positions and lazily-built per-frame area sweeps /
+    area integrals / plans, shared by every foveated system (and every
+    same-resolution app) in the process.
+    """
+
+    def __init__(self, lattice: _Lattice, seed: int, n_frames: int) -> None:
+        self.lattice = lattice
+        # The per-frame methods read the lattice's constants as their own.
+        self.mar = lattice.mar
+        self.eyes = lattice.eyes
+        self.cap = lattice.cap
+        self.ppd = lattice.ppd
+        self.omega_star = lattice.omega_star
+        self.corner = lattice.corner
+        self.width = lattice.width
+        self.height = lattice.height
+        self.total = lattice.total
+        self.native = lattice.native
+        self.master = lattice.master
+        self.lattice_offsets = lattice.lattice_offsets
+        self._s_out_sq = lattice.s_out_sq
+        self._master_radii = lattice.radii
+        self._t2d = lattice.t2d
+        self._idx1d = lattice.idx1d
+
+        # Gaze per frame: the motion trace depends only on the panel
+        # resolution, the frame budget and the seed — identical for every
+        # app at this resolution, so the per-frame sweeps are shared.
+        trace = generate_trace(
+            n_frames=n_frames,
+            frame_dt_ms=constants.FRAME_BUDGET_MS,
+            panel_width_px=lattice.width_px,
+            panel_height_px=lattice.height_px,
+            seed=seed,
+        )
+        self.gx = [s.gaze.x_px for s in trace]
+        self.gy = [s.gaze.y_px for s in trace]
 
         # Lazy per-frame caches (shared across systems and runs).
         self._sweeps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -242,21 +291,18 @@ class _FoveationKernel:
         self._batch1d: tuple[np.ndarray, ...] | None = None
 
         # Reusable workspaces for the integration kernels.
-        m = len(master) + 2
-        self._t2d = np.linspace(0.0, 1.0, _SAMPLES_2D)
+        m = len(self.master) + 2
         self._ws_ys = np.empty((m, _SAMPLES_2D))
         self._ws_a = np.empty((m, _SAMPLES_2D))
         self._ws_b = np.empty((m, _SAMPLES_2D))
         self._ws_r2 = np.empty((m, 1))
         self._ws_dflat = np.empty(m * _SAMPLES_2D)
         self._ws_eflat = np.empty(m * _SAMPLES_2D)
-        self._master_radii = master * self.ppd
         # Direct-search workspaces (see :meth:`_optimize_direct`).
         self._ws_radii = np.empty(m)
         self._ws_sout = np.empty(m)
         self._ws_mid = np.empty(m)
         self._ws_cost = np.empty(m)
-        self._idx1d = np.arange(_SAMPLES_1D, dtype=float)  # repro-lint: disable=DET004 -- integer lattice 0..N-1: exact in float64, no accumulation hazard
         self._ys1d = np.empty(_SAMPLES_1D)
         self._a1d = np.empty(_SAMPLES_1D)
         self._b1d = np.empty(_SAMPLES_1D)
@@ -1120,7 +1166,8 @@ def run_vectorized(
         key=("kernels.run", key, app.name, seed, n_frames) if tracer.enabled else None,
         system=key, app=app.name,
     ):
-        env = _Env(app, platform, seed)
+        with tracer.span("kernels.env"):
+            env = _Env(app, platform, seed)
         with tracer.span("kernels.workloads"):
             workloads = _workloads(app, seed, n_frames)
         if key == "local":
@@ -1135,7 +1182,8 @@ def run_vectorized(
         else:
             # repro-lint: disable=MP001 -- read-only registry constant: populated once at import, never mutated
             controller_cls, uses_uca = _FOVEATED_CONTROLLERS[key]
-            kern = _foveation_kernel(app, seed, n_frames)
+            with tracer.span("kernels.fov"):
+                kern = _foveation_kernel(app, seed, n_frames)
             # LRU hit rates for the kernel's lazy per-frame caches are
             # sampled as size deltas around the pass — the per-frame
             # accessors stay untouched, so the disabled path costs

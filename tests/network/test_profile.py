@@ -8,16 +8,21 @@ from repro.errors import NetworkError
 from repro.network.channel import NetworkChannel
 from repro.network.conditions import LTE_4G, NetworkConditions, WIFI
 from repro.network.profile import (
+    AllocatedProfile,
     ConstantProfile,
     MarkovProfile,
     NetworkProfile,
+    OffsetProfile,
     PROFILES,
     PiecewiseProfile,
+    SwitchedProfile,
     TraceProfile,
     as_profile,
     profile_by_name,
     shared_conditions,
 )
+from repro.sim.runner import RunSpec, spec_key
+from repro.sim.systems import PlatformConfig
 
 
 def _drop() -> PiecewiseProfile:
@@ -146,6 +151,52 @@ class TestTraceProfile:
         shared = trace.shared(2, 1.0)
         assert shared.throughput_mbps == (50.0, 20.0)
         assert trace.shared(1, 0.9) is trace
+
+
+class TestTraceSegmentMemo:
+    """The per-process segment memo is invisible to pickles, keys and samples."""
+
+    @staticmethod
+    def _trace(label: str) -> TraceProfile:
+        return TraceProfile(
+            base=LTE_4G,
+            times_ms=(0.0, 40.0, 95.0, 310.0),
+            throughput_mbps=(42.0, 7.5, 63.0, 18.25),
+            propagation_ms=(31.0, 44.0, 29.5, 52.0),
+            label=label,
+        )
+
+    def test_pickle_and_spec_key_unchanged_by_sampling(self):
+        profile = self._trace("memo-pickle")
+        spec = RunSpec(
+            system="qvr", app="GRID", platform=PlatformConfig(network=profile)
+        )
+        before = (pickle.dumps(profile), pickle.dumps(spec), spec_key(spec))
+        profile.sampler(0).conditions_at(100.0)
+        spec.platform.network.sampler(3).conditions_at(0.0)
+        assert (pickle.dumps(profile), pickle.dumps(spec), spec_key(spec)) == before
+
+    def test_samples_equal_an_unmemoised_build(self, monkeypatch):
+        trace = self._trace("memo-samples")
+        wrapped = [
+            trace,
+            AllocatedProfile(trace, ((0.0, 0.5), (120.0, 0.25)), n_clients=2),
+            OffsetProfile(trace, 55.0),
+            SwitchedProfile(((0.0, ConstantProfile(WIFI)), (80.0, trace))),
+        ]
+        times = [0.0, 39.9, 40.0, 94.0, 150.0, 309.0, 400.0, 1e5]
+
+        def samples():
+            return [
+                [profile.sampler(0).conditions_at(t) for t in times]
+                for profile in wrapped
+            ]
+
+        with monkeypatch.context() as patched:
+            patched.setattr(TraceProfile, "_segments", TraceProfile._build_segments)
+            expected = samples()
+        assert samples() == expected  # fills the memo
+        assert samples() == expected  # served from the memo
 
 
 class TestMarkovProfile:

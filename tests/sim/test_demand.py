@@ -1,11 +1,15 @@
 """Tests for the population-scale demand generator (repro.sim.demand)."""
 
 import json
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.obs import report as obs_report
+from repro.obs import trace
+from repro.sim import kernels
 from repro.sim.demand import (
     ChurnModel,
     ClientTemplate,
@@ -19,6 +23,8 @@ from repro.sim.demand import (
 from repro.sim.fleet import RenderFleet
 from repro.sim.runner import BatchEngine
 from repro.sim.session import Join, Leave, ProfileSwitch
+from repro.sim.shard import ResultStream
+from repro.workloads.apps import APPS
 
 
 def _payload(**overrides):
@@ -357,12 +363,52 @@ class TestRunPopulation:
         assert seen[-1][0] == "fair-share"
         assert seen[-1][1] == seen[-1][2] > 0
 
-    def test_stream_dir_gets_per_policy_subdirs(self, scenario, tmp_path):
-        import os
+    def test_stream_dir_holds_one_stream_for_every_policy(self, scenario, tmp_path):
+        def engine():
+            return BatchEngine(shards=2, shard_mode="process", stream_dir=str(tmp_path))
 
-        engine = BatchEngine(
-            shards=2, shard_mode="process", stream_dir=str(tmp_path)
-        )
-        run_population(scenario, seed=7, engine=engine, max_sessions=3)
-        assert sorted(os.listdir(tmp_path)) == ["deadline", "fair-share"]
-        assert engine.stream_dir == str(tmp_path)  # restored after the run
+        first = engine()
+        report = run_population(scenario, seed=7, engine=first, max_sessions=3)
+        assert first.stream_dir == str(tmp_path)
+        # One manifest at the root covers every policy's specs; no
+        # per-policy subdirectories.
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["n_specs"] == report["client_sessions"]
+        assert not [path for path in tmp_path.iterdir() if path.is_dir()]
+        streamed = {spec.policy for spec, _ in ResultStream(tmp_path).iter_results()}
+        assert streamed == {"fair-share", "deadline"}
+
+        rerun_engine = engine()
+        rerun = run_population(scenario, seed=7, engine=rerun_engine, max_sessions=3)
+        stats = rerun_engine.last_shard_stats
+        assert stats.skipped_shards == stats.shards == 2
+        assert stats.executed == 0
+        assert json.dumps(rerun, sort_keys=True) == json.dumps(report, sort_keys=True)
+
+
+class TestMemoReuse:
+    """Session-major order lets each client's second policy hit the memos."""
+
+    def test_second_policy_hits_the_kernel_memos(self, tmp_path, monkeypatch):
+        scenario = _scenario()
+        for name in ("_GEOMETRY_CACHE", "_WORKLOAD_CACHE", "_LATTICE_CACHE"):
+            monkeypatch.setattr(kernels, name, OrderedDict())
+        trace.configure(tmp_path / "t", process="parent")
+        try:
+            run_population(scenario, seed=7, engine=BatchEngine(), max_sessions=6)
+        finally:
+            trace.shutdown()
+        _, merged = obs_report.load_trace(tmp_path / "t")
+        counters = merged["counters"]
+        for memo in ("kernels.fov", "kernels.workloads"):
+            hits = counters.get(f"{memo}.hit", 0)
+            lookups = hits + counters.get(f"{memo}.miss", 0)
+            assert lookups > 0
+            assert hits >= 0.45 * lookups, (memo, hits, lookups)
+
+    def test_seeds_at_one_resolution_share_one_lattice(self):
+        app = APPS["GRID"]
+        first = kernels._foveation_kernel(app, 1, 12)
+        second = kernels._foveation_kernel(app, 2, 12)
+        assert first is not second
+        assert first.lattice is second.lattice

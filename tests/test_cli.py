@@ -433,6 +433,24 @@ class TestPopulationCommand:
         assert list(report["policies"]) == ["deadline"]
         assert report["sessions"] == 3
 
+    def test_population_shard_line_covers_every_policy(self, capsys, tmp_path):
+        import json
+        import re
+
+        scenario = self._scenario(tmp_path)
+        report_path = tmp_path / "report.json"
+        assert main(
+            ["population", scenario, "--seed", "7", "--max-sessions", "6",
+             "--shards", "4", "--stream", str(tmp_path / "stream"),
+             "--report", str(report_path)]
+        ) == 0
+        err = capsys.readouterr().err
+        report = json.loads(report_path.read_text())
+        assert list(report["policies"]) == ["fair-share", "deadline"]
+        match = re.search(r"^shards: \d+ planned \((\d+) specs\)", err, re.MULTILINE)
+        assert match is not None, err
+        assert int(match.group(1)) == report["client_sessions"]
+
     def test_population_rejects_bad_scenario(self, tmp_path):
         import json
 
