@@ -33,6 +33,14 @@ are deterministic in ``(app, seed, n_frames)`` / resolution), which is
 where most of the cross-spec batch speedup comes from.  The geometry
 memo is two-level: a seed-free per-resolution lattice, shared by every
 seed, under a per-``(resolution, seed, n_frames)`` gaze kernel.
+
+Memory: the integration scratch buffers live on the lattice — one set
+per resolution per process, however many gaze kernels use it — so a
+gaze kernel retains only its results: per-frame sweeps and plans, the
+few scalar area integrals of rarely seen eccentricities, and one
+float64 row of every frame's area per recurring eccentricity.  Sharing
+one scratch set assumes kernels run one at a time in a process, which
+holds: execution is single-threaded and parallelism is by process.
 """
 
 from __future__ import annotations
@@ -184,9 +192,15 @@ class _Lattice:
     """Per-resolution, seed-free half of ``FoveationModel.plan``.
 
     Holds the display constants, the master eccentricity lattice with its
-    outer-layer sampling factors and radii, and the verified lattice
-    offsets — everything that depends on the panel alone, so every gaze
-    trace at this resolution shares one instance.
+    outer-layer sampling factors and radii, the verified lattice offsets,
+    and the integration kernels with their scratch buffers — everything
+    that depends on the panel alone, so every gaze trace at this
+    resolution shares one instance and one scratch set.
+
+    Sharing the scratch is exact: kernels run one at a time in a process
+    (nothing here is threaded), every buffer is scratch within one call,
+    and every integration method returns a fresh array or float, so no
+    caller ever holds a view into a buffer another call overwrites.
     """
 
     def __init__(self, width_px: int, height_px: int) -> None:
@@ -236,69 +250,17 @@ class _Lattice:
         self.t2d = np.linspace(0.0, 1.0, _SAMPLES_2D)
         self.idx1d = np.arange(_SAMPLES_1D, dtype=float)  # repro-lint: disable=DET004 -- integer lattice 0..N-1: exact in float64, no accumulation hazard
 
-
-class _FoveationKernel:
-    """Per-(resolution, seed, n_frames) replica of ``FoveationModel.plan``.
-
-    Pairs a shared per-resolution :class:`_Lattice` with one seed's
-    per-frame gaze positions and lazily-built per-frame area sweeps /
-    area integrals / plans, shared by every foveated system (and every
-    same-resolution app) in the process.
-    """
-
-    def __init__(self, lattice: _Lattice, seed: int, n_frames: int) -> None:
-        self.lattice = lattice
-        # The per-frame methods read the lattice's constants as their own.
-        self.mar = lattice.mar
-        self.eyes = lattice.eyes
-        self.cap = lattice.cap
-        self.ppd = lattice.ppd
-        self.omega_star = lattice.omega_star
-        self.corner = lattice.corner
-        self.width = lattice.width
-        self.height = lattice.height
-        self.total = lattice.total
-        self.native = lattice.native
-        self.master = lattice.master
-        self.lattice_offsets = lattice.lattice_offsets
-        self._s_out_sq = lattice.s_out_sq
-        self._master_radii = lattice.radii
-        self._t2d = lattice.t2d
-        self._idx1d = lattice.idx1d
-
-        # Gaze per frame: the motion trace depends only on the panel
-        # resolution, the frame budget and the seed — identical for every
-        # app at this resolution, so the per-frame sweeps are shared.
-        trace = generate_trace(
-            n_frames=n_frames,
-            frame_dt_ms=constants.FRAME_BUDGET_MS,
-            panel_width_px=lattice.width_px,
-            panel_height_px=lattice.height_px,
-            seed=seed,
-        )
-        self.gx = [s.gaze.x_px for s in trace]
-        self.gy = [s.gaze.y_px for s in trace]
-
-        # Lazy per-frame caches (shared across systems and runs).
-        self._sweeps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._areas: dict[tuple[int, float], float] = {}
-        self._plans: dict[tuple[int, float], PartitionPlan] = {}
-        # Miss counts per eccentricity: once a value keeps recurring
-        # (fixed-e1 controllers, lattice e2 picks), its area is batch
-        # integrated for every frame at once instead of one gaze at a time.
-        self._e_misses: dict[float, int] = {}
-        self._gaze_arrays: tuple[np.ndarray, np.ndarray] | None = None
-        self._batch1d: tuple[np.ndarray, ...] | None = None
-
-        # Reusable workspaces for the integration kernels.
-        m = len(self.master) + 2
+        # The one scratch set of every gaze kernel at this resolution.  An
+        # off-lattice search from any e1 >= MIN_ECCENTRICITY_DEG has at
+        # most len(master) + 2 candidates.
+        m = len(master) + 2
         self._ws_ys = np.empty((m, _SAMPLES_2D))
         self._ws_a = np.empty((m, _SAMPLES_2D))
         self._ws_b = np.empty((m, _SAMPLES_2D))
         self._ws_r2 = np.empty((m, 1))
         self._ws_dflat = np.empty(m * _SAMPLES_2D)
         self._ws_eflat = np.empty(m * _SAMPLES_2D)
-        # Direct-search workspaces (see :meth:`_optimize_direct`).
+        # Direct-search workspaces (see :meth:`optimize_direct`).
         self._ws_radii = np.empty(m)
         self._ws_sout = np.empty(m)
         self._ws_mid = np.empty(m)
@@ -308,10 +270,14 @@ class _FoveationKernel:
         self._b1d = np.empty(_SAMPLES_1D)
         self._d1d = np.empty(_SAMPLES_1D - 1)
         self._e1d = np.empty(_SAMPLES_1D - 1)
+        # Row block of :meth:`area256_rows`, grown to the largest
+        # ``min(n_frames, 1024)`` requested.
+        self._batch1d: tuple[np.ndarray, ...] | None = None
+        obs_metrics.counter("kernels.lattice.scratch").inc()
 
     # -- integration kernels (replicas of foveation._disc_rect_area*) ------
 
-    def _disc_area_256(self, cx: float, cy: float, r: float) -> float:
+    def disc_area_256(self, cx: float, cy: float, r: float) -> float:
         """Bit-identical replica of ``_disc_rect_area(..., samples=256)``."""
         y_lo = max(0.0, cy - r)
         y_hi = min(self.height, cy + r)
@@ -320,7 +286,7 @@ class _FoveationKernel:
         # np.linspace(y_lo, y_hi, 256) decomposes into exactly these ops.
         step = (y_hi - y_lo) / (_SAMPLES_1D - 1)
         ys = self._ys1d
-        np.multiply(self._idx1d, step, out=ys)
+        np.multiply(self.idx1d, step, out=ys)
         ys += y_lo
         ys[-1] = y_hi
         a = self._a1d
@@ -344,7 +310,7 @@ class _FoveationKernel:
         e *= 0.5  # bitwise ``/ 2.0`` (exact power-of-two scaling)
         return float(np.add.reduce(e))
 
-    def _disc_areas(self, cx: float, cy: float, radii: np.ndarray) -> np.ndarray:
+    def disc_areas(self, cx: float, cy: float, radii: np.ndarray) -> np.ndarray:
         """Bit-identical replica of ``_disc_rect_areas`` (samples=129).
 
         The trapezoid stage runs over the *flattened* row-contiguous
@@ -361,7 +327,7 @@ class _FoveationKernel:
         y_hi = np.minimum(self.height, cy + radii)
         span = np.maximum(y_hi - y_lo, 0.0)
         ys = self._ws_ys[:m]
-        np.einsum("i,j->ij", span, self._t2d, out=ys)  # == np.outer(span, t)
+        np.einsum("i,j->ij", span, self.t2d, out=ys)  # == np.outer(span, t)
         ys += y_lo[:, None]
         a = self._ws_a[:m]
         np.subtract(ys, cy, out=a)
@@ -393,28 +359,23 @@ class _FoveationKernel:
         )
         return np.add.reduce(rows, axis=1)
 
-    def _area256_all_frames(self, e_deg: float) -> None:
-        """Fill the ``_areas`` cache with frame ``0..n-1`` at one radius.
+    def area256_rows(self, gx: np.ndarray, gy: np.ndarray, r: float) -> np.ndarray:
+        """:meth:`disc_area_256` at radius ``r`` for every gaze centre at once.
 
         Row ``f`` applies exactly the scalar op chain of
-        :meth:`_disc_area_256` at frame ``f``'s gaze centre — element-wise
+        :meth:`disc_area_256` at centre ``(gx[f], gy[f])`` — element-wise
         ufuncs over independent rows are bit-identical to the per-frame
         scalar calls (multiplication commutes bitwise, and the trailing
         ``add.reduce`` over the contiguous last axis uses the same pairwise
-        summation as the 1-D reduction).
+        summation as the 1-D reduction).  Centres run through the row
+        block in chunks of at most 1,024.
         """
-        areas = self._areas
-        r = e_deg * self.ppd
-        if self._gaze_arrays is None:
-            self._gaze_arrays = (np.asarray(self.gx), np.asarray(self.gy))
-        gx, gy = self._gaze_arrays
         n = len(gx)
         if r == 0.0:
-            for f in range(n):
-                areas[(f, e_deg)] = 0.0
-            return
-        if self._batch1d is None:
-            rows = min(n, 1024)
+            return np.zeros(n)
+        out = np.empty(n)
+        rows = min(n, 1024)
+        if self._batch1d is None or len(self._batch1d[0]) < rows:
             self._batch1d = (
                 np.empty((rows, _SAMPLES_1D)),
                 np.empty((rows, _SAMPLES_1D)),
@@ -422,17 +383,17 @@ class _FoveationKernel:
                 np.empty((rows, _SAMPLES_1D - 1)),
                 np.empty((rows, _SAMPLES_1D - 1)),
             )
-        chunk = self._batch1d[0].shape[0]
+            obs_metrics.counter("kernels.lattice.scratch").inc()
         r_sq = r * r
-        for start in range(0, n, chunk):
-            cx = gx[start : start + chunk]
-            cy = gy[start : start + chunk]
+        for start in range(0, n, rows):
+            cx = gx[start : start + rows]
+            cy = gy[start : start + rows]
             m = len(cx)
             y_lo = np.maximum(0.0, cy - r)
             y_hi = np.minimum(self.height, cy + r)
             step = (y_hi - y_lo) / (_SAMPLES_1D - 1)
             ys = self._batch1d[0][:m]
-            np.multiply(self._idx1d, step[:, None], out=ys)
+            np.multiply(self.idx1d, step[:, None], out=ys)
             ys += y_lo[:, None]
             ys[:, -1] = y_hi
             a = self._batch1d[1][:m]
@@ -456,62 +417,11 @@ class _FoveationKernel:
             e *= 0.5
             sums = np.add.reduce(e, axis=1)
             # repro-lint: disable=DET004 -- pure lane select between already-computed arrays (no arithmetic): bit-exact, unlike the clamp-shaped np.clip/np.where PR 6 removed
-            sums = np.where(y_hi > y_lo, sums, 0.0)
-            setdefault = areas.setdefault
-            for f, area in enumerate(sums.tolist(), start):
-                setdefault((f, e_deg), area)
+            out[start : start + m] = np.where(y_hi > y_lo, sums, 0.0)
+        return out
 
-    # -- per-frame cached quantities ----------------------------------------
-
-    def _sweep(self, f: int) -> tuple[np.ndarray, np.ndarray]:
-        """Master-lattice areas and outer-layer cost for frame ``f``."""
-        cached = self._sweeps.get(f)
-        if cached is None:
-            areas = self._disc_areas(self.gx[f], self.gy[f], self._master_radii)
-            outer = np.maximum(self.total - areas, 0.0) / self._s_out_sq
-            cached = (areas, outer)
-            self._sweeps[f] = cached
-        return cached
-
-    #: Cache misses at one eccentricity before its area integral is batch
-    #: evaluated across every frame (breakeven is ~9 scalar calls; a value
-    #: seen this often — a fixed e1 or a recurring lattice e2 — keeps
-    #: recurring, while SW-QVR's one-off float states never trigger it).
-    _BATCH_AFTER = 4
-
-    def _area256(self, f: int, e_deg: float) -> float:
-        """Cached ``region_area_px(e_deg, gaze)`` for frame ``f``."""
-        key = (f, e_deg)
-        area = self._areas.get(key)
-        if area is None:
-            misses = self._e_misses.get(e_deg, 0) + 1
-            if misses >= self._BATCH_AFTER:
-                self._area256_all_frames(e_deg)
-                return self._areas[key]
-            self._e_misses[e_deg] = misses
-            radius = e_deg * self.ppd
-            area = 0.0 if radius == 0.0 else self._disc_area_256(
-                self.gx[f], self.gy[f], radius
-            )
-            self._areas[key] = area
-        return area
-
-    def _optimize_e2(self, f: int, e1: float) -> float:
-        """Replica of ``FoveationModel.optimize_e2`` at frame ``f``'s gaze."""
-        if e1 >= self.corner:
-            return e1
-        k = self.lattice_offsets.get(e1)
-        if k is None:
-            return self._optimize_direct(f, e1)
-        areas, outer = self._sweep(f)
-        av = areas[k:]
-        s_mid = min(self.mar.sampling_factor(e1, self.omega_star), self.cap)
-        middle = np.maximum(av - av[0], 0.0) / (s_mid * s_mid)
-        cost = middle + outer[k:]
-        return float(self.master[k + int(np.argmin(cost))])
-
-    def _optimize_direct(self, f: int, e1: float) -> float:
-        """Off-lattice fallback: the full grid search from ``e1``.
+    def optimize_direct(self, cx: float, cy: float, e1: float) -> float:
+        """Off-lattice ``optimize_e2``: the full grid search from ``e1``.
 
         SW-QVR's controller emits a fresh float ``e1`` every frame (each a
         strict function of the previous frame's measured imbalance), so
@@ -525,13 +435,13 @@ class _FoveationKernel:
         IEEE adds, which is bitwise neutral.
         """
         e_max = self.corner
-        # repro-lint: disable=DET004 -- load-bearing: this lattice MUST come from arange (incremental += step accumulation); e1 + k*step drifts bitwise and the oracle's argmin can tie against that drift (PR 7)
+        # repro-lint: disable=DET004 -- load-bearing: this lattice MUST come from arange (incremental += step accumulation); e1 + k*step drifts bitwise and the oracle's argmin can tie against that drift (docs/determinism.md)
         cand = np.arange(e1, e_max + _STEP_DEG, _STEP_DEG)
         np.minimum(cand, e_max, out=cand)
         n = len(cand)
         radii = self._ws_radii[:n]
         np.multiply(cand, self.ppd, out=radii)
-        areas = self._disc_areas(self.gx[f], self.gy[f], radii)
+        areas = self.disc_areas(cx, cy, radii)
         s_mid = min(self.mar.sampling_factor(e1, self.omega_star), self.cap)
         s_out = self._ws_sout[:n]
         np.multiply(self.mar.slope, cand, out=s_out)
@@ -551,6 +461,118 @@ class _FoveationKernel:
         cost /= s_out
         cost += middle
         return float(cand[int(np.argmin(cost))])
+
+
+class _FoveationKernel:
+    """Per-(resolution, seed, n_frames) replica of ``FoveationModel.plan``.
+
+    Pairs a shared per-resolution :class:`_Lattice` — constants,
+    integration kernels and the one scratch set — with one seed's
+    per-frame gaze positions and lazily-built per-frame area sweeps /
+    area integrals / plans, shared by every foveated system (and every
+    same-resolution app) in the process.  The kernel owns no scratch:
+    what it retains is its results alone.
+    """
+
+    def __init__(self, lattice: _Lattice, seed: int, n_frames: int) -> None:
+        self.lattice = lattice
+        # The per-frame methods read the lattice's constants as their own.
+        self.mar = lattice.mar
+        self.eyes = lattice.eyes
+        self.cap = lattice.cap
+        self.ppd = lattice.ppd
+        self.omega_star = lattice.omega_star
+        self.corner = lattice.corner
+        self.total = lattice.total
+        self.native = lattice.native
+        self.master = lattice.master
+        self.lattice_offsets = lattice.lattice_offsets
+        self._s_out_sq = lattice.s_out_sq
+        self._master_radii = lattice.radii
+
+        # Gaze per frame: the motion trace depends only on the panel
+        # resolution, the frame budget and the seed — identical for every
+        # app at this resolution, so the per-frame sweeps are shared.
+        trace = generate_trace(
+            n_frames=n_frames,
+            frame_dt_ms=constants.FRAME_BUDGET_MS,
+            panel_width_px=lattice.width_px,
+            panel_height_px=lattice.height_px,
+            seed=seed,
+        )
+        self.gx = [s.gaze.x_px for s in trace]
+        self.gy = [s.gaze.y_px for s in trace]
+
+        # Lazy per-frame caches (shared across systems and runs).
+        self._sweeps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._areas: dict[tuple[int, float], float] = {}
+        self._plans: dict[tuple[int, float], PartitionPlan] = {}
+        # Miss counts per eccentricity: once a value keeps recurring
+        # (fixed-e1 controllers, lattice e2 picks), its area is batch
+        # integrated for every frame at once into one row of
+        # ``_area_rows`` instead of one gaze at a time into ``_areas``.
+        self._e_misses: dict[float, int] = {}
+        self._area_rows: dict[float, np.ndarray] = {}
+
+    def areas_filled(self) -> int:
+        """Area integrals held: every frame of each row plus scalar entries."""
+        return len(self.gx) * len(self._area_rows) + len(self._areas)
+
+    # -- per-frame cached quantities ----------------------------------------
+
+    def _sweep(self, f: int) -> tuple[np.ndarray, np.ndarray]:
+        """Master-lattice areas and outer-layer cost for frame ``f``."""
+        cached = self._sweeps.get(f)
+        if cached is None:
+            areas = self.lattice.disc_areas(self.gx[f], self.gy[f], self._master_radii)
+            outer = np.maximum(self.total - areas, 0.0) / self._s_out_sq
+            cached = (areas, outer)
+            self._sweeps[f] = cached
+        return cached
+
+    #: Cache misses at one eccentricity before its area integral is batch
+    #: evaluated across every frame (breakeven is ~9 scalar calls; a value
+    #: seen this often — a fixed e1 or a recurring lattice e2 — keeps
+    #: recurring, while SW-QVR's one-off float states never trigger it).
+    _BATCH_AFTER = 4
+
+    def _area256(self, f: int, e_deg: float) -> float:
+        """Cached ``region_area_px(e_deg, gaze)`` for frame ``f``."""
+        row = self._area_rows.get(e_deg)
+        if row is not None:
+            return row.item(f)
+        key = (f, e_deg)
+        area = self._areas.get(key)
+        if area is None:
+            misses = self._e_misses.get(e_deg, 0) + 1
+            if misses >= self._BATCH_AFTER:
+                del self._e_misses[e_deg]
+                row = self.lattice.area256_rows(
+                    np.asarray(self.gx), np.asarray(self.gy), e_deg * self.ppd
+                )
+                self._area_rows[e_deg] = row
+                return row.item(f)
+            self._e_misses[e_deg] = misses
+            radius = e_deg * self.ppd
+            area = 0.0 if radius == 0.0 else self.lattice.disc_area_256(
+                self.gx[f], self.gy[f], radius
+            )
+            self._areas[key] = area
+        return area
+
+    def _optimize_e2(self, f: int, e1: float) -> float:
+        """Replica of ``FoveationModel.optimize_e2`` at frame ``f``'s gaze."""
+        if e1 >= self.corner:
+            return e1
+        k = self.lattice_offsets.get(e1)
+        if k is None:
+            return self.lattice.optimize_direct(self.gx[f], self.gy[f], e1)
+        areas, outer = self._sweep(f)
+        av = areas[k:]
+        s_mid = min(self.mar.sampling_factor(e1, self.omega_star), self.cap)
+        middle = np.maximum(av - av[0], 0.0) / (s_mid * s_mid)
+        cost = middle + outer[k:]
+        return float(self.master[k + int(np.argmin(cost))])
 
     def plan(self, f: int, e1_deg: float) -> PartitionPlan:
         """Replica of ``FoveationModel.plan(e1, None, gaze_x, gaze_y)``.
@@ -1191,7 +1213,7 @@ def run_vectorized(
             if tracer.enabled:
                 plans_before = len(kern._plans)
                 sweeps_before = len(kern._sweeps)
-                areas_before = len(kern._areas)
+                areas_before = kern.areas_filled()
             with tracer.span("kernels.frame_pass", system=key):
                 cols = _run_foveated(env, workloads, controller_cls(), uses_uca, kern)
             if tracer.enabled:
@@ -1203,7 +1225,7 @@ def run_vectorized(
                     len(kern._sweeps) - sweeps_before
                 )
                 obs_metrics.counter("kernels.fov.area.new").inc(
-                    len(kern._areas) - areas_before
+                    kern.areas_filled() - areas_before
                 )
         with tracer.span("kernels.records"):
             records = records_from_arrays(**cols)

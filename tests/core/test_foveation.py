@@ -11,6 +11,7 @@ from repro.core.foveation import (
     DisplayGeometry,
     FoveationModel,
     MARModel,
+    _disc_rect_areas,
     default_model,
 )
 from repro.errors import FoveationError
@@ -224,3 +225,73 @@ class TestVectorisedAreas:
         for r, v in zip(radii, vector):
             scalar = _disc_rect_area(960.0, 1080.0, float(r), 1920.0, 2160.0, 256)
             assert v == pytest.approx(scalar, rel=5e-3)
+
+
+def _eq1_costs(model, e1, gaze_x, gaze_y):
+    """``optimize_e2``'s candidates, cost vector and areas, as it builds them."""
+    display = model.display
+    e_max = display.corner_eccentricity_deg
+    candidates = np.minimum(np.arange(e1, e_max + 0.5, 0.5), e_max)
+    areas = _disc_rect_areas(
+        gaze_x, gaze_y, candidates * display.pixels_per_degree,
+        display.width_px, display.height_px,
+    )
+    s_mid, _ = model.layer_scales(e1, e1)
+    s_out = np.minimum(
+        (model.mar.omega_0 + model.mar.slope * candidates) / display.native_mar_deg,
+        model.scale_cap,
+    )
+    s_out = np.maximum(s_out, 1.0)
+    middle = np.maximum(areas - areas[0], 0.0) / (s_mid * s_mid)
+    outer = np.maximum(display.total_pixels - areas, 0.0) / (s_out * s_out)
+    return candidates, middle + outer, areas
+
+
+class TestCappedCostIsFlat:
+    """Characterization: once ``s_mid`` hits ``scale_cap``, Eq. (1) is flat.
+
+    ``s_mid = min(omega(e1) / omega*, cap)`` reaches the cap at
+    ``e1 >= (cap * omega* - omega_0) / slope``.  From there every
+    candidate ``e >= e1`` has ``s_out = cap = s_mid`` too, so
+    ``cost(e) = (A(e) - A(e1)) / cap² + (T - A(e)) / cap² = (T - A(e1)) / cap²``
+    for every candidate: the argmin, hence ``e2``, is decided by float
+    rounding alone.  This pins that behaviour; it does not endorse it.
+    """
+
+    @staticmethod
+    def threshold(model):
+        omega_star = model.display.native_mar_deg
+        return (model.scale_cap * omega_star - model.mar.omega_0) / model.mar.slope
+
+    @pytest.mark.parametrize(
+        "width,height,expected", [(1920, 2160, 3.96), (1280, 1600, 6.00)]
+    )
+    def test_threshold_from_mar_and_cap(self, width, height, expected):
+        model = FoveationModel(DisplayGeometry(width, height))
+        e_cap = self.threshold(model)
+        assert e_cap == pytest.approx(expected, abs=0.01)
+        omega_star = model.display.native_mar_deg
+        assert model.mar.sampling_factor(e_cap + 1e-9, omega_star) >= model.scale_cap
+        assert model.mar.sampling_factor(e_cap - 1e-3, omega_star) < model.scale_cap
+
+    @pytest.mark.parametrize("width,height", [(1920, 2160), (1280, 1600)])
+    def test_cost_spread_above_threshold_is_rounding(self, width, height):
+        model = FoveationModel(DisplayGeometry(width, height))
+        corner = model.display.corner_eccentricity_deg
+        low = max(self.threshold(model), constants.MIN_ECCENTRICITY_DEG)
+        rng = np.random.default_rng(17)
+        eps = np.finfo(float).eps
+        for _ in range(300):
+            e1 = float(rng.uniform(low, corner - 0.5))
+            gaze_x, gaze_y = rng.uniform(0, width), rng.uniform(0, height)
+            _, cost, areas = _eq1_costs(model, e1, gaze_x, gaze_y)
+            flat = (model.display.total_pixels - areas[0]) / model.scale_cap**2
+            assert (cost.max() - cost.min()) / cost.min() <= 4 * eps
+            assert np.abs(cost - flat).max() / flat <= 4 * eps
+
+    def test_cost_below_threshold_is_not_flat(self):
+        model = FoveationModel(DisplayGeometry(1280, 1600))
+        e1 = constants.MIN_ECCENTRICITY_DEG
+        assert e1 < self.threshold(model)
+        _, cost, _ = _eq1_costs(model, e1, 640.0, 800.0)
+        assert (cost.max() - cost.min()) / cost.min() > 1e-4

@@ -1,0 +1,207 @@
+"""Generated parity and footprint checks of the foveation geometry kernel.
+
+Every ``_FoveationKernel.plan(f, e1)`` must equal, field by field and bit
+for bit, the scalar ``FoveationModel.plan(e1, None, gaze_x, gaze_y)`` at
+frame ``f``'s gaze.  The kernel caches sweeps, areas and plans per seed
+and shares one scratch set per resolution, so the generated cases mix
+what could make sharing leak: several seeds on one lattice with their
+calls interleaved, lattice, off-lattice and beyond-corner eccentricities
+(recurring ones switch to batch-integrated rows), and kernels of
+different lengths built in either order (the shared row block only
+grows).  The footprint test pins what sharing buys: an extra kernel at
+a resolution retains its results, not a scratch set.
+"""
+
+import dataclasses
+import tracemalloc
+
+import pytest
+from hypothesis import event, given, settings, strategies as st
+
+from repro import constants
+from repro.core.foveation import DisplayGeometry, FoveationModel
+from repro.obs import metrics as obs_metrics
+from repro.sim.kernels import _FoveationKernel, _Lattice
+from repro.workloads.apps import get_app
+
+RESOLUTIONS = ((1920, 2160), (1280, 1600))
+
+
+def assert_plan_identical(got, want):
+    """Field-for-field equality of two plans, including float bits."""
+    for field in dataclasses.fields(want):
+        value_g = getattr(got, field.name)
+        value_w = getattr(want, field.name)
+        assert type(value_g) is type(value_w), field.name
+        assert value_g.hex() == value_w.hex(), (field.name, value_g, value_w)
+
+
+def assert_calls_match(width, height, kernels, calls):
+    """Run ``(kernel index, frame, e1)`` calls in order against the oracle."""
+    model = FoveationModel(DisplayGeometry(width, height))
+    for index, frame, e1 in calls:
+        kern = kernels[index]
+        f = frame % len(kern.gx)
+        want = model.plan(e1, None, kern.gx[f], kern.gy[f])
+        assert_plan_identical(kern.plan(f, e1), want)
+
+
+@st.composite
+def eccentricity(draw, lattice):
+    """An ``e1`` on the master lattice, off it, or at/above the corner."""
+    kind = draw(st.sampled_from(("lattice", "off", "corner")))
+    if kind == "lattice":
+        return float(draw(st.sampled_from(list(lattice.master))))
+    if kind == "off":
+        return draw(
+            st.floats(
+                min_value=constants.MIN_ECCENTRICITY_DEG,
+                max_value=lattice.corner,
+                exclude_max=True,
+            )
+        )
+    return lattice.corner + draw(st.floats(min_value=0.0, max_value=20.0))
+
+
+@st.composite
+def shared_lattice_case(draw):
+    """2–3 seeds on one lattice and an interleaved call sequence."""
+    width, height = draw(st.sampled_from(RESOLUTIONS))
+    lattice = _Lattice(width, height)
+    seeds = draw(st.lists(st.integers(0, 50), min_size=2, max_size=3, unique=True))
+    lengths = draw(
+        st.lists(st.integers(1, 48), min_size=len(seeds), max_size=len(seeds))
+    )
+    # Calls come in runs of consecutive frames at one (kernel, e1) drawn
+    # from a small pool, so eccentricities recur and batch rows get built;
+    # successive runs interleave the kernels.
+    pool = draw(st.lists(eccentricity(lattice), min_size=1, max_size=3))
+    runs = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, len(seeds) - 1),
+                st.sampled_from(pool),
+                st.integers(0, 47),
+                st.integers(1, 12),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    calls = [
+        (index, start + step, e1)
+        for index, e1, start, count in runs
+        for step in range(count)
+    ]
+    return width, height, lattice, list(zip(seeds, lengths)), calls
+
+
+class TestPlanParity:
+    @settings(max_examples=60, deadline=None)
+    @given(shared_lattice_case())
+    def test_interleaved_seeds_match_the_oracle(self, case):
+        width, height, lattice, kernel_args, calls = case
+        kernels = [_FoveationKernel(lattice, seed, n) for seed, n in kernel_args]
+        assert_calls_match(width, height, kernels, calls)
+        event(f"rows per kernel: {max(len(k._area_rows) for k in kernels)}")
+
+    @pytest.mark.parametrize("width,height", RESOLUTIONS)
+    def test_short_kernel_after_long_reuses_the_row_block(self, width, height):
+        lattice = _Lattice(width, height)
+        long_kern = _FoveationKernel(lattice, 3, 40)
+        e1 = float(lattice.master[6])
+        assert_calls_match(width, height, [long_kern], [(0, f, e1) for f in range(40)])
+        block = lattice._batch1d
+        assert block is not None and len(block[0]) == 40
+        short_kern = _FoveationKernel(lattice, 4, 7)
+        calls = [(0, f, e1) for f in range(7)] + [(0, f, 9.3) for f in range(7)]
+        assert_calls_match(width, height, [short_kern], calls)
+        assert lattice._batch1d is block
+
+    @pytest.mark.parametrize("width,height", RESOLUTIONS)
+    def test_long_kernel_after_short_grows_the_row_block(self, width, height):
+        lattice = _Lattice(width, height)
+        short_kern = _FoveationKernel(lattice, 5, 6)
+        long_kern = _FoveationKernel(lattice, 6, 30)
+        e1 = float(lattice.master[2])
+        calls = [(0, f, e1) for f in range(6)]
+        calls += [(1, f, e1) for f in range(30)]
+        calls += [(0, f, e1) for f in range(6)]
+        assert_calls_match(width, height, [short_kern, long_kern], calls)
+        assert len(lattice._batch1d[0]) == 30
+
+    def test_rows_cross_the_chunk_boundary(self):
+        width, height = RESOLUTIONS[1]
+        lattice = _Lattice(width, height)
+        kern = _FoveationKernel(lattice, 8, 1030)
+        e1 = float(lattice.master[4])
+        # The fourth miss at e1 integrates all 1,030 frames in two chunks.
+        frames = [0, 1, 2, 1023, 1024, 1025, 1029, 511]
+        assert_calls_match(width, height, [kern], [(0, f, e1) for f in frames])
+        assert e1 in kern._area_rows and len(kern._area_rows[e1]) == 1030
+        assert len(lattice._batch1d[0]) == 1024
+        display = DisplayGeometry(width, height)
+        row = kern._area_rows[e1]
+        for f in (1022, 1023, 1024, 1029):
+            want = display.region_area_px(e1, kern.gx[f], kern.gy[f])
+            assert row.item(f).hex() == want.hex()
+
+    def test_row_stops_scalar_area_entries(self):
+        width, height = RESOLUTIONS[0]
+        lattice = _Lattice(width, height)
+        kern = _FoveationKernel(lattice, 1, 20)
+        e1 = 10.0
+        for f in range(20):
+            kern.plan(f, e1)
+        scalar_at_e1 = [key for key in kern._areas if key[1] == e1]
+        assert e1 in kern._area_rows
+        assert len(scalar_at_e1) == kern._BATCH_AFTER - 1
+        assert e1 not in kern._e_misses
+
+
+def test_extra_kernels_retain_results_not_scratch():
+    """Eight GRID kernels: each extra one retains well under 1 MB."""
+    app = get_app("GRID")
+    lattice = _Lattice(app.width_px, app.height_px)
+    n_frames = 120
+    off_lattice = 7.3
+
+    def build(seed):
+        kern = _FoveationKernel(lattice, seed, n_frames)
+        for f in range(n_frames):
+            kern.plan(f, 10.0)
+        kern.plan(0, off_lattice)
+        return kern
+
+    kernels = [build(0)]
+    block = lattice._batch1d
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kernels += [build(seed) for seed in range(1, 8)]
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    per_kernel = retained / 7
+    assert per_kernel < 1_000_000, f"{per_kernel / 1e6:.2f} MB per extra kernel"
+    # One scratch set, by identity: the lattice's, never regrown.
+    assert all(kern.lattice is lattice for kern in kernels)
+    assert lattice._batch1d is block
+    for kern in kernels:
+        assert not [
+            name for name in vars(kern) if name.startswith(("_ws_", "_batch"))
+        ]
+
+
+def test_scratch_counter_counts_lattice_allocations(monkeypatch):
+    """One count for the lattice's set, one per growth of its row block."""
+    registry = obs_metrics.MetricsRegistry()
+    monkeypatch.setattr(obs_metrics, "_active", registry)
+    lattice = _Lattice(1280, 1600)
+    for seed, n_frames in ((0, 10), (1, 10), (2, 25), (3, 5)):
+        kern = _FoveationKernel(lattice, seed, n_frames)
+        for f in range(n_frames):
+            kern.plan(f, 8.0)
+    counters = registry.snapshot()["counters"]
+    # The set, the 10-row block, and its growth to 25 rows.
+    assert counters["kernels.lattice.scratch"] == 3
