@@ -1,6 +1,6 @@
 # Convenience targets mirroring the CI gates.
 
-.PHONY: lint test
+.PHONY: lint test bench-gates
 
 # Style (ruff) + determinism/hash-integrity (repro lint) in one gate.
 lint:
@@ -9,3 +9,8 @@ lint:
 # The tier-1 suite, exactly as CI runs it.
 test:
 	PYTHONPATH=src python -m pytest -x -q
+
+# The single-commit timing gates CI runs (same-run ratios and
+# cross-machine ceilings); about 30 s.
+bench-gates:
+	PYTHONPATH=src python benchmarks/gates.py

@@ -13,11 +13,11 @@ session.  ``QVR_BENCH_JOBS`` sets the engine's process-pool width
 ``QVR_BENCH_CACHE`` pins the cache directory so the warm cache can
 persist across pytest sessions.
 
-The directory must stay importable with *only* the runtime deps the CI
-``bench-batch-smoke`` job installs (numpy): ``bench_batch.py`` and the
-regression gate are plain scripts, and the ``paper_benchmark`` fixture
-degrades to a direct call when pytest-benchmark is absent, so an
-unused-dep drift in the job's install line can't break the suite.
+The directory also holds ``gates.py``, the single-commit timing gates
+CI runs with only numpy installed; performance is measured by the
+repository benchmark, ``perfbench/run.py``.  The ``paper_benchmark``
+fixture degrades to a direct call when pytest-benchmark is absent, so
+the suite also runs as plain regression checks in minimal environments.
 """
 
 import os

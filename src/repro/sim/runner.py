@@ -755,24 +755,26 @@ class BatchEngine:
     ) -> Iterator[tuple[RunSpec, SimulationResult]]:
         """Execute a batch lazily, yielding ``(spec, result)`` pairs.
 
-        The bounded-memory counterpart of :meth:`run_specs`: results are
-        never accumulated into a dict or the in-memory memo, so a
-        10k-spec sweep peaks at one result plus whatever the consumer
-        retains (feed the pairs to a
+        The bounded-result counterpart of :meth:`run_specs`: results are
+        never accumulated into a dict or the in-memory memo, so the
+        results held at once do not grow with the sweep beyond whatever
+        the consumer retains (feed the pairs to a
         :class:`~repro.sim.metrics.StreamSummary` for O(1) statistics).
         Duplicate specs are still yielded once, disk-cache hits are
         served without execution, and executed results land in the disk
         cache — only the engine-lifetime memo is skipped.
 
+        The requests are not bounded: ``specs`` may be any iterable,
+        including a lazy generator, but it is drained before anything
+        executes.  Duplicates are dropped and cache hits yielded as they
+        arrive, while every unique spec enters a ``seen`` set and every
+        miss a list, so a 10k-spec sweep holds all 10k specs (not their
+        results) at once.  ROADMAP.md's "Bounded memory that actually
+        holds" item tracks streaming them in bounded windows.
+
         Pairs are yielded as execution completes, so the order mixes
         cache hits (input order, first) with executed shards (completion
         order); consumers key by spec.
-
-        ``specs`` may be any iterable, including a lazy generator — it
-        is consumed incrementally (duplicates are dropped as they
-        arrive, cache hits yielded as they are found), so a population
-        planner can emit specs session by session without ever
-        materializing the duplicate-bearing request list.
         """
         yield from self._serve(specs, memoize=False)
 

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import pickle
 
 import pytest
 
 from repro.obs import report, trace
 from repro.sim.demand import DemandScenario, run_population
-from repro.sim.runner import BatchEngine
+from repro.sim.runner import BatchEngine, RunSpec, run
+from repro.sim.systems import SYSTEM_NAMES
 
 
 def _scenario():
@@ -34,6 +36,22 @@ def _scenario():
 
 def _canonical(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("system", SYSTEM_NAMES)
+def test_every_system_result_is_bit_identical_with_tracing(tmp_path, system):
+    """Each design's traced branches (its frame-pass span, the foveated
+    cache counters) leave the full result unchanged.  Compared by pickle:
+    NaN fields defeat dataclass equality."""
+    spec = RunSpec(system=system, app="GRID", n_frames=60, seed=23)
+    trace.configure(tmp_path / "t", process="parent")
+    try:
+        traced = run(spec)
+    finally:
+        trace.shutdown()
+    assert pickle.dumps(traced) == pickle.dumps(run(spec))
+    events, _ = report.load_trace(tmp_path / "t")
+    assert any(event["name"] == "kernels.frame_pass" for event in events)
 
 
 @pytest.mark.parametrize("shards", [None, 1, 4])

@@ -1,7 +1,9 @@
 """Tests for the population-scale demand generator (repro.sim.demand)."""
 
+import hashlib
 import json
 from collections import OrderedDict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,8 @@ from repro.sim.runner import BatchEngine
 from repro.sim.session import Join, Leave, ProfileSwitch
 from repro.sim.shard import ResultStream
 from repro.workloads.apps import APPS
+
+REPO = Path(__file__).resolve().parents[2]
 
 
 def _payload(**overrides):
@@ -384,6 +388,32 @@ class TestRunPopulation:
         assert stats.skipped_shards == stats.shards == 2
         assert stats.executed == 0
         assert json.dumps(rerun, sort_keys=True) == json.dumps(report, sort_keys=True)
+
+
+class TestShippedCity:
+    """The seed-7 slices of ``examples/population.json`` that CI runs."""
+
+    @pytest.fixture(scope="class")
+    def city(self):
+        return DemandScenario.from_json(str(REPO / "examples" / "population.json"))
+
+    def test_planned_120_session_slice_keeps_its_size(self, city):
+        """Planned, not executed; the 2% band absorbs libm rounding in
+        the arrival sampler across platforms."""
+        plans = (
+            item.session.timeline(system=city.system, n_frames=item.n_frames, seed=item.seed)
+            for item in city.expand(7, max_sessions=120)
+        )
+        specs = sum(len(plan.specs) for plan in plans)
+        assert abs(specs * len(city.policies) - 510) <= 0.02 * 510
+
+    def test_pool_run_reproduces_the_serial_golden(self, city):
+        goldens = json.loads((REPO / "perfbench" / "goldens.json").read_text())
+        engine = BatchEngine(jobs=2, shards=4, shard_mode="process")
+        report = run_population(city, seed=7, engine=engine, max_sessions=60)
+        assert engine.last_shard_stats.workers == 2
+        digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode())
+        assert digest.hexdigest() == goldens["city-serial"]["7"]["digest"]
 
 
 class TestMemoReuse:

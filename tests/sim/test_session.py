@@ -1,6 +1,9 @@
 """Tests for the event-driven session surface (repro.sim.session)."""
 
+import functools
 import pickle
+import runpy
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +42,17 @@ def _drop_trace(n_frames):
 
 def _duration(n_frames):
     return n_frames * constants.FRAME_BUDGET_MS
+
+
+@functools.cache
+def _gates():
+    """The globals of ``benchmarks/gates.py`` (a script), loaded once."""
+    return runpy.run_path(str(Path(__file__).resolve().parents[2] / "benchmarks" / "gates.py"))
+
+
+def _gates_stress_session(n_events, n_frames):
+    """The churn stress session whose planning ``benchmarks/gates.py`` times."""
+    return _gates()["stress_session"](n_events, n_frames)
 
 
 def _queue_session(n_frames, events, clients=None, capacity=2.0, policy="fair-share"):
@@ -477,6 +491,15 @@ class TestEpochPlanning:
         events = (Join(0.2 * duration, "Doom3-L"), Leave(0.5 * duration, client=1))
         a = _queue_session(n_frames, events).timeline(n_frames=n_frames)
         b = _queue_session(n_frames, events).timeline(n_frames=n_frames)
+        assert a.specs == b.specs
+        assert a.epochs == b.epochs
+
+    @pytest.mark.parametrize("n_events", [150, 300])
+    def test_churn_fleet_timeline_is_deterministic(self, n_events):
+        """Joins, leaves and server down/up events on a three-server fleet."""
+        a = _gates_stress_session(n_events, 600).timeline(n_frames=600, seed=0)
+        b = _gates_stress_session(n_events, 600).timeline(n_frames=600, seed=0)
+        assert len(a.epochs) == n_events + 1
         assert a.specs == b.specs
         assert a.epochs == b.epochs
 
