@@ -28,9 +28,8 @@ from repro import constants
 from repro.obs import trace as obs_trace
 from repro.sim.demand import DemandScenario, run_population
 from repro.sim.fleet import RenderFleet, ServerDown, ServerUp
-from repro.sim.multiuser import ClientSpec
 from repro.sim.runner import BatchEngine, Sweep, run
-from repro.sim.session import Join, Leave, Session
+from repro.sim.session import ClientSpec, Join, Leave, Session
 from repro.workloads.apps import TABLE3_ORDER
 
 SCENARIO = Path(__file__).resolve().parents[1] / "examples" / "population.json"

@@ -14,17 +14,15 @@ Run:
 
 import sys
 
-from repro import PlatformConfig
 from repro.analysis import format_table
-from repro.sim.multiuser import MultiUserScenario, simulate_shared_infrastructure
+from repro.sim.session import Session, simulate_session
 
 
 def main() -> None:
     app = sys.argv[1] if len(sys.argv) > 1 else "HL2-L"
     rows = []
     for n_clients in (1, 2, 4, 6):
-        scenario = MultiUserScenario(apps=(app,) * n_clients, platform=PlatformConfig())
-        result = simulate_shared_infrastructure(scenario, n_frames=150)
+        result = simulate_session(Session(clients=(app,) * n_clients), n_frames=150)
         rows.append(
             [
                 n_clients,

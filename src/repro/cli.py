@@ -74,11 +74,6 @@ from repro.sim.fleet import (
     ServerUp,
     fleet_from_payload,
 )
-from repro.sim.multiuser import (
-    ClientSpec,
-    MultiUserScenario,
-    simulate_shared_infrastructure,
-)
 from repro.sim.runner import (
     BatchEngine,
     ENGINE_NAMES,
@@ -89,6 +84,7 @@ from repro.sim.runner import (
 from repro.sim.server import OVERFLOW_MODES, POLICY_NAMES, RenderServer
 from repro.sim.shard import SHARD_MODES
 from repro.sim.session import (
+    ClientSpec,
     Join,
     Leave,
     ProfileSwitch,
@@ -789,29 +785,25 @@ def _cmd_scenarios(args: argparse.Namespace) -> None:
     ):
         _cmd_session(args, clients)
         return
-    scenario = MultiUserScenario.heterogeneous(
-        clients,
+    session = Session(
+        clients=clients,
         sharing_efficiency=args.sharing_efficiency,
         policy=args.policy,
         server=_server_from(args),
     )
-    result = simulate_shared_infrastructure(
-        scenario,
+    result = simulate_session(
+        session,
         n_frames=args.frames,
         seed=args.seed,
         system=args.system,
         engine=_engine_from(args),
     )
-    assert result.decisions is not None
-    results_by_index = dict(
-        zip((d.client_index for d in result.decisions if d.serviced),
-            result.per_client)
-    )
+    decisions = result.timeline.epochs[0].decisions
     rows = []
-    for decision, client in zip(result.decisions, clients):
-        platform = client.resolved_platform(scenario.platform)
+    for decision, client in zip(decisions, clients):
+        platform = client.resolved_platform(session.platform)
         network = platform.network
-        client_result = results_by_index.get(decision.client_index)
+        client_result = result.result_for(decision.client_index)
         if client_result is None:
             rows.append(
                 [client.app, getattr(network, "name", type(network).__name__),
@@ -839,7 +831,7 @@ def _cmd_scenarios(args: argparse.Namespace) -> None:
             ],
             rows,
             title=(
-                f"{args.system} — {scenario.n_clients} heterogeneous clients, "
+                f"{args.system} — {session.n_clients} heterogeneous clients, "
                 f"shared server + downlink, {args.policy} scheduling, "
                 f"{args.engine} engine"
             ),

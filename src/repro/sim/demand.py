@@ -68,10 +68,9 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.sim.fleet import RenderFleet, fleet_from_payload
 from repro.sim.metrics import StreamSummary
-from repro.sim.multiuser import ClientSpec
 from repro.sim.runner import BatchEngine, RunSpec
 from repro.sim.server import POLICY_NAMES
-from repro.sim.session import Join, Leave, ProfileSwitch, Session, SessionEvent
+from repro.sim.session import ClientSpec, Join, Leave, ProfileSwitch, Session, SessionEvent
 from repro.workloads.apps import APPS
 
 __all__ = [
@@ -233,7 +232,7 @@ class ClientTemplate:
 
     ``share`` is the relative probability of drawing this template for a
     party member; ``weight`` is the admission currency the drawn client
-    carries (:attr:`~repro.sim.multiuser.ClientSpec.weight`, what the
+    carries (:attr:`~repro.sim.session.ClientSpec.weight`, what the
     weighted scheduling policy divides by).
     """
 

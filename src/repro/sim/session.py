@@ -1,16 +1,17 @@
-"""Event-driven collaborative sessions: join, leave, re-admit, promote.
+"""Collaborative sessions: shared infrastructure, join, leave, re-admit, promote.
 
 The paper's planet-scale framing ("users around the world, regardless of
-their hardware and network conditions") implies sessions that *churn*:
-clients join mid-session, leave early, and roam between links.  Surveys
-of synchronous VR/AR collaboration treat exactly this dynamism as the
-defining workload of multi-party systems, yet a frozen
-:class:`~repro.sim.multiuser.SessionPlan` can only describe a roster
-decided once at admission time.
+their hardware and network conditions") implies several Q-VR clients
+sharing one rendering server and one access link, in sessions that
+*churn*: clients join mid-session, leave early, and roam between links.
+Surveys of synchronous VR/AR collaboration treat exactly this dynamism
+as the defining workload of multi-party systems.
 
-This module is the dynamic surface.  A :class:`Session` composes
-:class:`~repro.sim.multiuser.ClientSpec` values with a typed event
-timeline —
+This module is the one multi-client surface.  A :class:`Session`
+composes :class:`ClientSpec` values — each its own ``(app, platform,
+profile)`` tuple, so one participant can sit on a flagship SoC over
+Wi-Fi and another on a throttled GPU over a 4G link that drops mid-run —
+with a typed event timeline —
 
 * :class:`Join` — a new client arrives mid-session;
 * :class:`Leave` — a client departs (freeing its server capacity);
@@ -31,13 +32,27 @@ schedules over the epoch.  The result is one frozen
 session start offset and the concatenated per-epoch ``(start_ms,
 share)`` schedules in client-local time — which the ordinary
 :class:`~repro.sim.runner.BatchEngine` executes deterministically, in
-parallel, and cacheably like any other spec.
+parallel, and cacheably like any other spec.  An event-free session
+plans one epoch, whose ``decisions`` are the admission verdicts.
+
+Model of the shared infrastructure: each client runs the full Q-VR
+control loop independently; the shared infrastructure scales each
+client's effective resources —
+
+* the server's rendering throughput divides across concurrently active
+  clients (the MCM GPUs are time-shared);
+* the shared downlink divides its throughput across clients;
+
+so every client's LIWC observes a *degraded environment* (slower ACK
+throughput, longer remote latencies) and re-balances by growing its local
+fovea.  The testable prediction — more co-located users, larger average
+eccentricity and lower per-user FPS, until the local GPUs saturate — is
+the behaviour a planet-scale deployment would exhibit.
 
 Only the legacy session — fair share, no server, no events — skips the
 walker: everyone is admitted with no share schedules, so its specs and
-cache keys are those of the releases before server scheduling.
-:class:`~repro.sim.multiuser.MultiUserScenario` is a thin shim over a
-single-epoch session.
+cache keys are those of the releases before server scheduling (see
+:meth:`Session._legacy_timeline` for why it stays).
 """
 
 from __future__ import annotations
@@ -74,6 +89,7 @@ if TYPE_CHECKING:  # imported lazily at runtime (fleet imports session)
     from repro.sim.fleet import RenderFleet
 
 __all__ = [
+    "ClientSpec",
     "SessionEvent",
     "CapacityEvent",
     "Join",
@@ -94,10 +110,53 @@ __all__ = [
 _HORIZON_SLACK = 3.0
 
 
-def _client_spec(value):
-    """Promote a bare app name to a ClientSpec (late import: shim cycle)."""
-    from repro.sim.multiuser import ClientSpec
+@dataclass(frozen=True)
+class ClientSpec:
+    """One participant of a shared session: app, hardware, link dynamics.
 
+    Attributes
+    ----------
+    app:
+        The title this client runs.
+    platform:
+        The client's own platform; ``None`` inherits the session default.
+    profile:
+        Link conditions/profile override (a
+        :class:`~repro.network.profile.NetworkProfile`, static
+        conditions, or a registry name); ``None`` keeps the platform's
+        network.  A client whose resolved network differs from the
+        session default is on a *private* link: it still shares the
+        rendering server, but its downlink is not divided across the
+        session's clients.
+    system:
+        Per-client system design override; ``None`` uses the session
+        run's system.
+    weight:
+        Demand in client-equivalents, the admission controller's
+        currency (see :class:`~repro.sim.server.RenderServer`); 1.0 is
+        one full-demand client.
+    """
+
+    app: str
+    platform: PlatformConfig | None = None
+    profile: NetworkProfile | NetworkConditions | str | None = None
+    system: str | None = None
+    weight: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.weight <= 0:
+            raise ConfigurationError(f"client weight must be > 0, got {self.weight}")
+
+    def resolved_platform(self, default: PlatformConfig) -> PlatformConfig:
+        """The platform this client runs on, with its profile applied."""
+        platform = self.platform if self.platform is not None else default
+        if self.profile is not None:
+            platform = replace(platform, network=as_profile(self.profile))
+        return platform
+
+
+def _client_spec(value) -> ClientSpec:
+    """Promote a bare app name to a :class:`ClientSpec`."""
     return value if isinstance(value, ClientSpec) else ClientSpec(app=value)
 
 
@@ -175,7 +234,7 @@ class Join(SessionEvent):
 
     rank: ClassVar[int] = 2
 
-    spec: "object" = None  # ClientSpec or app-name string
+    spec: ClientSpec | str | None = None
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -231,12 +290,13 @@ class Session:
     ----------
     clients:
         Clients present at t = 0 (bare app-name strings are promoted to
-        :class:`~repro.sim.multiuser.ClientSpec`).
+        :class:`ClientSpec`).
     events:
         The churn timeline; events are applied in time order, then by
         rank (see :class:`SessionEvent`), with declaration order breaking
-        ties within a rank.  Without events the session plans one epoch,
-        as :class:`~repro.sim.multiuser.MultiUserScenario` does.
+        ties within a rank.  Without events the session plans a single
+        epoch: ``timeline(...).epochs[0].decisions`` are the admission
+        verdicts and ``timeline(...).specs`` the serviced clients' runs.
     platform:
         The default single-user platform being shared.
     sharing_efficiency:
@@ -428,7 +488,17 @@ class Session:
         seed: int,
         warmup_frames: int | None,
     ) -> "SessionTimeline":
-        """Everyone admitted, no schedules: the specs of earlier releases."""
+        """Everyone admitted, no schedules: the specs of earlier releases.
+
+        This path stays beside the walker because folding it in would
+        move the cache keys and, in the last bits, the results.
+        Re-planning 90 event-free fair-share client runs (6 rosters × 5
+        systems, 60 frames, seed 3) on the walker with an uncapped
+        one-server fleet changed all 90 spec keys — the walker always
+        attaches a ``server_allocation`` — and changed 8 of the 90
+        results, by at most 2.07e-16 relative, in ``path_latency_ms`` /
+        ``remote_path_ms``.
+        """
         assert self.platform is not None
         warmup = effective_warmup(
             n_frames, DEFAULT_WARMUP if warmup_frames is None else warmup_frames
@@ -538,7 +608,7 @@ class ClientTimeline:
     """
 
     index: int
-    spec: "object"
+    spec: ClientSpec
     joined_ms: float
     start_ms: float | None
     end_ms: float | None
@@ -600,18 +670,6 @@ class SessionTimeline:
         return aggregate_server_stats(
             [window for epoch in self.epochs for window in epoch.servers]
         )
-
-    def plan(self):
-        """The legacy single-epoch view (``MultiUserScenario.plan()``)."""
-        from repro.sim.multiuser import SessionPlan
-
-        if len(self.epochs) != 1:
-            raise ConfigurationError(
-                "SessionPlan is the static single-epoch view; this session "
-                f"re-planned {len(self.epochs)} epochs — consume the "
-                "timeline instead"
-            )
-        return SessionPlan(decisions=self.epochs[0].decisions, specs=self.specs)
 
 
 # ---------------------------------------------------------------------------
@@ -743,6 +801,20 @@ class SessionResult:
         if not self.per_client:
             return float("nan")
         return float(np.mean([r.measured_fps for r in self.per_client]))
+
+    @property
+    def mean_e1_deg(self) -> float:
+        """Average steady-state eccentricity across serviced clients."""
+        if not self.per_client:
+            return float("nan")
+        return float(np.mean([r.mean_e1_deg for r in self.per_client]))
+
+    @property
+    def mean_latency_ms(self) -> float:
+        """Average end-to-end latency across serviced clients."""
+        if not self.per_client:
+            return float("nan")
+        return float(np.mean([r.mean_latency_ms for r in self.per_client]))
 
     @property
     def clients_meeting_fps(self) -> int:

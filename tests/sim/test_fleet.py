@@ -1,7 +1,5 @@
 """Tests for the elastic render fleet (repro.sim.fleet)."""
 
-import pickle
-
 import pytest
 
 from repro import constants
@@ -22,8 +20,6 @@ from repro.sim.fleet import (
     placement_by_name,
 )
 from repro.sim.metrics import ServerWindow, aggregate_server_stats
-from repro.sim.multiuser import ClientSpec
-from repro.sim.runner import BatchEngine, spec_key
 from repro.sim.server import RenderServer
 from repro.sim.session import Join, Leave, Session, simulate_session
 
@@ -213,70 +209,6 @@ class TestPlacementPolicies:
             )
             epoch = session.timeline(n_frames=n_frames).epochs[0]
             assert tuple(name for _, name in epoch.placements) == expected
-
-
-class TestSingleServerParity:
-    """A one-server fleet with no capacity events plans like a bare server."""
-
-    @pytest.mark.parametrize("overflow", ["queue", "reject"])
-    def test_specs_and_keys_match_the_bare_server(self, overflow):
-        n_frames = 90
-        duration = _duration(n_frames)
-        events = (Join(0.2 * duration, "Doom3-L"), Leave(0.5 * duration, 1))
-        bare = Session(
-            clients=("GRID", "Doom3-L"),
-            events=events,
-            server=RenderServer(capacity_clients=2.0, overflow=overflow),
-        )
-        fleet = Session(
-            clients=("GRID", "Doom3-L"),
-            events=events,
-            fleet=RenderFleet.from_capacities({"a": 2.0}, overflow=overflow),
-        )
-        a = bare.timeline(n_frames=n_frames, seed=3)
-        b = fleet.timeline(n_frames=n_frames, seed=3)
-        assert a.specs == b.specs
-        assert [spec_key(s) for s in a.specs] == [spec_key(s) for s in b.specs]
-        for ea, eb in zip(a.epochs, b.epochs):
-            assert ea.decisions == eb.decisions
-            assert ea.serviced == eb.serviced
-
-    def test_no_event_fleet_matches_the_static_server_plan(self):
-        scenario_clients = (ClientSpec("GRID"), ClientSpec("Doom3-L"))
-        bare = Session(
-            clients=scenario_clients,
-            server=RenderServer(capacity_clients=2.0, overflow="queue"),
-            policy="deadline",
-        )
-        fleet = Session(
-            clients=scenario_clients,
-            fleet=RenderFleet.from_capacities({"a": 2.0}),
-            policy="deadline",
-        )
-        a = bare.timeline(n_frames=60)
-        b = fleet.timeline(n_frames=60)
-        assert a.specs == b.specs
-        assert [spec_key(s) for s in a.specs] == [spec_key(s) for s in b.specs]
-
-    def test_bit_identical_results(self):
-        n_frames = 40
-        events = (Leave(0.5 * _duration(n_frames), 1),)
-        bare = Session(
-            clients=("GRID", "Doom3-L"),
-            events=events,
-            server=RenderServer(capacity_clients=2.0, overflow="queue"),
-        )
-        fleet = Session(
-            clients=("GRID", "Doom3-L"),
-            events=events,
-            fleet=RenderFleet.from_capacities({"a": 2.0}),
-        )
-        engine = BatchEngine()
-        via_bare = engine.run_specs(bare.timeline(n_frames=n_frames).specs)
-        via_fleet = engine.run_specs(fleet.timeline(n_frames=n_frames).specs)
-        assert pickle.dumps(list(via_bare.values())) == pickle.dumps(
-            list(via_fleet.values())
-        )
 
 
 class TestMigration:

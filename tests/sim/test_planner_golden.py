@@ -4,9 +4,9 @@
 policy into epochs, admission decisions and frozen run specs.  This
 module plans a generated matrix of such sessions — every scheduling
 policy, fourteen server set-ups (including none), four rosters, four
-event scripts and three frame/warm-up pairs — plus the
-``MultiUserScenario.plan`` shim over the same servers, and pins one
-SHA-256 over the canonical JSON of what each plan decides:
+event scripts and three frame/warm-up pairs — plus one event-free
+heterogeneous roster over the same servers, and pins one SHA-256 over
+the canonical JSON of what each plan decides:
 
 * the spec key of every frozen run spec;
 * every epoch's window, serviced roster and admission decisions (the
@@ -28,10 +28,10 @@ import json
 
 from repro import constants
 from repro.network.conditions import LTE_4G
-from repro.sim.multiuser import ClientSpec, MultiUserScenario
+from repro.sim.fleet import RenderFleet
 from repro.sim.runner import spec_key
 from repro.sim.server import POLICY_NAMES, RenderServer
-from repro.sim.session import Join, Leave, ProfileSwitch, Session
+from repro.sim.session import ClientSpec, Join, Leave, ProfileSwitch, Session
 
 #: Pinned digest.  Do not edit by hand — see the module docstring.
 GOLDEN = "69c5486cda499fdae90bfc29c3a109bf795ea368901d1f5fe04d548d104b3c16"
@@ -96,9 +96,8 @@ def _timeline_row(timeline) -> dict:
     }
 
 
-def plan_rows() -> list:
-    """Every plan of the matrix, as canonical JSON-ready rows."""
-    rows = []
+def _matrix():
+    """Every session of the matrix: ``(label, session, timeline kwargs)``."""
     for policy, s, r, (n_frames, warmup) in itertools.product(
         POLICY_NAMES, range(len(SERVERS)), range(len(ROSTERS)), FRAME_PAIRS
     ):
@@ -108,19 +107,24 @@ def plan_rows() -> list:
                 clients=ROSTERS[r], events=events, policy=policy,
                 server=SERVERS[s],
             )
-            timeline = session.timeline(
-                n_frames=n_frames, seed=s + r, warmup_frames=warmup
-            )
-            rows.append([policy, s, r, e, n_frames, warmup,
-                         _timeline_row(timeline)])
+            kwargs = {"n_frames": n_frames, "seed": s + r, "warmup_frames": warmup}
+            yield [policy, s, r, e, n_frames, warmup], session, kwargs
+
+
+def plan_rows() -> list:
+    """Every plan of the matrix, as canonical JSON-ready rows."""
+    rows = [
+        label + [_timeline_row(session.timeline(**kwargs))]
+        for label, session, kwargs in _matrix()
+    ]
     for policy, s in itertools.product(POLICY_NAMES, range(len(SERVERS))):
-        plan = MultiUserScenario.heterogeneous(
-            ROSTERS[2], policy=policy, server=SERVERS[s]
-        ).plan(n_frames=30, seed=5, warmup_frames=6)
+        timeline = Session(
+            clients=ROSTERS[2], policy=policy, server=SERVERS[s]
+        ).timeline(n_frames=30, seed=5, warmup_frames=6)
         rows.append([
             "scenario", policy, s,
-            [spec_key(spec) for spec in plan.specs],
-            _decisions(plan.decisions),
+            [spec_key(spec) for spec in timeline.specs],
+            _decisions(timeline.epochs[0].decisions),
         ])
     return rows
 
@@ -136,6 +140,30 @@ def test_planner_digest_matches_golden() -> None:
         "the session planner changed what it decides on the golden matrix; "
         "find the change before regenerating (see the module docstring)"
     )
+
+
+def test_one_server_fleet_plans_like_the_bare_server() -> None:
+    """A one-server fleet with no capacity events decides what its server does.
+
+    Checked on the ``(36, 0)`` frame pair for every server of the matrix,
+    outside the digest.
+    """
+    checked = 0
+    for label, session, kwargs in _matrix():
+        server = session.server
+        if server is None or (kwargs["n_frames"], kwargs["warmup_frames"]) != (36, 0):
+            continue
+        fleet = Session(
+            clients=session.clients,
+            events=session.events,
+            policy=session.policy,
+            fleet=RenderFleet(servers=(("a", server),), overflow=server.overflow),
+        )
+        assert _timeline_row(fleet.timeline(**kwargs)) == _timeline_row(
+            session.timeline(**kwargs)
+        ), label
+        checked += 1
+    assert checked == 624  # 3 policies × 13 servers × 4 rosters × 4 scripts
 
 
 if __name__ == "__main__":

@@ -1,7 +1,6 @@
 """Tests for the event-driven session surface (repro.sim.session)."""
 
 import functools
-import pickle
 import runpy
 from pathlib import Path
 
@@ -16,10 +15,10 @@ from repro.network.profile import (
     SwitchedProfile,
     TraceProfile,
 )
-from repro.sim.multiuser import ClientSpec, MultiUserScenario
 from repro.sim.runner import BatchEngine, RunSpec, spec_key
 from repro.sim.server import RenderServer
 from repro.sim.session import (
+    ClientSpec,
     Join,
     Leave,
     ProfileSwitch,
@@ -147,22 +146,7 @@ class TestEventValidation:
 
 
 class TestLegacyParity:
-    """Single-epoch sessions reproduce MultiUserScenario.plan() exactly."""
-
-    @pytest.mark.parametrize("policy", ["fair-share", "weighted", "deadline"])
-    def test_same_specs_and_cache_keys_across_policies(self, policy):
-        scenario = MultiUserScenario.heterogeneous(
-            (ClientSpec("GRID"), ClientSpec("Doom3-L")),
-            platform=PlatformConfig(network=_drop_trace(120)),
-            policy=policy,
-        )
-        plan = scenario.plan(n_frames=60, seed=3)
-        timeline = scenario.as_session().timeline(n_frames=60, seed=3)
-        assert timeline.specs == plan.specs
-        assert [spec_key(s) for s in timeline.specs] == [
-            spec_key(s) for s in plan.specs
-        ]
-        assert timeline.plan() == plan
+    """The legacy fair-share session keeps the cache keys of earlier releases."""
 
     def test_legacy_fair_share_keys_frozen_since_pr3(self):
         """The PR 2/3 golden keys survive the session redesign."""
@@ -180,28 +164,6 @@ class TestLegacyParity:
         late = RunSpec(system="qvr", app="GRID", start_ms=500.0)
         assert spec_key(late) != spec_key(base)
 
-    @pytest.mark.parametrize("policy", ["fair-share", "deadline"])
-    def test_bit_identical_results(self, policy):
-        scenario = MultiUserScenario.heterogeneous(
-            (ClientSpec("GRID"), ClientSpec("Doom3-L")),
-            platform=PlatformConfig(network=_drop_trace(120)),
-            policy=policy,
-        )
-        engine = BatchEngine()
-        via_plan = engine.run_specs(scenario.plan(n_frames=40).specs)
-        via_session = engine.run_specs(
-            scenario.as_session().timeline(n_frames=40).specs
-        )
-        assert pickle.dumps(list(via_plan.values())) == pickle.dumps(
-            list(via_session.values())
-        )
-
-    def test_multi_epoch_timeline_refuses_the_static_view(self):
-        session = _queue_session(60, (Leave(100.0, client=1),))
-        timeline = session.timeline(n_frames=60)
-        with pytest.raises(ConfigurationError):
-            timeline.plan()
-
 
 class TestWarmupClamp:
     """A warm-up with no steady state left clamps to zero on every path."""
@@ -212,6 +174,7 @@ class TestWarmupClamp:
             (None, "fair-share"),  # the legacy path
             (None, "deadline"),
             (RenderServer(capacity_clients=1.0, overflow="queue"), "fair-share"),
+            (RenderServer(), "fair-share"),
         ],
     )
     def test_session_clamps_an_oversized_warmup(self, server, policy):
@@ -219,13 +182,7 @@ class TestWarmupClamp:
         timeline = session.timeline(n_frames=3, warmup_frames=5)
         assert timeline.specs
         assert all(spec.warmup_frames == 0 for spec in timeline.specs)
-
-    @pytest.mark.parametrize("server", [None, RenderServer()])
-    def test_scenario_plan_clamps_an_oversized_warmup(self, server):
-        scenario = MultiUserScenario.uniform("GRID", 2, server=server)
-        plan = scenario.plan(n_frames=3, warmup_frames=5)
-        assert [spec.warmup_frames for spec in plan.specs] == [0, 0]
-        assert [spec.n_frames for spec in plan.specs] == [3, 3]
+        assert all(spec.n_frames == 3 for spec in timeline.specs)
 
 
 class TestQueuePromotion:

@@ -13,9 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro import constants
 from repro.sim.fleet import RenderFleet, ServerDown, ServerFail, ServerUp
-from repro.sim.multiuser import ClientSpec
 from repro.sim.runner import spec_key
-from repro.sim.session import Join, Leave, ProfileSwitch, Session
+from repro.sim.session import ClientSpec, Join, Leave, ProfileSwitch, Session
 
 N_FRAMES = 24
 DURATION_MS = N_FRAMES * constants.FRAME_BUDGET_MS
