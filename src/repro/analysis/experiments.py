@@ -808,8 +808,8 @@ def admission_scheduling(
     the server and one trace-driven link) under each policy, and reports
     per-client whole-run and drop-window frame rates.  All sessions'
     specs execute through one batch (so a parallel or caching engine
-    accelerates the grid), and fair-share expands to the exact legacy
-    specs — its rows double as the regression baseline.
+    accelerates the grid); the fair-share rows are the uniform-division
+    baseline the other policies are compared against.
     """
     from repro.sim.session import ClientSpec, Session
 

@@ -4,21 +4,19 @@
 recursively.  Any field of the hashed dataclasses is therefore *part of
 the cache key by default* — which means adding a field silently changes
 every existing key (mass cache invalidation at best; at worst a golden
-spec-key drift nobody noticed).  The repo's discipline since PR 3 is:
-a new field is either
+spec-key drift nobody noticed).  The repo's discipline is: a new field
+is either
 
-* **legacy-stripped** — listed in ``_NEUTRAL_FIELDS`` with the neutral
-  value that keeps pre-existing specs hashing exactly as before, or
 * **execution-only** — listed in ``_EXECUTION_FIELDS`` and excluded from
-  the key unconditionally (engine selection), or
+  the key (engine selection), or
 * **deliberately hashed** — added to the rule's ``baseline`` ledger in
   ``repro-lint.toml`` alongside a golden spec-key regeneration.
 
 HASH001 makes that discipline a lint error instead of a code-review
-hope: it parses the strip tables out of the spec module's AST, parses
+hope: it parses the execution table out of the spec module's AST, parses
 each configured dataclass's field list, and reports any field that is in
-none of the three ledgers — plus stale ledger entries naming fields that
-no longer exist.
+neither ledger — plus stale ledger entries naming fields that no longer
+exist.
 """
 
 from __future__ import annotations
@@ -34,9 +32,8 @@ __all__ = ["SpecHashCoverage"]
 def _table_keys(src: SourceFile, table_name: str) -> tuple[dict[str, set[str]], int]:
     """Extract ``{class name: {field, ...}}`` from a literal dict assignment.
 
-    Accepts the two shapes the spec module uses: values that are dict
-    literals (neutral values, keys taken) and values that are
-    ``frozenset({...})`` calls over string constants.
+    Values may be ``frozenset({...})`` calls over string constants, or
+    set, list or tuple literals.
     """
     for node in src.tree.body:
         target = None
@@ -67,10 +64,8 @@ def _table_keys(src: SourceFile, table_name: str) -> tuple[dict[str, set[str]], 
 
 
 def _field_names(src: SourceFile, table_name: str, node: ast.expr) -> set[str]:
-    """Field names from a dict literal or a ``frozenset({...})`` call."""
-    if isinstance(node, ast.Dict):
-        elements = node.keys
-    elif (
+    """Field names from a ``frozenset({...})`` call or a literal collection."""
+    if (
         isinstance(node, ast.Call)
         and isinstance(node.func, ast.Name)
         and node.func.id in ("frozenset", "set")
@@ -82,8 +77,8 @@ def _field_names(src: SourceFile, table_name: str, node: ast.expr) -> set[str]:
         elements = node.elts
     else:
         raise ConfigurationError(
-            f"{src.rel}:{node.lineno}: {table_name} values must be literal "
-            "dicts or frozenset({{...}}) calls"
+            f"{src.rel}:{node.lineno}: {table_name} values must be "
+            "frozenset({...}) calls or literal collections"
         )
     names: set[str] = set()
     for element in elements:
@@ -127,9 +122,8 @@ class SpecHashCoverage(ProjectRule):
     code = "HASH001"
     description = (
         "spec-hash coverage: every field of the hashed dataclasses must "
-        "be legacy-stripped (_NEUTRAL_FIELDS), execution-only "
-        "(_EXECUTION_FIELDS), or deliberately listed in the hashed "
-        "baseline ledger of repro-lint.toml"
+        "be execution-only (_EXECUTION_FIELDS) or deliberately listed in "
+        "the hashed baseline ledger of repro-lint.toml"
     )
     default_enabled = False
 
@@ -139,14 +133,12 @@ class SpecHashCoverage(ProjectRule):
         dataclasses = self.options.get("dataclasses", {})
         if not module or not dataclasses:
             raise ConfigurationError(
-                "HASH001 needs 'module' (the spec module holding the strip "
-                "tables) and a [lint.rules.HASH001.dataclasses.<Name>] table "
+                "HASH001 needs 'module' (the spec module holding the "
+                "execution table) and a [lint.rules.HASH001.dataclasses.<Name>] table "
                 "per hashed dataclass"
             )
         spec_src = project.get_file(module)
-        neutral_name = self.options.get("neutral_table", "_NEUTRAL_FIELDS")
         execution_name = self.options.get("execution_table", "_EXECUTION_FIELDS")
-        neutral, neutral_line = _table_keys(spec_src, neutral_name)
         execution, execution_line = _table_keys(spec_src, execution_name)
 
         for class_name in sorted(dataclasses):
@@ -162,30 +154,22 @@ class SpecHashCoverage(ProjectRule):
                 )
                 continue
             fields, class_line = located
-            covered = baseline | set(neutral.get(class_name, ())) | set(
-                execution.get(class_name, ())
-            )
+            covered = baseline | set(execution.get(class_name, ()))
             for name in sorted(set(fields) - covered):
                 project.report(
                     self.code, class_src.rel, fields[name],
                     f"{class_name}.{name} enters spec_key implicitly: a new "
-                    "field changes every published cache key unless it is "
-                    f"legacy-stripped — add a neutral entry to {neutral_name} "
-                    f"(or {execution_name}) in {spec_src.rel}, or, if it must "
-                    "be hashed, add it to the HASH001 baseline ledger in "
-                    "repro-lint.toml and regenerate the golden spec keys",
+                    "field changes every published cache key — add it to "
+                    "the HASH001 baseline ledger in repro-lint.toml and "
+                    "regenerate the golden spec keys, or, if it only says "
+                    f"how a run executes, to {execution_name} in "
+                    f"{spec_src.rel}",
                 )
             for name in sorted(baseline - set(fields)):
                 project.report(
                     self.code, class_src.rel, class_line,
                     f"stale HASH001 baseline entry: {class_name}.{name} no "
                     "longer exists; prune the ledger in repro-lint.toml",
-                )
-            for name in sorted(set(neutral.get(class_name, ())) - set(fields)):
-                project.report(
-                    self.code, spec_src.rel, neutral_line,
-                    f"stale {neutral_name} entry: {class_name}.{name} no "
-                    "longer exists on the dataclass",
                 )
             for name in sorted(set(execution.get(class_name, ())) - set(fields)):
                 project.report(

@@ -20,7 +20,6 @@ from repro.network.profile import (
     allocated_conditions,
     as_profile,
     profile_by_name,
-    shared_conditions,
 )
 
 __all__ = [
@@ -42,6 +41,5 @@ __all__ = [
     "PROFILES",
     "as_profile",
     "profile_by_name",
-    "shared_conditions",
     "allocated_conditions",
 ]

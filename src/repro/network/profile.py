@@ -49,7 +49,6 @@ __all__ = [
     "OffsetProfile",
     "SwitchedProfile",
     "ShareSchedule",
-    "shared_conditions",
     "allocated_conditions",
     "as_profile",
     "profile_by_name",
@@ -65,33 +64,6 @@ _SEGMENT_CACHE_MAX = 64
 _MARKOV_SEED_SALT = 7919
 
 
-def shared_conditions(
-    conditions: NetworkConditions, n_clients: int, sharing_efficiency: float
-) -> NetworkConditions:
-    """Conditions one of ``n_clients`` co-located clients observes.
-
-    The downlink divides across clients (with ``sharing_efficiency`` of
-    ideal 1/N scaling) and jitter grows with the number of interleaved
-    transfers — the shared-infrastructure degradation every multi-user
-    spec applies before running.
-    """
-    if n_clients == 1:
-        return conditions
-    share = 1.0 / (n_clients * sharing_efficiency)
-    return NetworkConditions(
-        name=conditions.name,
-        throughput_mbps=conditions.throughput_mbps * share,
-        propagation_ms=conditions.propagation_ms,
-        snr_db=conditions.snr_db,
-        jitter_fraction=_shared_jitter(conditions.jitter_fraction, n_clients),
-        uplink_mbps=(
-            conditions.uplink_mbps * share
-            if conditions.uplink_mbps is not None
-            else None
-        ),
-    )
-
-
 def _shared_jitter(jitter_fraction: float, n_clients: int) -> float:
     """Jitter growth from ``n_clients`` interleaving their transfers."""
     return min(jitter_fraction * (1 + 0.1 * (n_clients - 1)), 0.5)
@@ -102,10 +74,9 @@ def allocated_conditions(
 ) -> NetworkConditions:
     """Conditions one client observes under a *scheduled* link allocation.
 
-    Like :func:`shared_conditions` but with an explicit ``share`` of the
-    link (a policy decision rather than uniform division): throughput and
-    any modelled uplink scale by the share, while jitter grows with the
-    number of interleaved clients exactly as in the uniform model.
+    Throughput and any modelled uplink scale by the client's ``share``
+    of the link (a policy decision of the session planner), while jitter
+    grows with the number of interleaved clients.
     """
     if share <= 0:
         raise NetworkError(f"allocation share must be > 0, got {share}")
@@ -155,10 +126,6 @@ class NetworkProfile(ABC):
         equal link histories.
         """
 
-    @abstractmethod
-    def shared(self, n_clients: int, sharing_efficiency: float) -> "NetworkProfile":
-        """This profile as observed by one of ``n_clients`` shared clients."""
-
     @property
     def name(self) -> str:
         """Display label (used in tables and the CLI)."""
@@ -178,11 +145,6 @@ class ConstantProfile(NetworkProfile):
 
     def sampler(self, seed: int = 0) -> _ConstantSampler:
         return _ConstantSampler(self.conditions)
-
-    def shared(self, n_clients: int, sharing_efficiency: float) -> "ConstantProfile":
-        return ConstantProfile(
-            shared_conditions(self.conditions, n_clients, sharing_efficiency)
-        )
 
     @property
     def name(self) -> str:
@@ -257,15 +219,6 @@ class PiecewiseProfile(NetworkProfile):
 
     def sampler(self, seed: int = 0) -> _ScheduleSampler:
         return _ScheduleSampler(self.segments)
-
-    def shared(self, n_clients: int, sharing_efficiency: float) -> "PiecewiseProfile":
-        return PiecewiseProfile(
-            segments=tuple(
-                (start, shared_conditions(conditions, n_clients, sharing_efficiency))
-                for start, conditions in self.segments
-            ),
-            label=self.label,
-        )
 
     @property
     def name(self) -> str:
@@ -407,18 +360,6 @@ class TraceProfile(NetworkProfile):
     def sampler(self, seed: int = 0) -> _ScheduleSampler:
         return _ScheduleSampler(self._segments())
 
-    def shared(self, n_clients: int, sharing_efficiency: float) -> "TraceProfile":
-        if n_clients == 1:
-            return self
-        share = 1.0 / (n_clients * sharing_efficiency)
-        return TraceProfile(
-            base=shared_conditions(self.base, n_clients, sharing_efficiency),
-            times_ms=self.times_ms,
-            throughput_mbps=tuple(x * share for x in self.throughput_mbps),
-            propagation_ms=self.propagation_ms,
-            label=self.label,
-        )
-
     @property
     def name(self) -> str:
         return self.label
@@ -474,16 +415,6 @@ class MarkovProfile(NetworkProfile):
 
     def sampler(self, seed: int = 0) -> _MarkovSampler:
         return _MarkovSampler(self, seed)
-
-    def shared(self, n_clients: int, sharing_efficiency: float) -> "MarkovProfile":
-        return MarkovProfile(
-            good=shared_conditions(self.good, n_clients, sharing_efficiency),
-            degraded=shared_conditions(self.degraded, n_clients, sharing_efficiency),
-            p_degrade=self.p_degrade,
-            p_recover=self.p_recover,
-            dwell_ms=self.dwell_ms,
-            label=self.label,
-        )
 
     @property
     def name(self) -> str:
@@ -618,11 +549,6 @@ class AllocatedProfile(NetworkProfile):
             self.n_clients,
         )
 
-    def shared(self, n_clients: int, sharing_efficiency: float) -> "AllocatedProfile":
-        # The schedule already encodes this client's share of the session
-        # link; uniform re-division on top would double-count the split.
-        return self
-
     @property
     def name(self) -> str:
         return f"{self.base.name}:{self.label}"
@@ -661,11 +587,6 @@ class OffsetProfile(NetworkProfile):
 
     def sampler(self, seed: int = 0) -> _OffsetSampler:
         return _OffsetSampler(self.base.sampler(seed), self.offset_ms)
-
-    def shared(self, n_clients: int, sharing_efficiency: float) -> "OffsetProfile":
-        return OffsetProfile(
-            self.base.shared(n_clients, sharing_efficiency), self.offset_ms
-        )
 
     @property
     def name(self) -> str:
@@ -728,15 +649,6 @@ class SwitchedProfile(NetworkProfile):
 
     def sampler(self, seed: int = 0) -> _SwitchedSampler:
         return _SwitchedSampler(self.segments, seed)
-
-    def shared(self, n_clients: int, sharing_efficiency: float) -> "SwitchedProfile":
-        return SwitchedProfile(
-            segments=tuple(
-                (start, profile.shared(n_clients, sharing_efficiency))
-                for start, profile in self.segments
-            ),
-            label=self.label,
-        )
 
     @property
     def name(self) -> str:

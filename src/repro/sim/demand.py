@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -63,7 +64,7 @@ import numpy as np
 
 from repro import constants
 from repro.errors import ConfigurationError
-from repro.network.profile import NetworkProfile, profile_by_name
+from repro.network.profile import NetworkProfile, TraceProfile, as_profile
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.sim.fleet import RenderFleet, fleet_from_payload
@@ -310,6 +311,14 @@ def _normalized_shares(entries, what: str):
     return entries
 
 
+def _anchored_profile(name: str, base_dir: str) -> "str | TraceProfile":
+    """A relative trace-CSV name loaded from ``base_dir``, labelled as written."""
+    label = name.strip()
+    if not label.lower().endswith(".csv") or os.path.isabs(label):
+        return name
+    return TraceProfile.from_csv(os.path.join(base_dir, label), label=label)
+
+
 def _pick(rng, entries):
     """Draw one ``value`` from ``(value, share)`` pairs (inverse CDF).
 
@@ -355,7 +364,7 @@ class DemandScenario:
         ``(profile, share)`` pairs assigning each sampled client a
         network profile; ``None`` means the platform's default link.
         Resolved once at construction (names, registry entries, or
-        ``data/`` trace CSV paths via
+        trace CSV paths via
         :func:`~repro.network.profile.profile_by_name`).
     churn:
         The :class:`ChurnModel` expanded into Join/Leave/ProfileSwitch
@@ -461,7 +470,10 @@ class DemandScenario:
 
         The schema is documented in ``docs/demand_scenarios.md``; see
         ``examples/population.json`` for a complete example.  ``source``
-        names the payload's origin in error messages.
+        names the payload's origin in error messages.  A ``"profiles"``
+        key may also be an already-resolved
+        :class:`~repro.network.profile.NetworkProfile` (how
+        :meth:`from_json` anchors relative trace paths).
         """
         if not isinstance(payload, dict):
             raise ConfigurationError(f"{source} must be a JSON object")
@@ -519,7 +531,7 @@ class DemandScenario:
             )
         profiles = tuple(
             (
-                None if name == "default" else profile_by_name(name),
+                None if name == "default" else as_profile(name),
                 float(share),
             )
             for name, share in profile_mix.items()
@@ -591,7 +603,13 @@ class DemandScenario:
 
     @classmethod
     def from_json(cls, path: str) -> "DemandScenario":
-        """Load a scenario from a JSON file (see ``docs/demand_scenarios.md``)."""
+        """Load a scenario from a JSON file (see ``docs/demand_scenarios.md``).
+
+        A relative trace-CSV profile name reads against the directory of
+        the scenario file, not the working directory, and keeps the name
+        as written as its label, so spec keys do not depend on where the
+        checkout lives.
+        """
         try:
             with open(path) as handle:
                 payload = json.load(handle)
@@ -603,6 +621,16 @@ class DemandScenario:
             raise ConfigurationError(
                 f"invalid JSON in {path!r}: {error}"
             ) from None
+        mix = payload.get("profiles") if isinstance(payload, dict) else None
+        if isinstance(mix, dict):
+            base = os.path.dirname(path)
+            payload = {
+                **payload,
+                "profiles": {
+                    _anchored_profile(name, base): share
+                    for name, share in mix.items()
+                },
+            }
         return cls.from_payload(payload, source=repr(path))
 
     # -- sampling ----------------------------------------------------------------

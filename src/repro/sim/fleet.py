@@ -16,9 +16,8 @@ reproduction's server from a scalar capacity into a simulated cluster:
   :meth:`~repro.sim.session.Session.timeline` re-plans placement at
   every capacity *or* client event;
 * :func:`plan_fleet_timeline` — the one epoch walker behind
-  ``Session.timeline()``.  Every scheduled session plans here; a session
-  on a bare :class:`~repro.sim.server.RenderServer` is a one-server
-  fleet.  On shrink or failure, displaced clients are
+  ``Session.timeline()``.  Every session plans here; a session on a
+  bare :class:`~repro.sim.server.RenderServer` is a one-server fleet.  On shrink or failure, displaced clients are
   **migrated** to a surviving server (a configurable migration penalty
   is spliced into their ``(start_ms, share)`` schedules as a starvation
   window while state transfers) or — under the naive ``"requeue"``
@@ -694,7 +693,6 @@ class _ClientState:
             seed=seed + CLIENT_SEED_STRIDE * self.index,
             warmup_frames=warmup,
             shared_clients=max(self.peak_roster, 1),
-            sharing_efficiency=session.sharing_efficiency,
             shared_downlink=shared_link,
             policy=session.policy,
             server_allocation=tuple(
@@ -742,8 +740,8 @@ def plan_fleet_timeline(
 ) -> SessionTimeline:
     """Epoch-by-epoch placement, migration, and re-allocation over a fleet.
 
-    The one epoch walker behind ``Session.timeline()``: every scheduled
-    session plans here, a session without a fleet on a one-server fleet
+    The one epoch walker behind ``Session.timeline()``: every session
+    plans here, a session without a fleet on a one-server fleet
     named ``"server"`` built from its :attr:`~repro.sim.session.Session.server`
     (default :class:`~repro.sim.server.RenderServer`) with that server's
     overflow mode.  Every client *or* capacity event opens a planning

@@ -6,10 +6,10 @@ single comparisons, full figure sweeps, multi-user shared-infrastructure
 scenarios — is expressed as frozen :class:`RunSpec` values and executed
 through one engine:
 
-* :class:`RunSpec` fully describes a simulation run, including the
-  shared-infrastructure degradation of a multi-user deployment
-  (``shared_clients`` / ``sharing_efficiency``), so a multi-user client
-  is just a spec variant rather than a parallel API;
+* :class:`RunSpec` fully describes a simulation run, including a
+  shared client's scheduled shares of the rendering server and the
+  session downlink, so a multi-user client is just a spec variant
+  rather than a parallel API;
 * :class:`Sweep` declaratively expands a parameter grid
   (system x app x platform x seed) into frozen specs;
 * :class:`BatchEngine` executes spec batches and memoizes results in an
@@ -52,7 +52,6 @@ from repro.network.profile import (
     NetworkProfile,
     OffsetProfile,
     as_profile,
-    shared_conditions,
 )
 from repro.sim.metrics import DEFAULT_WARMUP, SimulationResult, effective_warmup
 from repro.sim.server import POLICY_NAMES, ShareSchedule
@@ -90,37 +89,33 @@ CLIENT_SEED_STRIDE = 97
 ENGINE_NAMES = ("vector", "scalar")
 
 #: Bump when spec semantics change so stale cache entries never resurface.
-#: (v2: network profiles inside PlatformConfig, package version in the key.)
-_SPEC_SCHEMA_VERSION = 2
+#: (v2: network profiles inside PlatformConfig, package version in the key;
+#: v3: every field is hashed, and shared specs carry share schedules.)
+_SPEC_SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True)
 class RunSpec:
     """A fully specified simulation run.
 
-    ``shared_clients`` > 1 models a shared-infrastructure deployment: the
-    platform's server throughput and downlink divide across that many
-    co-located clients (with ``sharing_efficiency`` of ideal 1/N scaling)
-    before the run executes, so multi-user scenarios flow through the
-    same batch engine as every other experiment.  ``shared_downlink``
-    scopes the network part of that degradation: a heterogeneous client
-    that brings its own private link (a per-client profile) still shares
-    the rendering server but keeps its full link capacity.
-
+    A client of a shared session (:mod:`repro.sim.session`) carries its
+    share of the infrastructure as explicit *schedules* emitted by the
+    session planner: ``server_allocation`` scales the rendering server's
+    throughput over time and ``downlink_allocation`` scales the shared
+    link, both as ``(start_ms, share)`` segments.  ``shared_clients`` is
+    the peak roster the client shared with (interleaved transfers grow
+    link jitter with it), so a spec with ``shared_clients`` > 1 must
+    carry a ``server_allocation``.  ``shared_downlink`` scopes the
+    network part: a client that brings its own private link (a
+    per-client profile) still shares the rendering server but keeps its
+    full link capacity, and carries no ``downlink_allocation``.
     ``policy`` names the server scheduling policy the session ran under
-    (see :mod:`repro.sim.server`).  Under the default ``"fair-share"``
-    the uniform division above applies; other policies attach explicit
-    share *schedules*: ``server_allocation`` scales the rendering
-    server's throughput over time and ``downlink_allocation`` scales the
-    shared link, both as ``(start_ms, share)`` segments emitted by the
-    admission planner.  Fleet sessions (:mod:`repro.sim.fleet`) reuse
-    the same two fields to carry their whole capacity story — migration
-    penalties and parked outage spans appear as starvation-share
-    segments spliced into the schedule — so a client of a failing,
-    autoscaling cluster still freezes to one ordinary, cacheable spec.
-    The neutral values (fair-share, no schedules) hash exactly as specs
-    did before these fields existed, so published cache entries keep
-    hitting.
+    (see :mod:`repro.sim.server`).  Fleet sessions (:mod:`repro.sim.fleet`)
+    reuse the two schedules to carry their whole capacity story —
+    migration penalties and parked outage spans appear as
+    starvation-share segments spliced into the schedule — so a client
+    of a failing, autoscaling cluster still freezes to one ordinary,
+    cacheable spec.
 
     ``start_ms`` is the client's service start on the *session* clock —
     nonzero for a client of an event-driven session
@@ -129,8 +124,7 @@ class RunSpec:
     local clock from 0; the offset shifts how the client samples the
     session's network profile, so a late starter observes the link as it
     is at its start instant.  Allocation schedules are already emitted
-    in client-local time by the session planner.  The neutral value 0.0
-    hashes exactly as specs did before the field existed.
+    in client-local time by the session planner.
 
     ``engine`` selects the execution backend: ``"vector"`` (default) runs
     the array-programmed frame kernels, ``"scalar"`` the original
@@ -147,7 +141,6 @@ class RunSpec:
     seed: int = 0
     warmup_frames: int = DEFAULT_WARMUP
     shared_clients: int = 1
-    sharing_efficiency: float = 0.9
     shared_downlink: bool = True
     policy: str = "fair-share"
     server_allocation: tuple[tuple[float, float], ...] | None = None
@@ -177,8 +170,6 @@ class RunSpec:
             raise ConfigurationError("shared_clients must be >= 1")
         if self.start_ms < 0:
             raise ConfigurationError(f"start_ms must be >= 0, got {self.start_ms}")
-        if not 0 < self.sharing_efficiency <= 1:
-            raise ConfigurationError("sharing_efficiency must be in (0, 1]")
         if self.policy not in POLICY_NAMES:
             raise ConfigurationError(
                 f"unknown scheduling policy {self.policy!r}; known: {POLICY_NAMES}"
@@ -204,57 +195,37 @@ class RunSpec:
                 "downlink_allocation too (the planner emits both schedules "
                 "together); use shared_downlink=False for a private link"
             )
+        if self.shared_clients > 1 and self.server_allocation is None:
+            raise ConfigurationError(
+                f"a spec shared by {self.shared_clients} clients needs the "
+                "server_allocation its session planner emits"
+            )
 
     def effective_platform(self) -> PlatformConfig:
         """The platform this client actually observes.
 
-        With one client this is the configured platform unchanged; with N
-        co-located clients the server's rendering throughput and the
-        downlink divide across clients (statistical-multiplexing losses
-        modelled by ``sharing_efficiency``) and jitter grows with the
-        number of interleaved transfers.
-
-        A spec carrying explicit allocation schedules (a non-fair-share
-        session plan) skips the uniform division: the downlink schedule
-        wraps the network in an
-        :class:`~repro.network.profile.AllocatedProfile` and the server
+        A solo spec observes the configured platform unchanged.  A shared
+        spec's downlink schedule wraps the network in an
+        :class:`~repro.network.profile.AllocatedProfile`, and its server
         schedule rides on the platform for the frame loop to sample.  A
         late starter (``start_ms`` > 0) additionally observes the session
         profile through an :class:`~repro.network.profile.OffsetProfile`,
         so its local clock 0 lands at its session start instant.
         """
-        n = self.shared_clients
         base = self.platform
         network: NetworkConditions | NetworkProfile = base.network
         if self.start_ms > 0:
             network = OffsetProfile(as_profile(network), self.start_ms)
-        if self.server_allocation is not None:
-            if self.shared_downlink and self.downlink_allocation is not None:
-                scheduled: NetworkConditions | NetworkProfile = AllocatedProfile(
-                    base=as_profile(network),
-                    segments=self.downlink_allocation,
-                    n_clients=n,
-                    label=self.policy,
-                )
-            else:
-                scheduled = network
-            return replace(
-                base, network=scheduled, server_schedule=self.server_allocation
-            )
-        if n == 1:
+        if self.server_allocation is None:
             return base if network is base.network else replace(base, network=network)
-        share = 1.0 / (n * self.sharing_efficiency)
-        if not self.shared_downlink:
-            shared_network: NetworkConditions | NetworkProfile = network
-        elif isinstance(network, NetworkProfile):
-            shared_network = network.shared(n, self.sharing_efficiency)
-        else:
-            shared_network = shared_conditions(network, n, self.sharing_efficiency)
-        shared_server = replace(
-            base.server,
-            per_gpu_speedup=base.server.per_gpu_speedup * share,
-        )
-        return replace(base, network=shared_network, server=shared_server)
+        if self.shared_downlink and self.downlink_allocation is not None:
+            network = AllocatedProfile(
+                base=as_profile(network),
+                segments=self.downlink_allocation,
+                n_clients=self.shared_clients,
+                label=self.policy,
+            )
+        return replace(base, network=network, server_schedule=self.server_allocation)
 
 
 def run(spec: RunSpec) -> SimulationResult:
@@ -302,14 +273,9 @@ class Sweep:
     platform's network, so one sweep covers the same hardware under many
     link dynamics.
 
-    ``policies`` adds a scheduling-policy axis (see
-    :mod:`repro.sim.server`): each grid point is stamped with each policy
-    name.  A sweep describes a *uniform* roster (``shared_clients``
-    identical clients), for which every policy allocates the same equal
-    shares as fair-share — so the axis exercises policy plumbing and
-    separates cache keys without changing uniform-roster results;
-    heterogeneous rosters where policies truly diverge are expressed via
-    :class:`~repro.sim.session.Session`.
+    Every expanded spec is a solo run; clients that share a server and a
+    link are planned by :class:`~repro.sim.session.Session`, whose
+    policies and fleets a grid axis cannot express.
     """
 
     systems: tuple[str, ...]
@@ -318,19 +284,15 @@ class Sweep:
     seeds: tuple[int, ...] = (0,)
     n_frames: int = DEFAULT_FRAMES
     warmup_frames: int | None = None
-    shared_clients: int = 1
-    sharing_efficiency: float = 0.9
     profiles: tuple[NetworkProfile | NetworkConditions | str, ...] | None = None
-    policies: tuple[str, ...] | None = None
     engine: str = "vector"
 
     def __post_init__(self) -> None:
         for name in ("systems", "apps", "platforms", "seeds"):
             if not getattr(self, name):
                 raise ConfigurationError(f"sweep dimension {name!r} is empty")
-        for name in ("profiles", "policies"):
-            if getattr(self, name) is not None and not getattr(self, name):
-                raise ConfigurationError(f"sweep dimension {name!r} is empty")
+        if self.profiles is not None and not self.profiles:
+            raise ConfigurationError("sweep dimension 'profiles' is empty")
 
     def resolved_platforms(self) -> tuple[PlatformConfig, ...]:
         """The platform axis after crossing with the profile axis."""
@@ -342,17 +304,12 @@ class Sweep:
             for profile in self.profiles
         )
 
-    def resolved_policies(self) -> tuple[str, ...]:
-        """The policy axis (the fair-share default when not swept)."""
-        return self.policies if self.policies is not None else ("fair-share",)
-
     def __len__(self) -> int:
         return (
             len(self.resolved_platforms())
             * len(self.systems)
             * len(self.apps)
             * len(self.seeds)
-            * len(self.resolved_policies())
         )
 
     def spec(
@@ -361,7 +318,6 @@ class Sweep:
         app: str,
         platform: PlatformConfig,
         seed: int = 0,
-        policy: str = "fair-share",
     ) -> RunSpec:
         """The spec of one grid point (for indexing into batch results)."""
         warmup = (
@@ -376,22 +332,15 @@ class Sweep:
             n_frames=self.n_frames,
             seed=seed,
             warmup_frames=warmup,
-            shared_clients=self.shared_clients,
-            sharing_efficiency=self.sharing_efficiency,
-            policy=policy,
             engine=self.engine,
         )
 
     def specs(self) -> tuple[RunSpec, ...]:
         """Expand the full grid, in deterministic iteration order."""
         return tuple(
-            self.spec(system, app, platform, seed, policy)
-            for platform, system, app, seed, policy in itertools.product(
-                self.resolved_platforms(),
-                self.systems,
-                self.apps,
-                self.seeds,
-                self.resolved_policies(),
+            self.spec(system, app, platform, seed)
+            for platform, system, app, seed in itertools.product(
+                self.resolved_platforms(), self.systems, self.apps, self.seeds
             )
         )
 
@@ -401,31 +350,11 @@ class Sweep:
 # ---------------------------------------------------------------------------
 
 
-#: Fields added *after* a spec schema freeze, with the neutral value that
-#: preserves pre-existing behaviour.  A field still holding its neutral
-#: value is omitted from the canonical form, so specs that never touch
-#: the new feature hash exactly as they did before the field existed —
-#: old cache entries keep hitting without a schema-version bump.
-#: (v2 additions: scheduling policy + allocation schedules on RunSpec,
-#: the server schedule on PlatformConfig, the asymmetric uplink on
-#: NetworkConditions.)
-_NEUTRAL_FIELDS: dict[str, dict[str, object]] = {
-    "RunSpec": {
-        "policy": "fair-share",
-        "server_allocation": None,
-        "downlink_allocation": None,
-        # v3 addition (event-driven sessions): session-clock start offset.
-        "start_ms": 0.0,
-    },
-    "PlatformConfig": {"server_schedule": None},
-    "NetworkConditions": {"uplink_mbps": None},
-}
-
 #: Fields that describe *how* a run executes, not *what* it computes.
-#: Unlike :data:`_NEUTRAL_FIELDS` these are dropped from the canonical
-#: form unconditionally — an engine override must hash to the same key
-#: as the default, because both engines produce bit-identical results
-#: and must share (and satisfy) the same cache entry.
+#: They are dropped from the canonical form — an engine override must
+#: hash to the same key as the default, because both engines produce
+#: bit-identical results and must share (and satisfy) the same cache
+#: entry.
 _EXECUTION_FIELDS: dict[str, frozenset[str]] = {
     "RunSpec": frozenset({"engine"}),
 }
@@ -436,21 +365,15 @@ def _canonical(value: object) -> object:
 
     Floats are rendered with ``float.hex`` so the key captures the exact
     bit pattern; dataclasses carry their type name so two config classes
-    with coincidentally equal fields cannot collide.  Post-freeze fields
-    still holding their legacy-neutral value are omitted (see
-    :data:`_NEUTRAL_FIELDS`), keeping published cache keys stable.
+    with coincidentally equal fields cannot collide.  Every field is
+    hashed except the execution-only ones (:data:`_EXECUTION_FIELDS`).
     """
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         out: dict[str, object] = {"__type__": type(value).__name__}
-        neutral = _NEUTRAL_FIELDS.get(type(value).__name__, {})
         execution = _EXECUTION_FIELDS.get(type(value).__name__, frozenset())
         for f in dataclasses.fields(value):
-            if f.name in execution:
-                continue
-            item = getattr(value, f.name)
-            if f.name in neutral and item == neutral[f.name]:
-                continue
-            out[f.name] = _canonical(item)
+            if f.name not in execution:
+                out[f.name] = _canonical(getattr(value, f.name))
         return out
     if isinstance(value, bool) or value is None or isinstance(value, (str, int)):
         return value

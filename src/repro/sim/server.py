@@ -16,10 +16,9 @@ This module is that server-side layer for the reproduction:
   rendering throughput and of the session's shared downlink across the
   admitted clients:
 
-  - :class:`FairSharePolicy` (``"fair-share"``) — uniform division, the
-    pre-existing :func:`~repro.network.profile.shared_conditions` model
-    and still the default (bit-compatible: a fair-share session expands
-    to exactly the specs, results and cache keys of earlier releases);
+  - :class:`FairSharePolicy` (``"fair-share"``) — uniform division and
+    the default: each of ``n`` equal clients holds a flat
+    ``1 / (n * sharing_efficiency)`` of the server and of the link;
   - :class:`WeightedPolicy` (``"weighted"``) — share proportional to
     each client's *current* profile bandwidth (a well-provisioned client
     can consume frames faster, so the server renders for it first);
@@ -201,7 +200,7 @@ class SchedulingPolicy(ABC):
 
 
 class FairSharePolicy(SchedulingPolicy):
-    """Uniform division — the legacy shared-infrastructure model."""
+    """Uniform division: every client holds an equal share."""
 
     name = "fair-share"
 
@@ -286,7 +285,7 @@ class RenderServer:
     overflow:
         What happens to demand beyond capacity: ``"degrade"`` admits
         everyone at proportionally reduced service ``capacity / load``
-        (the default, matching the legacy divide-everything behaviour),
+        (the default: everyone keeps rendering, more slowly),
         ``"reject"`` turns away the clients that no longer fit (greedy in
         arrival order), ``"queue"`` holds them until capacity frees.
     tick_ms:
@@ -339,8 +338,8 @@ class RenderServer:
         """Plan per-client share schedules over one planning window.
 
         Samples every client's profile on the tick grid and normalises
-        the policy's weights so that equal weights reproduce the legacy
-        uniform share ``1 / (n * sharing_efficiency)`` exactly.  The
+        the policy's weights so that equal weights give the uniform share
+        ``1 / (n * sharing_efficiency)`` exactly.  The
         server schedule additionally scales by each client's admission
         ``service_level``; the downlink schedule does not (link capacity
         is not the server's to withhold).  Shares cap at 1.0 — a lone
@@ -373,7 +372,7 @@ class RenderServer:
                 f"{len(services)} service levels for {len(demands)} demands"
             )
         n = len(demands)
-        budget = 1.0 / sharing_efficiency  # sum of legacy fair shares
+        budget = 1.0 / sharing_efficiency  # sum of the uniform fair shares
         samplers = [d.profile.sampler(d.seed) for d in demands]
         ticks = [0.0]
         while ticks[-1] + self.tick_ms < horizon_ms:

@@ -49,10 +49,10 @@ fovea.  The testable prediction — more co-located users, larger average
 eccentricity and lower per-user FPS, until the local GPUs saturate — is
 the behaviour a planet-scale deployment would exhibit.
 
-Only the legacy session — fair share, no server, no events — skips the
-walker: everyone is admitted with no share schedules, so its specs and
-cache keys are those of the releases before server scheduling (see
-:meth:`Session._legacy_timeline` for why it stays).
+Every client's shares travel as explicit ``(start_ms, share)``
+schedules on its spec; under fair share with ``n`` equal clients each
+schedule is the flat share ``1 / (n * sharing_efficiency)``, capped at
+the whole resource.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
 
-from repro import constants
 from repro.errors import ConfigurationError
 from repro.obs import trace as obs_trace
 from repro.network.conditions import NetworkConditions
@@ -74,14 +73,7 @@ from repro.sim.metrics import (
     aggregate_server_stats,
     window_stats,
 )
-from repro.sim.runner import (
-    BatchEngine,
-    CLIENT_SEED_STRIDE,
-    DEFAULT_WARMUP,
-    RunSpec,
-    default_engine,
-    effective_warmup,
-)
+from repro.sim.runner import BatchEngine, RunSpec, default_engine
 from repro.sim.server import AdmissionDecision, POLICY_NAMES, RenderServer
 from repro.sim.systems import PlatformConfig
 
@@ -307,11 +299,8 @@ class Session:
     server:
         The rendering server.  The session plans on a one-server fleet
         of it, named ``"server"``, with the server's overflow mode.
-        ``None`` keeps the legacy behaviour for event-free fair-share
-        sessions (everyone admitted, no schedules) and means a default
-        :class:`~repro.sim.server.RenderServer` otherwise; a session
-        *with events* always runs the full placement pipeline, since
-        even fair shares change when the roster does.
+        ``None`` means a default :class:`~repro.sim.server.RenderServer`
+        (capacity of eight client-equivalents, ``"degrade"`` overflow).
     fleet:
         A :class:`~repro.sim.fleet.RenderFleet` replacing the single
         ``server`` with a roster of named servers whose capacity changes
@@ -444,11 +433,8 @@ class Session:
 
         Every session plans on the one epoch walker,
         :func:`repro.sim.fleet.plan_fleet_timeline` — a session without a
-        :attr:`fleet` on a one-server fleet of its :attr:`server` — except
-        the legacy case (fair-share policy, no server, no events), which
-        admits everyone with no share schedules and keeps the cache keys
-        of earlier releases.  The walker visits the epoch boundaries
-        chronologically: at each one the pending events apply, the fleet
+        :attr:`fleet` on a one-server fleet of its :attr:`server`.  The
+        walker visits the epoch boundaries chronologically: at each one the pending events apply, the fleet
         re-places the present roster **in arrival order** (so incumbents
         keep their seats and freed capacity promotes queued clients
         first-fit in arrival order — the oldest queued client that
@@ -461,18 +447,9 @@ class Session:
         frame clamps to zero (:func:`~repro.sim.runner.effective_warmup`)
         on every path.
         """
-        tracer = obs_trace.active()
-        if (
-            self.fleet is None
-            and self.server is None
-            and self.policy == "fair-share"
-            and not self.events
-        ):
-            with tracer.span("session.plan", mode="legacy", clients=len(self.clients)):
-                return self._legacy_timeline(system, n_frames, seed, warmup_frames)
         from repro.sim.fleet import plan_fleet_timeline
 
-        with tracer.span("session.plan", mode="fleet", clients=len(self.clients)):
+        with obs_trace.active().span("session.plan", clients=len(self.clients)):
             return plan_fleet_timeline(
                 self,
                 system=system,
@@ -480,71 +457,6 @@ class Session:
                 seed=seed,
                 warmup_frames=warmup_frames,
             )
-
-    def _legacy_timeline(
-        self,
-        system: str,
-        n_frames: int,
-        seed: int,
-        warmup_frames: int | None,
-    ) -> "SessionTimeline":
-        """Everyone admitted, no schedules: the specs of earlier releases.
-
-        This path stays beside the walker because folding it in would
-        move the cache keys and, in the last bits, the results.
-        Re-planning 90 event-free fair-share client runs (6 rosters × 5
-        systems, 60 frames, seed 3) on the walker with an uncapped
-        one-server fleet changed all 90 spec keys — the walker always
-        attaches a ``server_allocation`` — and changed 8 of the 90
-        results, by at most 2.07e-16 relative, in ``path_latency_ms`` /
-        ``remote_path_ms``.
-        """
-        assert self.platform is not None
-        warmup = effective_warmup(
-            n_frames, DEFAULT_WARMUP if warmup_frames is None else warmup_frames
-        )
-        duration_ms = n_frames * constants.FRAME_BUDGET_MS
-        default_network = self.platform.network
-        clients = []
-        for index, client in enumerate(self.clients):
-            platform = client.resolved_platform(self.platform)
-            run = RunSpec(
-                system=client.system if client.system is not None else system,
-                app=client.app,
-                platform=platform,
-                n_frames=n_frames,
-                seed=seed + CLIENT_SEED_STRIDE * index,
-                warmup_frames=warmup,
-                shared_clients=len(self.clients),
-                sharing_efficiency=self.sharing_efficiency,
-                # A client on its own link shares the server but not the
-                # session downlink.
-                shared_downlink=platform.network == default_network,
-            )
-            clients.append(
-                ClientTimeline(
-                    index=index,
-                    spec=client,
-                    joined_ms=0.0,
-                    start_ms=0.0,
-                    end_ms=None,
-                    run=run,
-                )
-            )
-        everyone = tuple(range(len(self.clients)))
-        epoch = Epoch(
-            start_ms=0.0,
-            end_ms=duration_ms,
-            decisions=tuple(AdmissionDecision(i, "admit") for i in everyone),
-            serviced=everyone,
-        )
-        return SessionTimeline(
-            session=self,
-            n_frames=n_frames,
-            duration_ms=duration_ms,
-            epochs=(epoch,),
-            clients=tuple(clients),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -565,9 +477,7 @@ class Epoch:
     ``placements`` names the server each serviced client renders on
     this epoch and ``servers`` holds one
     :class:`~repro.sim.metrics.ServerWindow` of occupancy per up server;
-    a one-server session places everyone on ``"server"``.  Both stay
-    empty only for the legacy session (fair share, no server, no
-    events).
+    a one-server session places everyone on ``"server"``.
     """
 
     start_ms: float
@@ -604,7 +514,7 @@ class ClientTimeline:
     ``servers`` is the client's placement history as ``(t_ms, server)``
     steps, where ``None`` marks a parked span (displaced with nowhere
     to go, rendering at the starvation share), and ``migrations`` counts
-    its moves between servers; the legacy session leaves both empty.
+    its moves between servers.
     """
 
     index: int
@@ -664,8 +574,7 @@ class SessionTimeline:
         One :class:`~repro.sim.metrics.ServerStats` per server that was
         ever up, folded from the epochs'
         :class:`~repro.sim.metrics.ServerWindow` rows: a one-server
-        session reports a single ``"server"`` row, and only the legacy
-        session (fair share, no server, no events) reports none.
+        session reports a single ``"server"`` row.
         """
         return aggregate_server_stats(
             [window for epoch in self.epochs for window in epoch.servers]

@@ -17,7 +17,7 @@ from repro.lint import LintConfig, all_rule_codes, lint_paths, load_config
 REPO = Path(__file__).resolve().parents[2]
 
 #: Everything HASH001 needs from the real tree: the spec module holding
-#: the strip tables, the other hashed-dataclass modules, and the ledger.
+#: the execution table, the other hashed-dataclass modules, and the ledger.
 _REAL_FILES = (
     "src/repro/sim/runner.py",
     "src/repro/sim/systems.py",
@@ -60,30 +60,32 @@ def test_throwaway_runspec_field_fails_lint(tmp_path):
     hits = [f for f in result.unsuppressed if f.rule == "HASH001"]
     assert len(hits) == 1
     assert "RunSpec.throwaway_knob" in hits[0].message
-    assert "_NEUTRAL_FIELDS" in hits[0].message
+    assert "baseline ledger" in hits[0].message
 
 
-def _mini_project(tmp_path: Path, spec_body: str, model_body: str) -> LintConfig:
+def _mini_project(
+    tmp_path: Path, spec_body: str, model_body: str, baseline: tuple = ()
+) -> LintConfig:
     (tmp_path / "spec.py").write_text(textwrap.dedent(spec_body), encoding="utf-8")
     (tmp_path / "model.py").write_text(textwrap.dedent(model_body), encoding="utf-8")
     rules = {c: {"enabled": False} for c in all_rule_codes()}
     rules["HASH001"] = {
         "enabled": True,
         "module": "spec.py",
-        "dataclasses": {"Model": {"module": "model.py", "baseline": ["kept"]}},
+        "dataclasses": {
+            "Model": {"module": "model.py", "baseline": ["kept", *baseline]}
+        },
     }
     return LintConfig(root=tmp_path, rules=rules)
 
 
 _SPEC = """
-    _NEUTRAL_FIELDS = {"Model": {"added_later": None}}
     _EXECUTION_FIELDS = {"Model": frozenset({"engine"})}
     """
 
 _MODEL = """
     class Model:
         kept: int = 0
-        added_later: str | None = None
         engine: str = "vector"
     """
 
@@ -105,10 +107,9 @@ def test_synthetic_unledgered_field_is_flagged(tmp_path):
 
 def test_synthetic_stale_ledger_entries_are_flagged(tmp_path):
     stale_spec = """
-        _NEUTRAL_FIELDS = {"Model": {"added_later": None, "gone": None}}
         _EXECUTION_FIELDS = {"Model": frozenset({"engine", "vanished"})}
         """
-    config = _mini_project(tmp_path, stale_spec, _MODEL)
+    config = _mini_project(tmp_path, stale_spec, _MODEL, baseline=("gone",))
     result = lint_paths([tmp_path / "model.py"], config=config)
     messages = [f.message for f in result.unsuppressed if f.rule == "HASH001"]
     assert len(messages) == 2

@@ -251,14 +251,6 @@ class TestUplink:
         downs_asym = [asymmetric.transfer_time_ms(1e5) for _ in range(5)]
         assert downs_plain == downs_asym
 
-    def test_shared_conditions_divide_the_uplink_too(self):
-        from repro.network.profile import shared_conditions
-
-        shared = shared_conditions(WIFI.with_uplink(40.0), 4, 1.0)
-        assert shared.uplink_mbps == pytest.approx(10.0)
-        # Unmodelled uplinks stay unmodelled.
-        assert shared_conditions(WIFI, 4, 1.0).uplink_mbps is None
-
     def test_uplink_reaches_the_remote_request_path(self):
         """A modelled slow uplink lengthens remote-system latency."""
         from repro.sim.runner import RunSpec, run

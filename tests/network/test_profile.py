@@ -18,8 +18,8 @@ from repro.network.profile import (
     SwitchedProfile,
     TraceProfile,
     as_profile,
+    allocated_conditions,
     profile_by_name,
-    shared_conditions,
 )
 from repro.sim.runner import RunSpec, spec_key
 from repro.sim.systems import PlatformConfig
@@ -76,7 +76,8 @@ class TestPiecewiseProfile:
             PiecewiseProfile.bandwidth_drop(WIFI, start_ms=10, duration_ms=10, factor=1.5)
 
     def test_shared_scales_every_segment(self):
-        shared = _drop().shared(4, 0.9)
+        """A flat fair share scales the nominal and the drop segment alike."""
+        shared = AllocatedProfile(_drop(), ((0.0, 1.0 / (4 * 0.9)),), n_clients=4)
         sampler = shared.sampler(0)
         assert sampler.conditions_at(0.0).throughput_mbps == pytest.approx(
             200.0 / (4 * 0.9)
@@ -148,9 +149,9 @@ class TestTraceProfile:
         trace = TraceProfile(
             base=WIFI, times_ms=(0.0, 100.0), throughput_mbps=(100.0, 40.0)
         )
-        shared = trace.shared(2, 1.0)
-        assert shared.throughput_mbps == (50.0, 20.0)
-        assert trace.shared(1, 0.9) is trace
+        sampler = AllocatedProfile(trace, ((0.0, 0.5),), n_clients=2).sampler(0)
+        assert sampler.conditions_at(0.0).throughput_mbps == 50.0
+        assert sampler.conditions_at(100.0).throughput_mbps == 20.0
 
 
 class TestTraceSegmentMemo:
@@ -251,11 +252,13 @@ class TestMarkovProfile:
 
 
 class TestSharedConditions:
+    """What one client of a shared link observes under its scheduled share."""
+
     def test_single_client_unchanged(self):
-        assert shared_conditions(WIFI, 1, 0.9) is WIFI
+        assert allocated_conditions(WIFI, 1.0, 1) == WIFI
 
     def test_divides_throughput_and_grows_jitter(self):
-        shared = shared_conditions(WIFI, 4, 0.9)
+        shared = allocated_conditions(WIFI, 1.0 / (4 * 0.9), 4)
         assert shared.throughput_mbps == pytest.approx(200.0 / 3.6)
         assert shared.jitter_fraction > WIFI.jitter_fraction
         assert shared.propagation_ms == WIFI.propagation_ms

@@ -7,6 +7,7 @@ patterns.
 """
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -27,6 +28,13 @@ from repro.sim.systems import PlatformConfig
 
 def _bit_identical(a, b) -> bool:
     return pickle.dumps(a) == pickle.dumps(b)
+
+
+def _shared_specs(*clients, n_frames: int = 40):
+    """The walker-planned specs of an event-free session of ``clients``."""
+    from repro.sim.session import Session
+
+    return Session(clients=clients).timeline(n_frames=n_frames).specs
 
 
 def _small_sweep() -> Sweep:
@@ -114,9 +122,10 @@ class TestSpecKey:
         assert spec_key(base) != spec_key(other)
 
     def test_sharing_fields_reach_the_key(self):
-        solo = RunSpec(system="qvr", app="GRID")
-        shared = RunSpec(system="qvr", app="GRID", shared_clients=4)
+        (solo,) = _shared_specs("GRID")
+        shared = _shared_specs(*("GRID",) * 4)[0]
         assert spec_key(solo) != spec_key(shared)
+        assert spec_key(shared) != spec_key(replace(shared, shared_clients=3))
 
     def test_network_profile_reaches_the_key(self):
         from repro.network.profile import ConstantProfile, PiecewiseProfile
@@ -292,32 +301,35 @@ class TestRunSpecValidation:
     def test_shared_clients_validated(self):
         with pytest.raises(ConfigurationError):
             RunSpec(system="qvr", app="GRID", shared_clients=0)
-        with pytest.raises(ConfigurationError):
-            RunSpec(system="qvr", app="GRID", sharing_efficiency=0.0)
-        with pytest.raises(ConfigurationError):
-            RunSpec(system="qvr", app="GRID", sharing_efficiency=1.5)
+        # Sharing is always scheduled: no schedule, no shared spec.
+        with pytest.raises(ConfigurationError, match="server_allocation"):
+            RunSpec(system="qvr", app="GRID", shared_clients=4)
 
     def test_shared_platform_degrades_with_clients(self):
         solo = RunSpec(system="qvr", app="GRID")
-        shared = RunSpec(system="qvr", app="GRID", shared_clients=4)
         assert solo.effective_platform() == solo.platform
-        degraded = shared.effective_platform()
-        assert (
-            degraded.network.throughput_mbps < solo.platform.network.throughput_mbps
-        )
-        assert degraded.server.per_gpu_speedup < solo.platform.server.per_gpu_speedup
+        observed = {}
+        for n in (2, 4):
+            degraded = _shared_specs(*("GRID",) * n)[0].effective_platform()
+            observed[n] = (
+                degraded.network.initial_conditions.throughput_mbps,
+                degraded.server_schedule[0][1],
+            )
+        assert observed[2][0] < solo.platform.network.throughput_mbps
+        assert observed[2][1] < 1.0
+        assert observed[4][0] < observed[2][0]
+        assert observed[4][1] < observed[2][1]
 
     def test_private_downlink_shares_only_the_server(self):
-        spec = RunSpec(
-            system="qvr", app="GRID", shared_clients=4, shared_downlink=False
-        )
+        from repro.sim.session import ClientSpec
+
+        _, spec = _shared_specs("GRID", ClientSpec("GRID", profile="4g"))
+        assert not spec.shared_downlink
         derived = spec.effective_platform()
         assert derived.network == spec.platform.network
-        assert derived.server.per_gpu_speedup < spec.platform.server.per_gpu_speedup
+        assert derived.server_schedule[0][1] < 1.0
 
     def test_shared_downlink_reaches_the_key(self):
-        shared = RunSpec(system="qvr", app="GRID", shared_clients=4)
-        private = RunSpec(
-            system="qvr", app="GRID", shared_clients=4, shared_downlink=False
-        )
+        shared = _shared_specs(*("GRID",) * 4)[0]
+        private = replace(shared, shared_downlink=False, downlink_allocation=None)
         assert spec_key(shared) != spec_key(private)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.network.profile import TraceProfile
 from repro.obs import report as obs_report
 from repro.obs import trace
 from repro.sim import kernels
@@ -163,6 +164,29 @@ class TestScenarioSchema:
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(_payload()))
         assert DemandScenario.from_json(str(path)) == _scenario()
+
+    def test_from_json_reads_trace_paths_against_the_scenario_file(
+        self, tmp_path, monkeypatch
+    ):
+        """A relative trace CSV resolves beside the scenario, from any
+        working directory, and keeps its name as written as its label."""
+        at_root = DemandScenario.from_json(str(REPO / "examples" / "population.json"))
+        monkeypatch.chdir(tmp_path)
+        elsewhere = DemandScenario.from_json(
+            str(REPO / "examples" / "population.json")
+        )
+        assert elsewhere == at_root
+        labels = [p.name for p, _ in elsewhere.profiles if isinstance(p, TraceProfile)]
+        assert labels == ["../data/lte_4g_drive.csv", "../data/nr_5g_walk.csv"]
+
+        scenario_dir = tmp_path / "city"
+        scenario_dir.mkdir()
+        (scenario_dir / "link.csv").write_text("time_ms,throughput_mbps\n0,80\n500,20\n")
+        path = scenario_dir / "scenario.json"
+        path.write_text(json.dumps(_payload(profiles={"default": 1.0, "link.csv": 1.0})))
+        (_, _), (link, _) = DemandScenario.from_json(str(path)).profiles
+        assert link.name == "link.csv"
+        assert link.throughput_mbps == (80.0, 20.0)
 
     def test_from_json_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError, match="cannot read"):

@@ -11,7 +11,12 @@ import pickle
 import numpy as np
 
 from repro.network.conditions import NetworkConditions, WIFI
-from repro.network.profile import ConstantProfile, MarkovProfile, PiecewiseProfile
+from repro.network.profile import (
+    AllocatedProfile,
+    ConstantProfile,
+    MarkovProfile,
+    PiecewiseProfile,
+)
 from repro.sim.runner import BatchEngine, RunSpec, run
 from repro.sim.systems import PlatformConfig
 
@@ -157,17 +162,17 @@ class TestAdaptation:
 
 class TestSharedDynamicProfiles:
     def test_shared_clients_degrade_a_profile_platform(self):
+        from repro.sim.session import Session
+
         solo = _drop_spec()
-        shared = RunSpec(
-            system="qvr",
-            app="GRID",
+        session = Session(
+            clients=("GRID",) * 4,
             platform=PlatformConfig(network=_drop_profile()),
-            n_frames=180,
-            warmup_frames=0,
-            shared_clients=4,
         )
+        shared = session.timeline(n_frames=180, warmup_frames=0).specs[0]
         degraded = shared.effective_platform()
-        assert isinstance(degraded.network, PiecewiseProfile)
+        assert isinstance(degraded.network, AllocatedProfile)
+        assert degraded.network.base == _drop_profile()
         assert (
             degraded.network.initial_conditions.throughput_mbps
             < solo.platform.network.initial_conditions.throughput_mbps

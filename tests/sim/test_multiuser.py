@@ -105,13 +105,13 @@ class TestHeterogeneousClients:
             LTE_4G.throughput_mbps
         )
         # The rendering server is still time-shared.
-        assert (
-            private.server.per_gpu_speedup
-            < PlatformConfig().server.per_gpu_speedup
-        )
+        assert private.server_schedule == ((0.0, 1.0 / (2 * 0.9)),)
         # The default-link client still pays the downlink division.
         shared = default_spec.effective_platform()
-        assert shared.network.throughput_mbps < WIFI.throughput_mbps
+        assert (
+            shared.network.initial_conditions.throughput_mbps
+            < WIFI.throughput_mbps
+        )
 
     def test_uniform_scenario_shares_the_downlink(self):
         specs = _specs(Session(clients=("GRID",) * 3), n_frames=50)

@@ -3,8 +3,9 @@
 ``Session.timeline`` turns a roster, an event script, a server and a
 policy into epochs, admission decisions and frozen run specs.  This
 module plans a generated matrix of such sessions — every scheduling
-policy, fourteen server set-ups (including none), four rosters, four
-event scripts and three frame/warm-up pairs — plus one event-free
+policy, fourteen server set-ups (including none, which plans on the
+default server), four rosters, four event scripts and three
+frame/warm-up pairs — plus one event-free
 heterogeneous roster over the same servers, and pins one SHA-256 over
 the canonical JSON of what each plan decides:
 
@@ -34,7 +35,7 @@ from repro.sim.server import POLICY_NAMES, RenderServer
 from repro.sim.session import ClientSpec, Join, Leave, ProfileSwitch, Session
 
 #: Pinned digest.  Do not edit by hand — see the module docstring.
-GOLDEN = "69c5486cda499fdae90bfc29c3a109bf795ea368901d1f5fe04d548d104b3c16"
+GOLDEN = "233a4bc683e5d23269ffd4f6a428b675939dbb6d3a470e988a9c06b912565e57"
 
 #: ``(n_frames, warmup_frames)`` pairs; every warm-up leaves a steady state.
 FRAME_PAIRS = ((24, None), (36, 0), (48, 12))

