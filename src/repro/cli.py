@@ -48,6 +48,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import os
 import sys
 
 from repro.analysis.experiments import (
@@ -467,8 +468,12 @@ def _shard_line(stats, mode: str) -> str:
     )
 
 
-def _parse_client(token: str) -> ClientSpec:
-    """Parse one ``APP[:PROFILE[:FREQ_MHZ]]`` client description."""
+def _parse_client(token: str, base_dir: str | None = None) -> ClientSpec:
+    """Parse one ``APP[:PROFILE[:FREQ_MHZ]]`` client description.
+
+    A relative trace-CSV ``PROFILE`` reads against ``base_dir`` when one
+    is given (an events file's directory), else the working directory.
+    """
     parts = token.split(":")
     if len(parts) > 3 or not parts[0]:
         raise ConfigurationError(
@@ -477,7 +482,9 @@ def _parse_client(token: str) -> ClientSpec:
     app = parts[0]
     if app not in APPS:
         raise ConfigurationError(f"unknown app {app!r}; known: {sorted(APPS)}")
-    profile = profile_by_name(parts[1]) if len(parts) >= 2 and parts[1] else None
+    profile = (
+        profile_by_name(parts[1], base_dir) if len(parts) >= 2 and parts[1] else None
+    )
     platform = None
     if len(parts) == 3 and parts[2]:
         try:
@@ -503,6 +510,9 @@ def _parse_events(path: str) -> tuple[SessionEvent, ...]:
     * ``"up": SERVER`` / ``"down": SERVER`` / ``"fail": SERVER`` — fleet
       capacity events (require ``--fleet``); ``down`` takes an optional
       ``"drain": false`` to skip the graceful migration.
+
+    A relative trace-CSV path in a ``join`` or ``switch`` entry reads
+    against the events file's directory, as scenario files do.
     """
     try:
         with open(path) as handle:
@@ -518,6 +528,7 @@ def _parse_events(path: str) -> tuple[SessionEvent, ...]:
             f"{path!r} must hold a JSON list of events "
             '(or {"events": [...]})'
         )
+    base_dir = os.path.dirname(path)
     events: list[SessionEvent] = []
     for entry in payload:
         if not isinstance(entry, dict) or "t_ms" not in entry:
@@ -538,7 +549,7 @@ def _parse_events(path: str) -> tuple[SessionEvent, ...]:
                 f"join/leave/switch/up/down/fail, got {sorted(entry)}"
             )
         if kinds[0] == "join":
-            events.append(Join(t_ms, _parse_client(str(entry["join"]))))
+            events.append(Join(t_ms, _parse_client(str(entry["join"]), base_dir)))
         elif kinds[0] == "leave":
             events.append(Leave(t_ms, client=_event_index(entry, "leave", path)))
         elif kinds[0] == "switch":
@@ -551,7 +562,7 @@ def _parse_events(path: str) -> tuple[SessionEvent, ...]:
                 ProfileSwitch(
                     t_ms,
                     client=_event_index(entry, "switch", path),
-                    profile=profile_by_name(str(entry["profile"])),
+                    profile=profile_by_name(str(entry["profile"]), base_dir),
                 )
             )
         elif kinds[0] == "up":

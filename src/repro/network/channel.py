@@ -97,6 +97,7 @@ class NetworkChannel:
         self.profile = as_profile(conditions)
         self._sampler = self.profile.sampler(seed)
         self._now_ms = 0.0
+        self._conditions: NetworkConditions | None = None
         self._rng = np.random.default_rng(seed)
         self._history: list[TransferRecord] = []
         self._ack_estimate_bytes_per_ms: float | None = None
@@ -112,11 +113,21 @@ class NetworkChannel:
         """Move the environment clock forward (monotonic; never rewinds)."""
         if t_ms > self._now_ms:
             self._now_ms = t_ms
+            self._conditions = None
 
     @property
     def conditions(self) -> NetworkConditions:
-        """Link conditions at the current instant of the profile."""
-        return self._sampler.conditions_at(self._now_ms)
+        """Link conditions at the current instant of the profile.
+
+        Sampled once per instant: sampling is a pure function of
+        ``(seed, time)`` and the clock moves only in :meth:`advance_to`,
+        so every later read at the same instant reuses the sample.
+        """
+        conditions = self._conditions
+        if conditions is None:
+            conditions = self._sampler.conditions_at(self._now_ms)
+            self._conditions = conditions
+        return conditions
 
     # -- throughput ----------------------------------------------------------
 

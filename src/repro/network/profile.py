@@ -29,6 +29,7 @@ round-trips.
 from __future__ import annotations
 
 import csv
+import os
 from abc import ABC, abstractmethod
 from bisect import bisect_right
 from collections import OrderedDict
@@ -675,11 +676,28 @@ PROFILES: dict[str, NetworkProfile] = {
 }
 
 
-def profile_by_name(name: str) -> NetworkProfile:
-    """Resolve a profile by registry name, preset label/slug, or CSV path."""
-    key = name.strip().lower()
-    if key.endswith(".csv"):
-        return TraceProfile.from_csv(name.strip())
+def profile_by_name(name: str, base_dir: str | None = None) -> NetworkProfile:
+    """Resolve a profile by registry name, preset label/slug, or CSV path.
+
+    A relative CSV path reads against ``base_dir`` when one is given (the
+    directory of the file that names it) and keeps the name as written
+    as its label, so spec keys do not depend on where the file lives;
+    otherwise it reads against the working directory.  An unreadable
+    CSV raises :class:`~repro.errors.ConfigurationError` naming the path.
+    """
+    label = name.strip()
+    if label.lower().endswith(".csv"):
+        if base_dir is None or os.path.isabs(label):
+            path, trace_label = label, None
+        else:
+            path, trace_label = os.path.join(base_dir, label), label
+        try:
+            return TraceProfile.from_csv(path, label=trace_label)
+        except OSError as error:
+            raise ConfigurationError(
+                f"cannot read trace CSV {path!r}: {error.strerror or error}"
+            ) from None
+    key = label.lower()
     if key in PROFILES:
         return PROFILES[key]
     try:

@@ -64,7 +64,7 @@ import numpy as np
 
 from repro import constants
 from repro.errors import ConfigurationError
-from repro.network.profile import NetworkProfile, TraceProfile, as_profile
+from repro.network.profile import NetworkProfile, as_profile, profile_by_name
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.sim.fleet import RenderFleet, fleet_from_payload
@@ -311,12 +311,11 @@ def _normalized_shares(entries, what: str):
     return entries
 
 
-def _anchored_profile(name: str, base_dir: str) -> "str | TraceProfile":
-    """A relative trace-CSV name loaded from ``base_dir``, labelled as written."""
-    label = name.strip()
-    if not label.lower().endswith(".csv") or os.path.isabs(label):
+def _anchored_profile(name: str, base_dir: str) -> "str | NetworkProfile":
+    """A trace-CSV name loaded against ``base_dir``; other names unchanged."""
+    if not name.strip().lower().endswith(".csv"):
         return name
-    return TraceProfile.from_csv(os.path.join(base_dir, label), label=label)
+    return profile_by_name(name, base_dir)
 
 
 def _pick(rng, entries):

@@ -38,7 +38,13 @@ Memory: the integration scratch buffers live on the lattice — one set
 per resolution per process, however many gaze kernels use it — so a
 gaze kernel retains only its results: per-frame sweeps and plans, the
 few scalar area integrals of rarely seen eccentricities, and one
-float64 row of every frame's area per recurring eccentricity.  Sharing
+float64 row of every frame's area per recurring eccentricity.  A
+frame's sweep covers only the master-lattice suffix from the smallest
+``e1`` offset asked at that frame, extended downward when a smaller one
+arrives, so rows below the smallest eccentricity the controllers
+reach are neither integrated nor held.  The gaze itself is read from
+the memoized workload stream's motion samples, not generated a second
+time.  Sharing
 one scratch set assumes kernels run one at a time in a process, which
 holds: execution is single-threaded and parallelism is by process.
 """
@@ -66,7 +72,6 @@ from repro.errors import ConfigurationError
 from repro.gpu.mobile_gpu import MobileGPU
 from repro.gpu.remote_gpu import RemoteRenderer
 from repro.motion.dof import GazeDelta, PoseDelta
-from repro.motion.traces import generate_trace
 from repro.network.channel import NetworkChannel
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -167,14 +172,19 @@ def _lattice(width_px: int, height_px: int) -> "_Lattice":
     )
 
 
-def _foveation_kernel(app: VRApp, seed: int, n_frames: int) -> "_FoveationKernel":
-    """Memoized geometry kernel — the gaze trace depends only on resolution."""
+def _foveation_kernel(app: VRApp, seed: int, workloads) -> "_FoveationKernel":
+    """Memoized geometry kernel — the gaze trace depends only on resolution.
+
+    ``workloads`` is the memoized stream of ``(app, seed, len(workloads))``;
+    on a miss the kernel reads its gaze from the stream's motion samples,
+    which is the trace it would otherwise generate again.
+    """
     return _memoized(
         # repro-lint: disable=MP001 -- per-process memo of pure functions of the key: fork-inherited and rebuilt entries are bit-identical
         _GEOMETRY_CACHE, _GEOMETRY_CACHE_MAX, "kernels.fov",
-        (app.width_px, app.height_px, seed, n_frames),
+        (app.width_px, app.height_px, seed, len(workloads)),
         lambda: _FoveationKernel(
-            _lattice(app.width_px, app.height_px), seed, n_frames
+            _lattice(app.width_px, app.height_px), [wl.motion for wl in workloads]
         ),
     )
 
@@ -260,6 +270,8 @@ class _Lattice:
         self._ws_r2 = np.empty((m, 1))
         self._ws_dflat = np.empty(m * _SAMPLES_2D)
         self._ws_eflat = np.empty(m * _SAMPLES_2D)
+        # Strided per-row views of ``_ws_eflat``, one per row count.
+        self._row_views: dict[int, np.ndarray] = {}
         # Direct-search workspaces (see :meth:`optimize_direct`).
         self._ws_radii = np.empty(m)
         self._ws_sout = np.empty(m)
@@ -307,8 +319,9 @@ class _Lattice:
         np.subtract(ys[1:], ys[:-1], out=d)
         np.add(a[1:], a[:-1], out=e)
         e *= d
-        e *= 0.5  # bitwise ``/ 2.0`` (exact power-of-two scaling)
-        return float(np.add.reduce(e))
+        # ``/ 2.0`` moved past the sum: power-of-two scaling is exact, so
+        # halving the sum once equals halving every term, bit for bit.
+        return float(np.add.reduce(e)) * 0.5
 
     def disc_areas(self, cx: float, cy: float, radii: np.ndarray) -> np.ndarray:
         """Bit-identical replica of ``_disc_rect_areas`` (samples=129).
@@ -320,7 +333,9 @@ class _Lattice:
         final strided row view skips, and every used element sees the
         exact scalar op chain, so the per-row sums are unchanged bitwise
         (the pairwise ``add.reduce`` tree depends only on the 128-element
-        row length, not the memory layout).
+        row length, not the memory layout).  Rows are independent: each
+        depends only on its own radius, so any slice of ``radii`` yields
+        the same bits as those rows of a call on the whole array.
         """
         m = len(radii)
         y_lo = np.maximum(0.0, cy - radii)
@@ -352,12 +367,18 @@ class _Lattice:
         np.subtract(ys_flat[1:], ys_flat[:-1], out=d)
         np.add(a_flat[1:], a_flat[:-1], out=e)
         e *= d
-        e *= 0.5  # bitwise ``/ 2.0`` (exact power-of-two scaling)
-        stride = e.itemsize
-        rows = np.lib.stride_tricks.as_strided(
-            e, shape=(m, _SAMPLES_2D - 1), strides=(_SAMPLES_2D * stride, stride)
-        )
-        return np.add.reduce(rows, axis=1)
+        rows = self._row_views.get(m)
+        if rows is None:
+            stride = e.itemsize
+            rows = np.lib.stride_tricks.as_strided(
+                self._ws_eflat,
+                shape=(m, _SAMPLES_2D - 1),
+                strides=(_SAMPLES_2D * stride, stride),
+            )
+            self._row_views[m] = rows
+        sums = np.add.reduce(rows, axis=1)
+        sums *= 0.5  # the trapezoid ``/ 2.0``, exact on the sum (see above)
+        return sums
 
     def area256_rows(self, gx: np.ndarray, gy: np.ndarray, r: float) -> np.ndarray:
         """:meth:`disc_area_256` at radius ``r`` for every gaze centre at once.
@@ -414,8 +435,8 @@ class _Lattice:
             np.subtract(ys[:, 1:], ys[:, :-1], out=d)
             np.add(a[:, 1:], a[:, :-1], out=e)
             e *= d
-            e *= 0.5
             sums = np.add.reduce(e, axis=1)
+            sums *= 0.5
             # repro-lint: disable=DET004 -- pure lane select between already-computed arrays (no arithmetic): bit-exact, unlike the clamp-shaped np.clip/np.where PR 6 removed
             out[start : start + m] = np.where(y_hi > y_lo, sums, 0.0)
         return out
@@ -472,9 +493,14 @@ class _FoveationKernel:
     area integrals / plans, shared by every foveated system (and every
     same-resolution app) in the process.  The kernel owns no scratch:
     what it retains is its results alone.
+
+    ``motion`` is the seed's motion trace (any sequence of
+    :class:`~repro.motion.traces.MotionSample`).  It depends only on the
+    panel resolution, the frame budget and the seed — identical for every
+    app at this resolution — so the per-frame sweeps are shared.
     """
 
-    def __init__(self, lattice: _Lattice, seed: int, n_frames: int) -> None:
+    def __init__(self, lattice: _Lattice, motion) -> None:
         self.lattice = lattice
         # The per-frame methods read the lattice's constants as their own.
         self.mar = lattice.mar
@@ -490,21 +516,12 @@ class _FoveationKernel:
         self._s_out_sq = lattice.s_out_sq
         self._master_radii = lattice.radii
 
-        # Gaze per frame: the motion trace depends only on the panel
-        # resolution, the frame budget and the seed — identical for every
-        # app at this resolution, so the per-frame sweeps are shared.
-        trace = generate_trace(
-            n_frames=n_frames,
-            frame_dt_ms=constants.FRAME_BUDGET_MS,
-            panel_width_px=lattice.width_px,
-            panel_height_px=lattice.height_px,
-            seed=seed,
-        )
-        self.gx = [s.gaze.x_px for s in trace]
-        self.gy = [s.gaze.y_px for s in trace]
+        self.gx = [s.gaze.x_px for s in motion]
+        self.gy = [s.gaze.y_px for s in motion]
 
-        # Lazy per-frame caches (shared across systems and runs).
-        self._sweeps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # Lazy per-frame caches (shared across systems and runs).  A
+        # frame's sweep is ``(k0, areas, outer)`` over ``master[k0:]``.
+        self._sweeps: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
         self._areas: dict[tuple[int, float], float] = {}
         self._plans: dict[tuple[int, float], PartitionPlan] = {}
         # Miss counts per eccentricity: once a value keeps recurring
@@ -518,17 +535,34 @@ class _FoveationKernel:
         """Area integrals held: every frame of each row plus scalar entries."""
         return len(self.gx) * len(self._area_rows) + len(self._areas)
 
+    def sweep_rows(self) -> int:
+        """Master-lattice rows integrated so far, over every frame."""
+        return sum(len(areas) for _, areas, _ in self._sweeps.values())
+
     # -- per-frame cached quantities ----------------------------------------
 
-    def _sweep(self, f: int) -> tuple[np.ndarray, np.ndarray]:
-        """Master-lattice areas and outer-layer cost for frame ``f``."""
+    def _sweep(self, f: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Areas and outer-layer cost of frame ``f`` over ``master[k:]``.
+
+        Only the suffix from the smallest offset yet asked at this frame
+        is integrated; a smaller offset integrates just the missing rows
+        and prepends them.  Exact: each row of :meth:`_Lattice.disc_areas`
+        and of the outer cost depends only on its own radius.
+        """
         cached = self._sweeps.get(f)
-        if cached is None:
-            areas = self.lattice.disc_areas(self.gx[f], self.gy[f], self._master_radii)
-            outer = np.maximum(self.total - areas, 0.0) / self._s_out_sq
-            cached = (areas, outer)
-            self._sweeps[f] = cached
-        return cached
+        if cached is not None and cached[0] <= k:
+            k0, areas, outer = cached
+            return areas[k - k0 :], outer[k - k0 :]
+        stop = len(self.master) if cached is None else cached[0]
+        areas = self.lattice.disc_areas(
+            self.gx[f], self.gy[f], self._master_radii[k:stop]
+        )
+        outer = np.maximum(self.total - areas, 0.0) / self._s_out_sq[k:stop]
+        if cached is not None:
+            areas = np.concatenate((areas, cached[1]))
+            outer = np.concatenate((outer, cached[2]))
+        self._sweeps[f] = (k, areas, outer)
+        return areas, outer
 
     #: Cache misses at one eccentricity before its area integral is batch
     #: evaluated across every frame (breakeven is ~9 scalar calls; a value
@@ -567,11 +601,10 @@ class _FoveationKernel:
         k = self.lattice_offsets.get(e1)
         if k is None:
             return self.lattice.optimize_direct(self.gx[f], self.gy[f], e1)
-        areas, outer = self._sweep(f)
-        av = areas[k:]
+        areas, outer = self._sweep(f, k)
         s_mid = min(self.mar.sampling_factor(e1, self.omega_star), self.cap)
-        middle = np.maximum(av - av[0], 0.0) / (s_mid * s_mid)
-        cost = middle + outer[k:]
+        middle = np.maximum(areas - areas[0], 0.0) / (s_mid * s_mid)
+        cost = middle + outer
         return float(self.master[k + int(np.argmin(cost))])
 
     def plan(self, f: int, e1_deg: float) -> PartitionPlan:
@@ -1205,7 +1238,7 @@ def run_vectorized(
             # repro-lint: disable=MP001 -- read-only registry constant: populated once at import, never mutated
             controller_cls, uses_uca = _FOVEATED_CONTROLLERS[key]
             with tracer.span("kernels.fov"):
-                kern = _foveation_kernel(app, seed, n_frames)
+                kern = _foveation_kernel(app, seed, workloads)
             # LRU hit rates for the kernel's lazy per-frame caches are
             # sampled as size deltas around the pass — the per-frame
             # accessors stay untouched, so the disabled path costs
@@ -1213,6 +1246,7 @@ def run_vectorized(
             if tracer.enabled:
                 plans_before = len(kern._plans)
                 sweeps_before = len(kern._sweeps)
+                rows_before = kern.sweep_rows()
                 areas_before = kern.areas_filled()
             with tracer.span("kernels.frame_pass", system=key):
                 cols = _run_foveated(env, workloads, controller_cls(), uses_uca, kern)
@@ -1223,6 +1257,9 @@ def run_vectorized(
                 )
                 obs_metrics.counter("kernels.fov.sweep.new").inc(
                     len(kern._sweeps) - sweeps_before
+                )
+                obs_metrics.counter("kernels.fov.sweep.rows").inc(
+                    kern.sweep_rows() - rows_before
                 )
                 obs_metrics.counter("kernels.fov.area.new").inc(
                     kern.areas_filled() - areas_before

@@ -14,7 +14,8 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from itertools import repeat
 from statistics import mean
 from typing import Iterable
 
@@ -730,6 +731,11 @@ class FrameRecord:
 #: FrameRecord fields that carry booleans rather than floats.
 _BOOL_FIELDS = frozenset({"dropped", "mispredicted"})
 
+#: FrameRecord field names in declaration order, and the default of each
+#: field after ``index`` (``MISSING`` when the field is required).
+_RECORD_FIELDS = tuple(f.name for f in fields(FrameRecord))
+_RECORD_DEFAULTS = {f.name: f.default for f in fields(FrameRecord)[1:]}
+
 
 def records_from_arrays(index, **columns) -> list[FrameRecord]:
     """Build :class:`FrameRecord` rows from parallel per-field columns.
@@ -739,11 +745,17 @@ def records_from_arrays(index, **columns) -> list[FrameRecord]:
     Values are coerced to the field's scalar type (``float``, or ``bool``
     for the drop/misprediction flags), so numpy scalars never leak into
     the records — vectorized and scalar engines produce identical rows.
+
+    Each record's ``__dict__`` is filled directly, in field order with
+    the field defaults for absent columns: exactly the dict the dataclass
+    ``__init__`` builds, so the records pickle byte-identically to
+    ``FrameRecord(**row)`` without its per-field frozen ``__setattr__``.
     """
     n = len(index)
-    names = []
-    data = []
+    data: dict[str, list] = {}
     for name, column in columns.items():
+        if name not in _RECORD_DEFAULTS:
+            raise ConfigurationError(f"{name!r} is not a FrameRecord column")
         if len(column) != n:
             raise ConfigurationError(
                 f"column {name!r} has {len(column)} entries, expected {n}"
@@ -752,18 +764,25 @@ def records_from_arrays(index, **columns) -> list[FrameRecord]:
         # scalars from numpy arrays) instead of coercing per element.
         values = column.tolist() if hasattr(column, "tolist") else list(column)
         if name in _BOOL_FIELDS:
-            values = [bool(v) for v in values]
+            data[name] = [bool(v) for v in values]
         else:
-            values = [float(v) for v in values]
-        names.append(name)
-        data.append(values)
+            data[name] = [float(v) for v in values]
     indices = index.tolist() if hasattr(index, "tolist") else list(index)
-    if not data:
-        return [FrameRecord(index=int(i)) for i in indices]
+    ordered = [[int(i) for i in indices]]
+    for name, default in _RECORD_DEFAULTS.items():
+        if name in data:
+            ordered.append(data[name])
+        elif default is MISSING:
+            raise ConfigurationError(f"FrameRecord column {name!r} is required")
+        else:
+            ordered.append(repeat(default, n))
+    new = object.__new__
     records = []
     append = records.append
-    for i, row in zip(indices, zip(*data)):
-        append(FrameRecord(index=int(i), **dict(zip(names, row))))
+    for row in zip(*ordered):
+        record = new(FrameRecord)
+        record.__dict__.update(zip(_RECORD_FIELDS, row))
+        append(record)
     return records
 
 

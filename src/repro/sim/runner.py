@@ -68,6 +68,7 @@ __all__ = [
     "run_batch",
     "run_comparison",
     "spec_key",
+    "spec_keys",
     "speedup_over",
     "effective_warmup",
     "DEFAULT_FRAMES",
@@ -185,6 +186,11 @@ class RunSpec:
                 "downlink_allocation requires a server_allocation (schedules "
                 "are emitted together by the admission planner)"
             )
+        if self.downlink_allocation is not None and not self.shared_downlink:
+            raise ConfigurationError(
+                "a private-link spec (shared_downlink=False) keeps its full "
+                "link and carries no downlink_allocation"
+            )
         if (
             self.server_allocation is not None
             and self.shared_downlink
@@ -218,7 +224,7 @@ class RunSpec:
             network = OffsetProfile(as_profile(network), self.start_ms)
         if self.server_allocation is None:
             return base if network is base.network else replace(base, network=network)
-        if self.shared_downlink and self.downlink_allocation is not None:
+        if self.downlink_allocation is not None:
             network = AllocatedProfile(
                 base=as_profile(network),
                 segments=self.downlink_allocation,
@@ -360,32 +366,57 @@ _EXECUTION_FIELDS: dict[str, frozenset[str]] = {
 }
 
 
-def _canonical(value: object) -> object:
+def _canonical(value: object, memo: dict[int, tuple[object, object]]) -> object:
     """Recursively convert a spec value into a canonical JSON-able form.
 
     Floats are rendered with ``float.hex`` so the key captures the exact
     bit pattern; dataclasses carry their type name so two config classes
     with coincidentally equal fields cannot collide.  Every field is
     hashed except the execution-only ones (:data:`_EXECUTION_FIELDS`).
+
+    ``memo`` maps the ``id`` of each frozen dataclass already converted
+    to ``(value, form)``, so a sub-object shared by many specs (one
+    platform, one trace profile) is walked once per memo.  Holding the
+    value keeps its ``id`` from being reused while the memo lives.  The
+    memo keys on identity, never on equality: dataclass equality treats
+    ``0.0`` and ``-0.0`` as equal, and ``float.hex`` does not.
     """
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        cached = memo.get(id(value))
+        if cached is not None:
+            return cached[1]
         out: dict[str, object] = {"__type__": type(value).__name__}
         execution = _EXECUTION_FIELDS.get(type(value).__name__, frozenset())
         for f in dataclasses.fields(value):
             if f.name not in execution:
-                out[f.name] = _canonical(getattr(value, f.name))
+                out[f.name] = _canonical(getattr(value, f.name), memo)
+        if type(value).__dataclass_params__.frozen:
+            memo[id(value)] = (value, out)
         return out
     if isinstance(value, bool) or value is None or isinstance(value, (str, int)):
         return value
     if isinstance(value, float):
         return value.hex()
     if isinstance(value, (tuple, list)):
-        return [_canonical(item) for item in value]
+        return [_canonical(item, memo) for item in value]
     if isinstance(value, dict):
-        return {str(k): _canonical(v) for k, v in sorted(value.items())}
+        return {str(k): _canonical(v, memo) for k, v in sorted(value.items())}
     raise ConfigurationError(
         f"cannot canonicalise {type(value).__name__} inside a RunSpec"
     )
+
+
+def _spec_key(spec: RunSpec, memo: dict[int, tuple[object, object]]) -> str:
+    payload = json.dumps(
+        {
+            "version": _SPEC_SCHEMA_VERSION,
+            "package": __version__,
+            "spec": _canonical(spec, memo),
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def spec_key(spec: RunSpec) -> str:
@@ -396,16 +427,17 @@ def spec_key(spec: RunSpec) -> str:
     (whose models may have changed) invalidate instead of being silently
     reused.
     """
-    payload = json.dumps(
-        {
-            "version": _SPEC_SCHEMA_VERSION,
-            "package": __version__,
-            "spec": _canonical(spec),
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return _spec_key(spec, {})
+
+
+def spec_keys(specs: Iterable[RunSpec]) -> list[str]:
+    """:func:`spec_key` of every spec, with one canonical-form memo.
+
+    Equal to ``[spec_key(s) for s in specs]``; sub-objects the specs
+    share by identity are canonicalised once for the whole list.
+    """
+    memo: dict[int, tuple[object, object]] = {}
+    return [_spec_key(spec, memo) for spec in specs]
 
 
 class ResultCache:

@@ -56,7 +56,7 @@ from repro.errors import ConfigurationError
 from repro.obs import clock as obs_clock
 from repro.obs import trace as obs_trace
 from repro.sim.metrics import SimulationResult
-from repro.sim.runner import RunSpec, run, spec_key
+from repro.sim.runner import RunSpec, run, spec_key, spec_keys
 
 __all__ = [
     "Shard",
@@ -134,8 +134,8 @@ def _plan_digest(specs: Sequence[RunSpec], shards: int) -> str:
     """Content hash binding a result stream to one (spec list, shards) plan."""
     hasher = hashlib.sha256()
     hasher.update(str(shards).encode())
-    for spec in specs:
-        hasher.update(spec_key(spec).encode())
+    for key in spec_keys(specs):
+        hasher.update(key.encode())
     return hasher.hexdigest()
 
 

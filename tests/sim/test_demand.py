@@ -460,9 +460,26 @@ class TestMemoReuse:
             assert lookups > 0
             assert hits >= 0.45 * lookups, (memo, hits, lookups)
 
+    def test_sweep_rows_counter_counts_integrated_rows(self, tmp_path, monkeypatch):
+        """The traced row count equals the rows the sweeps hold."""
+        for name in ("_GEOMETRY_CACHE", "_WORKLOAD_CACHE", "_LATTICE_CACHE"):
+            monkeypatch.setattr(kernels, name, OrderedDict())
+        app = APPS["GRID"]
+        trace.configure(tmp_path / "t", process="parent")
+        try:
+            for system in ("qvr", "dfr", "ffr"):
+                kernels.run_vectorized(system, app, seed=3, n_frames=24, warmup_frames=4)
+        finally:
+            trace.shutdown()
+        _, merged = obs_report.load_trace(tmp_path / "t")
+        kern = kernels._foveation_kernel(app, 3, kernels._workloads(app, 3, 24))
+        rows = merged["counters"]["kernels.fov.sweep.rows"]
+        assert rows == kern.sweep_rows() > 0
+        assert rows <= len(kern._sweeps) * len(kern.master)
+
     def test_seeds_at_one_resolution_share_one_lattice(self):
         app = APPS["GRID"]
-        first = kernels._foveation_kernel(app, 1, 12)
-        second = kernels._foveation_kernel(app, 2, 12)
+        first = kernels._foveation_kernel(app, 1, kernels._workloads(app, 1, 12))
+        second = kernels._foveation_kernel(app, 2, kernels._workloads(app, 2, 12))
         assert first is not second
         assert first.lattice is second.lattice

@@ -9,22 +9,39 @@ calls interleaved, lattice, off-lattice and beyond-corner eccentricities
 (recurring ones switch to batch-integrated rows), and kernels of
 different lengths built in either order (the shared row block only
 grows).  The footprint test pins what sharing buys: an extra kernel at
-a resolution retains its results, not a scratch set.
+a resolution retains its results, not a scratch set.  The suffix-sweep
+properties pin what makes partial sweeps exact: any slice of radii
+integrates to the same bits as those rows of a full call, and sweeps
+asked at offsets in any order hold the full master sweep's bits.
 """
 
 import dataclasses
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from repro import constants
 from repro.core.foveation import DisplayGeometry, FoveationModel
+from repro.motion.traces import generate_trace
 from repro.obs import metrics as obs_metrics
 from repro.sim.kernels import _FoveationKernel, _Lattice
 from repro.workloads.apps import get_app
 
 RESOLUTIONS = ((1920, 2160), (1280, 1600))
+
+
+def make_kernel(lattice, seed, n_frames):
+    """A gaze kernel on ``lattice`` over one seed's motion trace."""
+    trace = generate_trace(
+        n_frames,
+        constants.FRAME_BUDGET_MS,
+        lattice.width_px,
+        lattice.height_px,
+        seed=seed,
+    )
+    return _FoveationKernel(lattice, trace)
 
 
 def assert_plan_identical(got, want):
@@ -101,19 +118,19 @@ class TestPlanParity:
     @given(shared_lattice_case())
     def test_interleaved_seeds_match_the_oracle(self, case):
         width, height, lattice, kernel_args, calls = case
-        kernels = [_FoveationKernel(lattice, seed, n) for seed, n in kernel_args]
+        kernels = [make_kernel(lattice, seed, n) for seed, n in kernel_args]
         assert_calls_match(width, height, kernels, calls)
         event(f"rows per kernel: {max(len(k._area_rows) for k in kernels)}")
 
     @pytest.mark.parametrize("width,height", RESOLUTIONS)
     def test_short_kernel_after_long_reuses_the_row_block(self, width, height):
         lattice = _Lattice(width, height)
-        long_kern = _FoveationKernel(lattice, 3, 40)
+        long_kern = make_kernel(lattice, 3, 40)
         e1 = float(lattice.master[6])
         assert_calls_match(width, height, [long_kern], [(0, f, e1) for f in range(40)])
         block = lattice._batch1d
         assert block is not None and len(block[0]) == 40
-        short_kern = _FoveationKernel(lattice, 4, 7)
+        short_kern = make_kernel(lattice, 4, 7)
         calls = [(0, f, e1) for f in range(7)] + [(0, f, 9.3) for f in range(7)]
         assert_calls_match(width, height, [short_kern], calls)
         assert lattice._batch1d is block
@@ -121,8 +138,8 @@ class TestPlanParity:
     @pytest.mark.parametrize("width,height", RESOLUTIONS)
     def test_long_kernel_after_short_grows_the_row_block(self, width, height):
         lattice = _Lattice(width, height)
-        short_kern = _FoveationKernel(lattice, 5, 6)
-        long_kern = _FoveationKernel(lattice, 6, 30)
+        short_kern = make_kernel(lattice, 5, 6)
+        long_kern = make_kernel(lattice, 6, 30)
         e1 = float(lattice.master[2])
         calls = [(0, f, e1) for f in range(6)]
         calls += [(1, f, e1) for f in range(30)]
@@ -133,7 +150,7 @@ class TestPlanParity:
     def test_rows_cross_the_chunk_boundary(self):
         width, height = RESOLUTIONS[1]
         lattice = _Lattice(width, height)
-        kern = _FoveationKernel(lattice, 8, 1030)
+        kern = make_kernel(lattice, 8, 1030)
         e1 = float(lattice.master[4])
         # The fourth miss at e1 integrates all 1,030 frames in two chunks.
         frames = [0, 1, 2, 1023, 1024, 1025, 1029, 511]
@@ -149,7 +166,7 @@ class TestPlanParity:
     def test_row_stops_scalar_area_entries(self):
         width, height = RESOLUTIONS[0]
         lattice = _Lattice(width, height)
-        kern = _FoveationKernel(lattice, 1, 20)
+        kern = make_kernel(lattice, 1, 20)
         e1 = 10.0
         for f in range(20):
             kern.plan(f, e1)
@@ -157,6 +174,58 @@ class TestPlanParity:
         assert e1 in kern._area_rows
         assert len(scalar_at_e1) == kern._BATCH_AFTER - 1
         assert e1 not in kern._e_misses
+
+
+@st.composite
+def gaze_case(draw):
+    """A lattice and one gaze centre anywhere on (or just off) its panel."""
+    width, height = draw(st.sampled_from(RESOLUTIONS))
+    lattice = _Lattice(width, height)
+    cx = draw(st.floats(min_value=-50.0, max_value=width + 50.0))
+    cy = draw(st.floats(min_value=-50.0, max_value=height + 50.0))
+    return lattice, cx, cy
+
+
+def assert_bits_equal(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestSuffixSweeps:
+    """Sweeps integrate only the rows asked for, with the full sweep's bits."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(gaze_case(), st.data())
+    def test_any_radius_slice_matches_the_full_call(self, case, data):
+        lattice, cx, cy = case
+        n = len(lattice.radii)
+        start = data.draw(st.integers(0, n - 1))
+        stop = data.draw(st.integers(start + 1, n))
+        full = lattice.disc_areas(cx, cy, lattice.radii)
+        part = lattice.disc_areas(cx, cy, lattice.radii[start:stop])
+        assert_bits_equal(part, full[start:stop])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(RESOLUTIONS),
+        st.integers(0, 50),
+        st.lists(st.integers(0, 10_000), min_size=1, max_size=8),
+    )
+    def test_offsets_in_any_order_match_the_master_sweep(
+        self, resolution, seed, picks
+    ):
+        lattice = _Lattice(*resolution)
+        kern = make_kernel(lattice, seed, 3)
+        offsets = [pick % len(lattice.master) for pick in picks]
+        areas_full = lattice.disc_areas(kern.gx[1], kern.gy[1], lattice.radii)
+        outer_full = np.maximum(lattice.total - areas_full, 0.0) / lattice.s_out_sq
+        for k in offsets:
+            areas, outer = kern._sweep(1, k)
+            assert_bits_equal(areas, areas_full[k:])
+            assert_bits_equal(outer, outer_full[k:])
+        k0, held, _ = kern._sweeps[1]
+        assert k0 == min(offsets)
+        assert kern.sweep_rows() == len(held) == len(lattice.master) - k0
 
 
 def test_extra_kernels_retain_results_not_scratch():
@@ -167,7 +236,7 @@ def test_extra_kernels_retain_results_not_scratch():
     off_lattice = 7.3
 
     def build(seed):
-        kern = _FoveationKernel(lattice, seed, n_frames)
+        kern = make_kernel(lattice, seed, n_frames)
         for f in range(n_frames):
             kern.plan(f, 10.0)
         kern.plan(0, off_lattice)
@@ -199,7 +268,7 @@ def test_scratch_counter_counts_lattice_allocations(monkeypatch):
     monkeypatch.setattr(obs_metrics, "_active", registry)
     lattice = _Lattice(1280, 1600)
     for seed, n_frames in ((0, 10), (1, 10), (2, 25), (3, 5)):
-        kern = _FoveationKernel(lattice, seed, n_frames)
+        kern = make_kernel(lattice, seed, n_frames)
         for f in range(n_frames):
             kern.plan(f, 8.0)
     counters = registry.snapshot()["counters"]

@@ -1,7 +1,9 @@
 """Tests for frame records and simulation summary metrics."""
 
 import math
+import pickle
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -11,6 +13,7 @@ from repro.sim.metrics import (
     QuantileSketch,
     SimulationResult,
     StreamSummary,
+    records_from_arrays,
 )
 
 
@@ -46,6 +49,49 @@ class TestFrameRecord:
         assert math.isinf(r.latency_ratio)
         r = record(0, 0, 1, local_ms=0.0, remote_path_ms=0.0)
         assert r.latency_ratio == 1.0
+
+
+class TestRecordsFromArrays:
+    """Records filled in place pickle exactly as constructed ones do."""
+
+    def test_pickles_byte_identically_to_the_constructor(self):
+        index = np.arange(3)
+        # Columns out of field order, numpy and list inputs, and absent
+        # fields that must take their defaults.
+        columns = {
+            "dropped": np.array([True, False, True]),
+            "display_ms": [30.0, 41.5, 52.25],
+            "e1_deg": np.array([5.0, -0.0, 7.5]),
+            "tracking_ms": np.array([10.0, 21.0, 32.0]),
+            "cpu_busy_ms": [1.5] * 3,
+        }
+        built = records_from_arrays(index, **columns)
+        rows = [
+            FrameRecord(
+                index=i,
+                **{
+                    name: bool(column[i]) if name == "dropped" else float(column[i])
+                    for name, column in columns.items()
+                },
+            )
+            for i in range(3)
+        ]
+        assert pickle.dumps(built) == pickle.dumps(rows)
+
+    def test_kernel_records_pickle_like_constructed_ones(self):
+        from repro.sim.kernels import run_vectorized
+        from repro.workloads.apps import get_app
+
+        for system in ("local", "static", "qvr"):
+            result = run_vectorized(system, get_app("GRID"), n_frames=12, warmup_frames=2)
+            rebuilt = [FrameRecord(**vars(r)) for r in result.records]
+            assert pickle.dumps(result.records) == pickle.dumps(rebuilt)
+
+    def test_unknown_and_missing_columns_rejected(self):
+        with pytest.raises(ConfigurationError, match="warp_ms"):
+            records_from_arrays([0], tracking_ms=[0.0], display_ms=[1.0], warp_ms=[2.0])
+        with pytest.raises(ConfigurationError, match="display_ms"):
+            records_from_arrays([0], tracking_ms=[0.0])
 
 
 class TestSimulationResult:

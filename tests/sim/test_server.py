@@ -169,6 +169,19 @@ class TestCacheKeySeparation:
         )
         assert private.effective_platform().network == PlatformConfig().network
 
+    def test_private_link_spec_rejects_a_downlink_schedule(self):
+        """A private link ignores any downlink schedule, so accepting one
+        would cache one result under two spec keys."""
+        with pytest.raises(ConfigurationError, match="private-link"):
+            RunSpec(
+                system="qvr",
+                app="GRID",
+                shared_clients=4,
+                shared_downlink=False,
+                server_allocation=((0.0, 0.25),),
+                downlink_allocation=((0.0, 0.5),),
+            )
+
 
 class TestAdmission:
     """Admission verdicts of a one-server session's first epoch."""

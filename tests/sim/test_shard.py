@@ -6,17 +6,20 @@ test is that any shard count, worker count, execution mode, crash, or
 resume produces byte-identical results to a flat serial run.
 """
 
+import hashlib
 import os
 import pickle
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.sim.runner import BatchEngine, RunSpec, Sweep, run, spec_key
+from repro.network.conditions import WIFI
+from repro.sim.runner import BatchEngine, RunSpec, Sweep, run, spec_key, spec_keys
 from repro.sim import shard as shard_module
 from repro.sim.shard import (
     _DELAY_ENV,
@@ -26,6 +29,7 @@ from repro.sim.shard import (
     ShardedExecutor,
     plan_shards,
 )
+from repro.sim.systems import PlatformConfig
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -77,6 +81,34 @@ class TestPlanShards:
     def test_invalid_shard_count_rejected(self):
         with pytest.raises(ConfigurationError):
             plan_shards(_sweep_specs(), 0)
+
+
+class TestPlanDigest:
+    """The digest canonicalises shared sub-objects once, by identity."""
+
+    @staticmethod
+    def _per_spec_digest(specs, shards):
+        hasher = hashlib.sha256()
+        hasher.update(str(shards).encode())
+        for spec in specs:
+            hasher.update(spec_key(spec).encode())
+        return hasher.hexdigest()
+
+    def test_memoised_digest_equals_the_per_spec_keys(self):
+        positive = PlatformConfig(network=replace(WIFI, propagation_ms=0.0))
+        negative = PlatformConfig(network=replace(WIFI, propagation_ms=-0.0))
+        # Equal by dataclass equality, distinct by float.hex.
+        assert positive == negative
+        specs = list(_sweep_specs())
+        specs += [
+            RunSpec(system="qvr", app="GRID", platform=positive),
+            RunSpec(system="qvr", app="GRID", platform=negative),
+            RunSpec(system="qvr", app="GRID", platform=positive, seed=1),
+        ]
+        keys = spec_keys(specs)
+        assert keys == [spec_key(spec) for spec in specs]
+        assert keys[-3] != keys[-2]
+        assert _plan_digest(specs, 4) == self._per_spec_digest(specs, 4)
 
 
 class TestBitParityAcrossShards:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import _parse_client, build_parser, main
+from repro.cli import _parse_client, _parse_events, build_parser, main
 from repro.errors import ConfigurationError
 
 
@@ -223,6 +223,38 @@ class TestSessionEventsCommand:
                     ["scenarios", "--clients", "GRID", "Doom3-L",
                      "--events", events, "--frames", "40"]
                 )
+
+    def test_event_trace_csv_reads_against_the_events_file(
+        self, tmp_path, monkeypatch
+    ):
+        """A relative trace CSV in a join or switch entry is read beside
+        the events file, whatever the working directory."""
+        from repro.network.profile import TraceProfile
+
+        (tmp_path / "link.csv").write_text("0,80\n100,20\n")
+        events = self._events(
+            tmp_path,
+            [
+                {"t_ms": 100.0, "join": "GRID:link.csv"},
+                {"t_ms": 200.0, "switch": 0, "profile": "link.csv"},
+            ],
+        )
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        join, switch = _parse_events(events)
+        want = TraceProfile.from_csv(str(tmp_path / "link.csv"), label="link.csv")
+        assert join.spec.profile == want
+        assert switch.profile == want
+
+    def test_missing_event_trace_csv_names_the_path(self, tmp_path):
+        for entry in (
+            {"t_ms": 100.0, "join": "GRID:gone.csv"},
+            {"t_ms": 100.0, "switch": 0, "profile": "gone.csv"},
+        ):
+            events = self._events(tmp_path, [entry])
+            with pytest.raises(ConfigurationError, match="gone.csv"):
+                _parse_events(events)
 
     def test_unreadable_or_invalid_json_rejected(self, tmp_path):
         broken = tmp_path / "broken.json"
