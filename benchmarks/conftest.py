@@ -8,8 +8,11 @@ All simulation-backed benchmarks share one session-scoped
 :class:`~repro.sim.runner.BatchEngine` with an on-disk cache, so runs
 that recur across figures (Table 4 and Fig. 15 share their Q-VR grid;
 the ablation reuses Fig. 15's local baselines) execute exactly once per
-session.  ``QVR_BENCH_JOBS`` sets the engine's process-pool width
-(default 1, keeping single-figure timings comparable across machines);
+session.  ``paper_results`` memoises each registry experiment's result
+at its default frame count, so a figure benchmark and the anchor table
+(``test_paper_anchors.py``) read the same rows.  ``QVR_BENCH_JOBS``
+sets the engine's process-pool width (default 1, keeping single-figure
+timings comparable across machines);
 ``QVR_BENCH_CACHE`` pins the cache directory so the warm cache can
 persist across pytest sessions.
 
@@ -24,6 +27,7 @@ import os
 
 import pytest
 
+from repro.analysis.experiments import EXPERIMENTS
 from repro.sim.runner import BatchEngine
 
 try:
@@ -44,6 +48,19 @@ def batch_engine(tmp_path_factory):
         jobs=int(os.environ.get("QVR_BENCH_JOBS", "1")),
         cache_dir=cache_dir,
     )
+
+
+@pytest.fixture(scope="session")
+def paper_results(batch_engine):
+    """``result(name)``: a registry experiment at its default frames, run once."""
+    results = {}
+
+    def result(name):
+        if name not in results:
+            results[name] = EXPERIMENTS[name](engine=batch_engine)
+        return results[name]
+
+    return result
 
 
 @pytest.fixture

@@ -5,23 +5,14 @@ its local render cost from ~12 ms to ~26 ms, the variability that breaks
 the static design's worst-case provisioning.
 """
 
-from repro.analysis.experiments import fig5_interaction_latency
-from repro.analysis.report import format_table
+from repro.analysis.experiments import EXPERIMENTS, fig5_interaction_latency
 
 
-def test_fig5(paper_benchmark):
-    points = paper_benchmark(
-        fig5_interaction_latency, "Nature", tuple(i / 10 for i in range(0, 11))
-    )
+def test_fig5(paper_benchmark, paper_results):
+    points = paper_benchmark(paper_results, "fig5")
 
     print()
-    print(
-        format_table(
-            ["closeness", "interactive latency (ms)"],
-            [[c, lat] for c, lat in points],
-            title="Fig. 5 — Nature tree latency vs interaction closeness",
-        )
-    )
+    print(EXPERIMENTS["fig5"].table(points))
 
     latencies = [lat for _, lat in points]
     # Monotone LOD response covering the paper's 12 -> 26 ms span.

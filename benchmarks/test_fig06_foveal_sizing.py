@@ -8,21 +8,14 @@ SoC can render far more than the classic 5-degree fovea.
 """
 
 from repro import constants
-from repro.analysis.experiments import fig6_foveal_sizing
-from repro.analysis.report import format_table
+from repro.analysis.experiments import EXPERIMENTS
 
 
-def test_fig6(paper_benchmark):
-    rows = paper_benchmark(fig6_foveal_sizing)
+def test_fig6(paper_benchmark, paper_results):
+    rows = paper_benchmark(paper_results, "fig6")
 
     print()
-    print(
-        format_table(
-            ["scene", "e1 (deg)", "latency (ms)", "relative frame size"],
-            [[r.scene, r.e1_deg, r.local_latency_ms, r.relative_frame_size] for r in rows],
-            title="Fig. 6 — foveal rendering latency vs eccentricity",
-        )
-    )
+    print(EXPERIMENTS["fig6"].table(rows))
 
     # All scene complexities fit the budget at e1 <= 15 degrees.
     for row in rows:

@@ -1,43 +1,28 @@
 """Fig. 15: normalized system energy under hardware/network conditions.
 
 Regenerates the Q-VR-vs-local energy grid and asserts the paper's shapes:
-~73 % average energy reduction at the default configuration (band), higher
-network throughput generally improving energy efficiency, and the
+higher network throughput generally improving energy efficiency, and the
 existence of a small number of unfavourable cells (the paper's 1.24 / 1.09
-outliers on 4G LTE) without the average degrading.
+outliers on 4G LTE) without the average degrading.  The ~73 % average
+energy reduction at the default configuration is an anchor checked by
+``test_paper_anchors.py``.
 """
 
 import numpy as np
 
-from repro.analysis.calibration import ANCHORS
-from repro.analysis.experiments import fig15_energy
-from repro.analysis.report import format_table
-from repro.workloads.apps import APPS, TABLE3_ORDER
+from repro.analysis.experiments import EXPERIMENTS
 
 
-def test_fig15(paper_benchmark, batch_engine):
-    cells = paper_benchmark(fig15_energy, 200, engine=batch_engine)
+def test_fig15(paper_benchmark, paper_results):
+    cells = paper_benchmark(paper_results, "fig15")
+
+    print()
+    print(EXPERIMENTS["fig15"].table(cells))
 
     by_config: dict[tuple[float, str], dict[str, float]] = {}
     for cell in cells:
         row = by_config.setdefault((cell.frequency_mhz, cell.network), {})
         row[cell.app] = cell.normalized_energy
-
-    print()
-    print(
-        format_table(
-            ["Freq", "Network"] + [APPS[a].short_name for a in TABLE3_ORDER],
-            [
-                [f"{freq:.0f} MHz", network] + [row[a] for a in TABLE3_ORDER]
-                for (freq, network), row in by_config.items()
-            ],
-            title="Fig. 15 — Q-VR system energy normalised to local rendering",
-        )
-    )
-
-    default_cells = [c for c in cells if c.frequency_mhz == 500.0 and c.network == "Wi-Fi"]
-    mean_reduction = 1.0 - float(np.mean([c.normalized_energy for c in default_cells]))
-    assert ANCHORS["qvr_energy_reduction"].check(mean_reduction)
 
     # Higher downlink throughput improves (or maintains) energy efficiency.
     for freq in (500.0, 400.0, 300.0):

@@ -8,33 +8,15 @@ the 11 ms / 90 Hz budget (Challenge I).
 """
 
 from repro import constants
-from repro.analysis.experiments import table1_static_characterization
-from repro.analysis.report import format_table
+from repro.analysis.experiments import EXPERIMENTS
 from repro.workloads.tethered import TABLE1_ORDER
 
 
-def test_table1(paper_benchmark):
-    rows = paper_benchmark(table1_static_characterization)
+def test_table1(paper_benchmark, paper_results):
+    rows = paper_benchmark(paper_results, "table1")
 
     print()
-    print(
-        format_table(
-            [
-                "app", "resolution", "#tris", "interactive", "f range",
-                "avg Tlocal", "min", "max", "back KB", "Tremote",
-            ],
-            [
-                [
-                    r.app, r.resolution, f"{r.triangles/1e3:.0f}K",
-                    r.interactive_objects, f"{r.f_min:.0%}-{r.f_max:.0%}",
-                    r.avg_local_ms, r.min_local_ms, r.max_local_ms,
-                    r.back_size_kb, r.remote_ms,
-                ]
-                for r in rows
-            ],
-            title="Table 1 — static collaborative VR characterisation (90 Hz)",
-        )
-    )
+    print(EXPERIMENTS["table1"].table(rows))
 
     assert [r.app for r in rows] == list(TABLE1_ORDER)
     for row in rows:

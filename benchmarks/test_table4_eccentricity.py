@@ -12,31 +12,15 @@ the fovea.
 import numpy as np
 
 from repro import constants
-from repro.analysis.experiments import table4_eccentricity
-from repro.analysis.report import format_table
-from repro.workloads.apps import APPS, TABLE3_ORDER
+from repro.analysis.experiments import EXPERIMENTS
+from repro.workloads.apps import TABLE3_ORDER
 
 
-def test_table4(paper_benchmark, batch_engine):
-    cells = paper_benchmark(table4_eccentricity, 200, engine=batch_engine)
-
-    by_config: dict[tuple[float, str], dict[str, object]] = {}
-    for cell in cells:
-        row = by_config.setdefault((cell.frequency_mhz, cell.network), {})
-        marker = "" if cell.meets_fps else "*"
-        row[cell.app] = f"{cell.mean_e1_deg:.1f}{marker}"
+def test_table4(paper_benchmark, paper_results):
+    cells = paper_benchmark(paper_results, "table4")
 
     print()
-    print(
-        format_table(
-            ["Freq", "Network"] + [APPS[a].short_name for a in TABLE3_ORDER],
-            [
-                [f"{freq:.0f} MHz", network] + [row[a] for a in TABLE3_ORDER]
-                for (freq, network), row in by_config.items()
-            ],
-            title="Table 4 — steady-state e1 (degrees); * = misses 90 Hz",
-        )
-    )
+    print(EXPERIMENTS["table4"].table(cells))
 
     lookup = {
         (c.frequency_mhz, c.network, c.app): c.mean_e1_deg for c in cells

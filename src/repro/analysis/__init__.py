@@ -1,52 +1,20 @@
-"""Experiment harness: canned per-figure experiments, reporting, anchors."""
+"""Experiment harness: the paper-figure registry, reporting, anchors.
 
-from repro.analysis.calibration import ANCHORS, Anchor, within_band
-from repro.analysis.experiments import (
-    Fig3Row,
-    Fig6Row,
-    Fig12Row,
-    Fig13Row,
-    Fig14Series,
-    Fig15Cell,
-    GPU_FREQUENCIES_MHZ,
-    Table1Row,
-    Table4Cell,
-    fig3_motivation,
-    fig5_interaction_latency,
-    fig6_foveal_sizing,
-    fig12_performance,
-    fig13_transmission,
-    fig14_balancing,
-    fig15_energy,
-    overhead_analysis,
-    table1_static_characterization,
-    table4_eccentricity,
-)
+Each figure and table has one home, its entry in :data:`EXPERIMENTS`
+(:mod:`repro.analysis.experiments` holds the functions behind them).
+"""
+
+from repro.analysis.calibration import ANCHORS, Anchor, format_scorecard, within_band
+from repro.analysis.experiments import EXPERIMENTS, Experiment
 from repro.analysis.report import format_series, format_table
 
 __all__ = [
     "ANCHORS",
     "Anchor",
+    "format_scorecard",
     "within_band",
-    "Fig3Row",
-    "Fig6Row",
-    "Fig12Row",
-    "Fig13Row",
-    "Fig14Series",
-    "Fig15Cell",
-    "Table1Row",
-    "Table4Cell",
-    "GPU_FREQUENCIES_MHZ",
-    "fig3_motivation",
-    "fig5_interaction_latency",
-    "fig6_foveal_sizing",
-    "fig12_performance",
-    "fig13_transmission",
-    "fig14_balancing",
-    "fig15_energy",
-    "overhead_analysis",
-    "table1_static_characterization",
-    "table4_eccentricity",
+    "EXPERIMENTS",
+    "Experiment",
     "format_series",
     "format_table",
 ]

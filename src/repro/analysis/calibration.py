@@ -16,9 +16,12 @@ ratio convergence, bounds of the eccentricity range).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
-__all__ = ["Anchor", "ANCHORS", "within_band"]
+from repro.analysis.report import format_table
+
+__all__ = ["Anchor", "ANCHORS", "within_band", "format_scorecard"]
 
 
 @dataclass(frozen=True)
@@ -28,7 +31,7 @@ class Anchor:
     Attributes
     ----------
     name:
-        Identifier used by tests and EXPERIMENTS.md.
+        Identifier used by the tests and the ``repro batch`` scorecard.
     paper_value:
         The value as reported in the paper.
     low, high:
@@ -82,3 +85,28 @@ def within_band(name: str, measured: float) -> bool:
     if name not in ANCHORS:
         raise KeyError(f"unknown anchor {name!r}; known: {sorted(ANCHORS)}")
     return ANCHORS[name].check(measured)
+
+
+def format_scorecard(measured: Mapping[str, float]) -> str:
+    """The paper-fidelity table of the ``measured`` anchors, in ANCHORS order.
+
+    One row per anchor: its source, the paper's value, the band, the
+    measured value, the relative error against the paper and whether the
+    value lies in its band.  A closing ``anchors: K of N in band`` line
+    lets a script gate on the whole table.
+    """
+    rows = [
+        [name, a.source, f"{a.paper_value:g}", f"[{a.low:g}, {a.high:g}]",
+         f"{measured[name]:.4g}",
+         f"{(measured[name] - a.paper_value) / a.paper_value:+.1%}",
+         "yes" if a.check(measured[name]) else "NO"]
+        for name, a in ANCHORS.items()
+        if name in measured
+    ]
+    in_band = sum(row[-1] == "yes" for row in rows)
+    table = format_table(
+        ["anchor", "source", "paper", "band", "measured", "rel. error", "in band"],
+        rows,
+        title="Paper anchors — measured vs reported",
+    )
+    return f"{table}\nanchors: {in_band} of {len(rows)} in band"

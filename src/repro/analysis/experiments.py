@@ -1,23 +1,26 @@
 """Canned experiments: one function per paper table/figure.
 
 Every function is deterministic for a given seed and returns structured
-rows; the benchmark harness wraps these and prints them via
-:mod:`repro.analysis.report`.  Frame counts default to the paper's 300
-(Fig. 14) but are parameters so tests can run shorter.
+rows.  Frame counts default to the paper's 300 (Fig. 14) but are
+parameters so tests can run shorter.
 
 Simulation-backed experiments (Fig. 12/13/14, Table 4, Fig. 15) declare
 their parameter grids as :class:`~repro.sim.runner.Sweep` values and
 consume batch results from a :class:`~repro.sim.runner.BatchEngine`, so
 one engine (with its process pool and on-disk cache) can serve every
 figure; the remaining experiments are closed-form analytic models with
-no simulation runs.  :data:`SIM_EXPERIMENTS` registers the sweep-backed
-functions for the ``repro batch`` CLI and the benchmark harness.
+no simulation runs.  :data:`EXPERIMENTS` gives each figure and table one
+entry (run function, default frame count, table formatter, and the paper
+anchors it measures) for the ``repro batch`` CLI and the benchmark
+harness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, TYPE_CHECKING
+import inspect
+from dataclasses import dataclass, field, fields
+from functools import partial
+from typing import Any, Callable, TYPE_CHECKING
 
 if TYPE_CHECKING:  # runtime imports stay lazy at the call sites
     from repro.sim.session import Session
@@ -25,8 +28,10 @@ if TYPE_CHECKING:  # runtime imports stay lazy at the call sites
 import numpy as np
 
 from repro import constants
+from repro.analysis.report import format_table
 from repro.codec.h264 import H264Model
 from repro.core.foveation import DisplayGeometry, FoveationModel
+from repro.core.uca import UCAUnit
 from repro.energy.accounting import EnergyAccountant
 from repro.energy.mcpat import OverheadReport, estimate_liwc, estimate_uca
 from repro.gpu.config import GPUConfig
@@ -42,9 +47,9 @@ from repro.sim.runner import (
     speedup_over,
 )
 from repro.sim.systems import PlatformConfig
-from repro.workloads.apps import TABLE3_ORDER
+from repro.workloads.apps import APPS, TABLE3_ORDER
 from repro.workloads.scene_model import InteractionModel
-from repro.workloads.tethered import TABLE1_ORDER, TETHERED_APPS, TetheredApp
+from repro.workloads.tethered import TABLE1_ORDER, TETHERED_APPS
 
 __all__ = [
     "Fig3Row",
@@ -83,7 +88,8 @@ __all__ = [
     "failover_recovery",
     "overhead_analysis",
     "GPU_FREQUENCIES_MHZ",
-    "SIM_EXPERIMENTS",
+    "Experiment",
+    "EXPERIMENTS",
 ]
 
 #: GPU frequency sweep of the sensitivity study (Table 4 / Fig. 15).
@@ -249,12 +255,10 @@ def fig5_interaction_latency(
     The paper's three snapshots of the Nature tree land at 12, 15 and
     26 ms; closeness sweeps reproduce that span through the LOD model.
     """
-    app = TETHERED_APPS[app_name] if app_name in TETHERED_APPS else _require_tethered(app_name)
+    if app_name not in TETHERED_APPS:
+        raise KeyError(f"unknown tethered app {app_name!r}; known: {sorted(TETHERED_APPS)}")
+    app = TETHERED_APPS[app_name]
     return [(c, app.interactive_latency_ms(c)) for c in closeness_values]
-
-
-def _require_tethered(name: str) -> TetheredApp:
-    raise KeyError(f"unknown tethered app {name!r}; known: {sorted(TETHERED_APPS)}")
 
 
 # ---------------------------------------------------------------------------
@@ -1131,21 +1135,237 @@ def overhead_analysis() -> dict[str, OverheadReport]:
 
 
 # ---------------------------------------------------------------------------
-# Registry of simulation-backed experiments (the batch-engine consumers)
+# Registry: one entry per paper figure/table (the ``repro batch`` surface)
 # ---------------------------------------------------------------------------
 
-#: Figure/table functions that execute ``RunSpec`` sweeps.  Each entry is
-#: callable as ``func(n_frames=..., seed=..., engine=...)``; the remaining
-#: experiments (Fig. 3/5/6, Table 1, overheads) are analytic and run no
-#: simulations.
-SIM_EXPERIMENTS: dict[str, Callable[..., object]] = {
-    "fig12": fig12_performance,
-    "fig13": fig13_transmission,
-    "fig14": fig14_balancing,
-    "table4": table4_eccentricity,
-    "fig15": fig15_energy,
-    "netdrop": netdrop_adaptation,
-    "admission": admission_scheduling,
-    "churn": session_churn,
-    "failover": failover_recovery,
+
+@dataclass(frozen=True)
+class Experiment:
+    """One paper figure or table: how to run it, print it and score it.
+
+    ``run`` regenerates the result and ``table`` renders it; ``frames``
+    is the default frame count (``None``: a closed-form model);
+    ``anchors`` maps each :data:`~repro.analysis.calibration.ANCHORS`
+    name the result measures to the function computing it.
+    """
+
+    run: Callable[..., Any]
+    table: Callable[[Any], str]
+    frames: int | None = 240
+    anchors: dict[str, Callable[[Any], float]] = field(default_factory=dict)
+
+    def accepts(self, name: str) -> bool:
+        """True when :attr:`run` takes a keyword argument ``name``."""
+        return name in inspect.signature(self.run).parameters
+
+    def __call__(
+        self, n_frames: int | None = None, seed: int = 0,
+        engine: BatchEngine | None = None, **options: Any,
+    ) -> Any:
+        """Run at ``n_frames`` (default :attr:`frames`) through ``engine``.
+
+        ``seed`` and ``engine`` reach only the functions that take them;
+        ``options`` (a ``platform`` or ``profile``) pass through as given.
+        """
+        if self.frames is not None:
+            options["n_frames"] = self.frames if n_frames is None else n_frames
+        for name, value in (("seed", seed), ("engine", engine)):
+            if self.accepts(name):
+                options[name] = value
+        return self.run(**options)
+
+
+def _mean(values) -> float:
+    return float(np.mean(list(values)))
+
+
+def _fig3_table(result: tuple[list[Fig3Row], list[Fig3Row]]) -> str:
+    return format_table(
+        ["design", "app", "tracking", "send", "render", "transmit", "ATW(+VD)",
+         "display", "total(ms)", "FPS", "tx share"],
+        [
+            [design, r.app, r.tracking_ms, r.sending_ms, r.rendering_ms,
+             r.transmit_ms, r.atw_ms, r.display_ms, r.total_ms, r.fps,
+             r.transmit_share]
+            for design, rows in zip(("local", "remote"), result)
+            for r in rows
+        ],
+        title="Fig. 3 — local-only and remote-only latency breakdown",
+    )
+
+
+def _table1_table(rows: list[Table1Row]) -> str:
+    return format_table(
+        ["app", "f range", "avg", "min", "max", "back KB", "Tremote"],
+        [
+            [r.app, f"{r.f_min:.0%}-{r.f_max:.0%}", r.avg_local_ms,
+             r.min_local_ms, r.max_local_ms, r.back_size_kb, r.remote_ms]
+            for r in rows
+        ],
+        title="Table 1",
+    )
+
+
+def _fig12_table(rows: list[Fig12Row]) -> str:
+    return format_table(
+        ["app", "Static", "FFR", "DFR", "Q-VR", "SW-FPS", "Q-VR-FPS"],
+        [
+            [r.app, r.static_speedup, r.ffr_speedup, r.dfr_speedup,
+             r.qvr_speedup, r.sw_fps, r.qvr_fps]
+            for r in rows
+        ],
+        title="Fig. 12 — normalized performance",
+    )
+
+
+def _fig14_table(series: list[Fig14Series]) -> str:
+    """Early balance (frames 1-9) against the steady last third of the run."""
+    rows = []
+    for s in series:
+        steady = len(s.latency_ratios) * 2 // 3
+        rows.append(
+            [s.app, float(np.nanmean(s.latency_ratios[1:10])),
+             float(np.nanmean(s.latency_ratios[steady:])),
+             float(np.nanmean(s.fps[steady:])), s.e1_deg[-1]]
+        )
+    return format_table(
+        ["app", "early ratio", "steady ratio", "steady FPS", "final e1"],
+        rows,
+        title="Fig. 14 — balancing summary (e1 initialised at 5 deg)",
+    )
+
+
+def _grid_table(text: Callable[[Any], object], title: str) -> Callable[[list], str]:
+    """A (frequency, network) x app grid of Table 4 / Fig. 15 cells."""
+
+    def render(cells: list) -> str:
+        grid: dict[tuple[float, str], dict[str, object]] = {}
+        for c in cells:
+            grid.setdefault((c.frequency_mhz, c.network), {})[c.app] = text(c)
+        return format_table(
+            ["Freq", "Network"] + [APPS[a].short_name for a in TABLE3_ORDER],
+            [
+                [f"{f:.0f}", n] + [row[a] for a in TABLE3_ORDER]
+                for (f, n), row in grid.items()
+            ],
+            title=title,
+        )
+
+    return render
+
+
+def _overheads_table(reports: dict[str, OverheadReport]) -> str:
+    return format_table(
+        ["block", "area (mm^2)", "power (mW)"],
+        [[name, r.area_mm2, r.power_mw] for name, r in reports.items()],
+        title="Sec. 4.3 — overheads",
+    )
+
+
+def _row_table(title: str) -> Callable[[list], str]:
+    """A table of dataclass rows, one column per field."""
+
+    def render(rows: list) -> str:
+        headers = [f.name for f in fields(rows[0])] if rows else ["(no rows)"]
+        return format_table(
+            headers, [[getattr(r, h) for h in headers] for r in rows], title=title
+        )
+
+    return render
+
+
+#: Every paper figure and table, by ``repro batch`` name; the last four
+#: are the dynamic-environment studies.  Fig. 3/5/6, Table 1 and the
+#: overheads are closed-form models; the rest run their sweeps through
+#: the engine they are given.
+EXPERIMENTS: dict[str, Experiment] = {
+    "fig3": Experiment(
+        fig3_motivation, _fig3_table, frames=None,
+        anchors={
+            "remote_transmit_share": lambda result: _mean(
+                r.transmit_share for r in result[1]
+            ),
+        },
+    ),
+    "table1": Experiment(table1_static_characterization, _table1_table, frames=600),
+    "fig5": Experiment(
+        partial(fig5_interaction_latency, "Nature", tuple(i / 10 for i in range(11))),
+        lambda points: format_table(
+            ["closeness", "interactive latency (ms)"], points,
+            title="Fig. 5 — Nature tree latency vs interaction closeness",
+        ),
+        frames=None,
+    ),
+    "fig6": Experiment(
+        fig6_foveal_sizing,
+        _row_table("Fig. 6 — foveal rendering latency vs eccentricity"),
+        frames=None,
+    ),
+    "fig12": Experiment(
+        fig12_performance, _fig12_table,
+        anchors={
+            "qvr_avg_speedup": lambda rows: _mean(r.qvr_speedup for r in rows),
+            "qvr_max_speedup": lambda rows: float(np.max([r.qvr_speedup for r in rows])),
+            "ffr_avg_speedup": lambda rows: _mean(r.ffr_speedup for r in rows),
+            "ffr_max_speedup": lambda rows: float(np.max([r.ffr_speedup for r in rows])),
+            "static_avg_speedup": lambda rows: _mean(r.static_speedup for r in rows),
+            "dfr_over_ffr": lambda rows: (
+                _mean(r.dfr_speedup for r in rows) / _mean(r.ffr_speedup for r in rows)
+            ),
+            "qvr_fps_over_static": lambda rows: _mean(r.qvr_fps / r.static_fps for r in rows),
+            "qvr_fps_over_sw": lambda rows: _mean(r.qvr_fps / r.sw_fps for r in rows),
+        },
+    ),
+    "fig13": Experiment(
+        fig13_transmission,
+        _row_table("Fig. 13 — transmitted data normalised to remote-only"),
+        anchors={
+            "qvr_data_reduction": lambda rows: 1.0 - _mean(r.qvr_normalized for r in rows),
+            "doom3l_data_reduction": lambda rows: 1.0 - next(
+                r.qvr_normalized for r in rows if r.app == "Doom3-L"
+            ),
+            "qvr_resolution_reduction": lambda rows: _mean(
+                r.resolution_reduction for r in rows
+            ),
+        },
+    ),
+    "fig14": Experiment(fig14_balancing, _fig14_table),
+    "table4": Experiment(
+        table4_eccentricity,
+        _grid_table(
+            lambda c: f"{c.mean_e1_deg:.1f}{'' if c.meets_fps else '*'}",
+            "Table 4 — steady-state e1 (deg); * = misses 90 Hz",
+        ),
+        frames=200,
+    ),
+    "fig15": Experiment(
+        fig15_energy,
+        _grid_table(lambda c: c.normalized_energy, "Fig. 15 — normalized system energy"),
+        frames=200,
+        anchors={
+            # The paper's default platform: 500 MHz on Wi-Fi.
+            "qvr_energy_reduction": lambda cells: 1.0 - _mean(
+                c.normalized_energy for c in cells
+                if c.frequency_mhz == 500.0 and c.network == "Wi-Fi"
+            ),
+        },
+    ),
+    "overheads": Experiment(
+        overhead_analysis, _overheads_table, frames=None,
+        anchors={
+            "liwc_area_mm2": lambda reports: reports["LIWC"].area_mm2,
+            "liwc_power_mw": lambda reports: reports["LIWC"].power_mw,
+            "uca_area_mm2": lambda reports: reports["UCA"].area_mm2,
+            "uca_power_mw": lambda reports: reports["UCA"].power_mw,
+            "uca_tile_cycles": lambda _: float(UCAUnit().config.cycles_per_tile),
+        },
+    ),
+    "netdrop": Experiment(netdrop_adaptation, _row_table("Net drop — Q-VR per window")),
+    "admission": Experiment(
+        admission_scheduling, _row_table("Admission — per-client FPS by policy")
+    ),
+    "churn": Experiment(session_churn, _row_table("Churn — re-admission by policy")),
+    "failover": Experiment(
+        failover_recovery, _row_table("Failover — displaced-client FPS by mode")
+    ),
 }

@@ -3,63 +3,34 @@
 Usage (also via ``python -m repro``)::
 
     python -m repro compare --app GRID --systems local qvr
-    python -m repro table4 --frames 120
-    python -m repro fig12 --frames 200 --jobs 4 --cache-dir .qvr-cache
-    python -m repro batch --jobs 4 --cache-dir .qvr-cache
+    python -m repro batch --experiments fig12 table4 --jobs 4 --cache-dir .qvr-cache
+    python -m repro batch --experiments fig3 table1 overheads
     python -m repro batch --profile wifi-drop --experiments fig12 netdrop
     python -m repro scenarios --clients Doom3-H:wifi GRID:wifi-drop:300
-    python -m repro scenarios --clients GRID Doom3-L --policy deadline
     python -m repro scenarios --clients GRID Doom3-L --events events.json \
         --capacity 2 --overflow queue
-    python -m repro scenarios --clients GRID Doom3-L --fleet fleet.json \
-        --events fleet_events.json
-    python -m repro scenarios --clients GRID Doom3-L \
-        --motion-events data/lte_4g_drive.csv
-    python -m repro overheads
+    python -m repro population examples/population.json --max-sessions 120
 
-Each subcommand prints the same ASCII tables the benchmark suite produces.
-``batch`` runs several figure sweeps through one shared
-:class:`~repro.sim.runner.BatchEngine`, so overlapping runs (Table 4 and
-Fig. 15 share their Q-VR grid) execute once; ``--jobs`` spreads uncached
-specs over a process pool and ``--cache-dir`` memoizes results on disk
-across invocations (``--clear-cache`` evicts it first).  ``--profile``
-swaps the default static network for a named dynamic profile (or a trace
-CSV path); ``scenarios`` runs a heterogeneous multi-client session where
-every client names its own ``APP[:PROFILE[:FREQ_MHZ]]`` and ``--policy``
-selects the shared server's scheduling policy (fair-share, weighted,
-deadline — see :mod:`repro.sim.server`).  ``--events`` upgrades the
-scenario to an event-driven session (:mod:`repro.sim.session`): a JSON
-timeline of ``join`` / ``leave`` / ``switch`` entries the server re-plans
-at, with ``--capacity``/``--overflow`` configuring admission (overflow
-``queue`` makes late joiners wait for freed capacity and genuinely start
-late).  ``--fleet`` swaps the single server for a named multi-server
-:class:`~repro.sim.fleet.RenderFleet` (JSON: servers, placement,
-migration mode/penalty), whose event files may additionally carry
-``up`` / ``down`` / ``fail`` capacity entries; the output grows
-per-server epoch occupancy and placement-history fate tables.
-``--motion-events`` synthesizes degraded-link ``ProfileSwitch`` events
-for client 0 from the deterministic head-motion trace (high-velocity
-windows roam onto the named profile or trace CSV, e.g. the checked-in
-``data/`` corpus, then recover).
+``batch`` regenerates paper figures and tables (the
+:data:`~repro.analysis.experiments.EXPERIMENTS` registry) through one
+shared :class:`~repro.sim.runner.BatchEngine`: each one's table, then,
+on the paper's platform, a scorecard of the paper anchors they measure.
+``scenarios`` runs a heterogeneous multi-client session (optionally
+event-driven, on a fleet, or with motion-driven link switches) and
+``population`` streams a city of them.  docs/cli.md documents every
+command and flag; docs/reproduction.md gives one command per figure.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import sys
 
-from repro.analysis.experiments import (
-    SIM_EXPERIMENTS,
-    fig12_performance,
-    fig15_energy,
-    overhead_analysis,
-    table1_static_characterization,
-    table4_eccentricity,
-)
 from repro import constants
+from repro.analysis.calibration import format_scorecard
+from repro.analysis.experiments import EXPERIMENTS
 from repro.analysis.report import format_table
 from repro.errors import ConfigurationError
 from repro.motion.traces import generate_trace
@@ -95,7 +66,7 @@ from repro.sim.session import (
     simulate_session,
 )
 from repro.sim.systems import PlatformConfig, SYSTEM_NAMES
-from repro.workloads.apps import APPS, TABLE3_ORDER
+from repro.workloads.apps import APPS
 
 __all__ = ["main", "build_parser"]
 
@@ -163,27 +134,21 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--freq", type=float, default=500.0)
     compare.add_argument("--seed", type=int, default=0)
 
-    fig12 = sub.add_parser("fig12", help="reproduce Fig. 12")
-    fig12.add_argument("--frames", type=int, default=240)
-    _add_engine_options(fig12)
-
-    table4 = sub.add_parser("table4", help="reproduce Table 4")
-    table4.add_argument("--frames", type=int, default=200)
-    _add_engine_options(table4)
-
-    fig15 = sub.add_parser("fig15", help="reproduce Fig. 15")
-    fig15.add_argument("--frames", type=int, default=200)
-    _add_engine_options(fig15)
-
     batch = sub.add_parser(
-        "batch", help="run figure sweeps through one shared batch engine"
+        "batch",
+        help="regenerate paper figures and tables through one shared batch "
+        "engine and score the paper anchors they measure",
     )
     batch.add_argument(
-        "--experiments", nargs="+", default=sorted(SIM_EXPERIMENTS),
-        choices=sorted(SIM_EXPERIMENTS),
-        help="simulation-backed experiments to run (default: all)",
+        "--experiments", nargs="+", default=sorted(EXPERIMENTS),
+        choices=sorted(EXPERIMENTS),
+        help="figures and tables to run (default: all)",
     )
-    batch.add_argument("--frames", type=int, default=240)
+    batch.add_argument(
+        "--frames", type=int, default=None,
+        help="frames per run (default: each experiment's own: 200 for table4 "
+        "and fig15, 600 for table1, 240 for the other simulations)",
+    )
     batch.add_argument("--seed", type=int, default=0)
     batch.add_argument(
         "--profile", default=None,
@@ -314,9 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write Chrome trace-event JSON to OUT_JSON "
         "(load in Perfetto or chrome://tracing)",
     )
-
-    sub.add_parser("table1", help="reproduce Table 1")
-    sub.add_parser("overheads", help="reproduce the Sec. 4.3 overheads")
     return parser
 
 
@@ -355,60 +317,6 @@ def _cmd_compare(args: argparse.Namespace) -> None:
     )
 
 
-def _cmd_fig12(args: argparse.Namespace) -> None:
-    rows = fig12_performance(n_frames=args.frames, engine=_engine_from(args))
-    print(
-        format_table(
-            ["app", "Static", "FFR", "DFR", "Q-VR", "SW-FPS", "Q-VR-FPS"],
-            [
-                [r.app, r.static_speedup, r.ffr_speedup, r.dfr_speedup,
-                 r.qvr_speedup, r.sw_fps, r.qvr_fps]
-                for r in rows
-            ],
-            title="Fig. 12 — normalized performance",
-        )
-    )
-
-
-def _cmd_table4(args: argparse.Namespace) -> None:
-    cells = table4_eccentricity(n_frames=args.frames, engine=_engine_from(args))
-    grid: dict[tuple[float, str], dict[str, str]] = {}
-    for cell in cells:
-        marker = "" if cell.meets_fps else "*"
-        grid.setdefault((cell.frequency_mhz, cell.network), {})[cell.app] = (
-            f"{cell.mean_e1_deg:.1f}{marker}"
-        )
-    print(
-        format_table(
-            ["Freq", "Network"] + [APPS[a].short_name for a in TABLE3_ORDER],
-            [
-                [f"{f:.0f}", n] + [row[a] for a in TABLE3_ORDER]
-                for (f, n), row in grid.items()
-            ],
-            title="Table 4 — steady-state e1 (deg); * = misses 90 Hz",
-        )
-    )
-
-
-def _cmd_fig15(args: argparse.Namespace) -> None:
-    cells = fig15_energy(n_frames=args.frames, engine=_engine_from(args))
-    grid: dict[tuple[float, str], dict[str, float]] = {}
-    for cell in cells:
-        grid.setdefault((cell.frequency_mhz, cell.network), {})[cell.app] = (
-            cell.normalized_energy
-        )
-    print(
-        format_table(
-            ["Freq", "Network"] + [APPS[a].short_name for a in TABLE3_ORDER],
-            [
-                [f"{f:.0f}", n] + [row[a] for a in TABLE3_ORDER]
-                for (f, n), row in grid.items()
-            ],
-            title="Fig. 15 — normalized system energy",
-        )
-    )
-
-
 def _cmd_batch(args: argparse.Namespace) -> None:
     if args.clear_cache:
         if args.cache_dir is None:
@@ -418,32 +326,43 @@ def _cmd_batch(args: argparse.Namespace) -> None:
     profile = profile_by_name(args.profile) if args.profile is not None else None
     engine = _engine_from(args)
     rows = []
+    measured: dict[str, float] = {}
     # Wall-clock here times the *batch run* for the report table; results
     # come from the deterministic engine, never from these timers.
     total_start = obs_clock.perf_s()
     for name in args.experiments:
-        func = SIM_EXPERIMENTS[name]
-        kwargs = {"n_frames": args.frames, "seed": args.seed, "engine": engine}
+        experiment = EXPERIMENTS[name]
+        options = {}
         if profile is not None:
-            params = inspect.signature(func).parameters
-            if "profile" in params and isinstance(profile, PiecewiseProfile):
-                kwargs["profile"] = profile
-            elif "platform" in params:
-                kwargs["platform"] = PlatformConfig(network=profile)
+            if experiment.accepts("profile") and isinstance(profile, PiecewiseProfile):
+                options["profile"] = profile
+            elif experiment.accepts("platform"):
+                options["platform"] = PlatformConfig(network=profile)
             else:
                 rows.append([name, "skipped (no --profile support)", "-"])
                 continue
+        frames = experiment.frames  # None: a closed-form model ignores --frames
+        if frames is not None and args.frames is not None:
+            frames = args.frames
         start = obs_clock.perf_s()
-        result = func(**kwargs)
-        rows.append([name, len(result), f"{obs_clock.perf_s() - start:.2f}"])
+        result = experiment(frames, seed=args.seed, engine=engine, **options)
+        rows.append([name, "-" if frames is None else frames,
+                     f"{obs_clock.perf_s() - start:.2f}"])
+        print(experiment.table(result))
+        print()
+        if profile is None:
+            measured.update(
+                (anchor, measure(result))
+                for anchor, measure in experiment.anchors.items()
+            )
     total_s = obs_clock.perf_s() - total_start
     print(
         format_table(
-            ["experiment", "rows", "wall (s)"],
+            ["experiment", "frames", "wall (s)"],
             rows,
             title=(
                 f"repro batch — {len(args.experiments)} experiments, "
-                f"engine={args.engine}, jobs={args.jobs}, frames={args.frames}"
+                f"engine={args.engine}, jobs={args.jobs}"
                 + (f", profile={args.profile}" if args.profile else "")
             ),
         )
@@ -456,6 +375,9 @@ def _cmd_batch(args: argparse.Namespace) -> None:
     )
     if engine.last_shard_stats is not None:
         print(_shard_line(engine.last_shard_stats, args.shard_mode))
+    if measured:
+        print()
+        print(format_scorecard(measured))
 
 
 def _shard_line(stats, mode: str) -> str:
@@ -964,44 +886,13 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 0 if result.ok else 1
 
 
-def _cmd_table1(args: argparse.Namespace) -> None:
-    rows = table1_static_characterization()
-    print(
-        format_table(
-            ["app", "f range", "avg", "min", "max", "back KB", "Tremote"],
-            [
-                [r.app, f"{r.f_min:.0%}-{r.f_max:.0%}", r.avg_local_ms,
-                 r.min_local_ms, r.max_local_ms, r.back_size_kb, r.remote_ms]
-                for r in rows
-            ],
-            title="Table 1",
-        )
-    )
-
-
-def _cmd_overheads(args: argparse.Namespace) -> None:
-    reports = overhead_analysis()
-    print(
-        format_table(
-            ["block", "area (mm^2)", "power (mW)"],
-            [[name, r.area_mm2, r.power_mw] for name, r in reports.items()],
-            title="Sec. 4.3 — overheads",
-        )
-    )
-
-
 _COMMANDS = {
     "compare": _cmd_compare,
-    "fig12": _cmd_fig12,
-    "table4": _cmd_table4,
-    "fig15": _cmd_fig15,
     "batch": _cmd_batch,
     "scenarios": _cmd_scenarios,
     "population": _cmd_population,
     "obs": _cmd_obs,
     "lint": _cmd_lint,
-    "table1": _cmd_table1,
-    "overheads": _cmd_overheads,
 }
 
 

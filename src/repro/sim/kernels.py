@@ -1251,7 +1251,9 @@ def run_vectorized(
             with tracer.span("kernels.frame_pass", system=key):
                 cols = _run_foveated(env, workloads, controller_cls(), uses_uca, kern)
             if tracer.enabled:
-                obs_metrics.counter("kernels.fov.plan.calls").inc(n_frames)
+                # LIWC designs plan twice a frame: the probe, then the partition.
+                plans = n_frames * (2 if controller_cls is LIWCController else 1)
+                obs_metrics.counter("kernels.fov.plan.calls").inc(plans)
                 obs_metrics.counter("kernels.fov.plan.new").inc(
                     len(kern._plans) - plans_before
                 )

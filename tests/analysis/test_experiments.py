@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.analysis.calibration import ANCHORS, within_band
+from repro.analysis.calibration import ANCHORS, format_scorecard, within_band
 from repro.analysis.experiments import (
-    SIM_EXPERIMENTS,
+    EXPERIMENTS,
     default_churn_session,
     default_failover_session,
     default_netdrop_profile,
@@ -40,6 +40,17 @@ class TestCalibrationAnchors:
     def test_unknown_anchor(self):
         with pytest.raises(KeyError):
             within_band("warp_speed", 1.0)
+
+    def test_scorecard_rows_and_band_count(self):
+        card = format_scorecard({"uca_tile_cycles": 532.0, "qvr_avg_speedup": 1.7})
+        lines = card.splitlines()
+        # ANCHORS order, not argument order; unmeasured anchors are omitted.
+        assert [line.split()[0] for line in lines[3:5]] == [
+            "qvr_avg_speedup", "uca_tile_cycles",
+        ]
+        assert "-50.0%" in lines[3] and lines[3].rstrip().endswith("NO")
+        assert "+0.0%" in lines[4] and lines[4].rstrip().endswith("yes")
+        assert lines[-1] == "anchors: 1 of 2 in band"
 
 
 class TestFig3:
@@ -122,9 +133,16 @@ class TestOverheads:
 
 class TestBatchEngineRouting:
     def test_sim_experiments_registry_is_complete(self):
-        assert set(SIM_EXPERIMENTS) == {
-            "fig12", "fig13", "fig14", "table4", "fig15", "netdrop",
-            "admission", "churn", "failover",
+        assert set(EXPERIMENTS) == {
+            "fig3", "table1", "fig5", "fig6", "fig12", "fig13", "fig14",
+            "table4", "fig15", "overheads", "netdrop", "admission", "churn",
+            "failover",
+        }
+        assert {name: e.frames for name, e in EXPERIMENTS.items()} == {
+            "fig3": None, "table1": 600, "fig5": None, "fig6": None,
+            "fig12": 240, "fig13": 240, "fig14": 240, "table4": 200,
+            "fig15": 200, "overheads": None, "netdrop": 240, "admission": 240,
+            "churn": 240, "failover": 240,
         }
 
     def test_table4_and_fig15_share_their_qvr_grid(self):
@@ -139,6 +157,14 @@ class TestBatchEngineRouting:
         # Only the local baseline is new; the qvr cell comes from the memo.
         assert engine.stats.executed == executed_after_table4 + 1
         assert engine.stats.cache_hits == 1
+
+    def test_entry_call_overrides_frames_and_skips_unused_options(self):
+        engine = BatchEngine()
+        cells = EXPERIMENTS["table4"](40, seed=0, engine=engine, apps=("Doom3-L",))
+        assert len(cells) == 9 and engine.stats.executed == 9
+        # Closed-form entries take no frame count, seed or engine.
+        assert EXPERIMENTS["overheads"](40, seed=3, engine=engine) == overhead_analysis()
+        assert not EXPERIMENTS["overheads"].accepts("engine")
 
     def test_explicit_engine_matches_default_path(self):
         engine = BatchEngine()

@@ -477,6 +477,27 @@ class TestMemoReuse:
         assert rows == kern.sweep_rows() > 0
         assert rows <= len(kern._sweeps) * len(kern.master)
 
+    @pytest.mark.parametrize("system", ["ffr", "dfr", "sw-qvr", "qvr"])
+    def test_plan_calls_bound_new_plans(self, system, tmp_path, monkeypatch):
+        """Every new plan was asked for: ``plan.new <= plan.calls``.
+
+        The LIWC designs (dfr, qvr) plan twice a frame, a controller
+        probe and the frame's partition; ffr and sw-qvr plan once.
+        """
+        for name in ("_GEOMETRY_CACHE", "_WORKLOAD_CACHE", "_LATTICE_CACHE"):
+            monkeypatch.setattr(kernels, name, OrderedDict())
+        trace.configure(tmp_path / "t", process="parent")
+        try:
+            kernels.run_vectorized(system, APPS["GRID"], seed=3, n_frames=24,
+                                   warmup_frames=4)
+        finally:
+            trace.shutdown()
+        _, merged = obs_report.load_trace(tmp_path / "t")
+        counters = merged["counters"]
+        per_frame = 2 if system in ("dfr", "qvr") else 1
+        assert counters["kernels.fov.plan.calls"] == 24 * per_frame
+        assert 0 < counters["kernels.fov.plan.new"] <= counters["kernels.fov.plan.calls"]
+
     def test_seeds_at_one_resolution_share_one_lattice(self):
         app = APPS["GRID"]
         first = kernels._foveation_kernel(app, 1, kernels._workloads(app, 1, 12))

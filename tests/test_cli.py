@@ -28,12 +28,23 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize(
+        "command", ["fig12", "table4", "fig15", "table1", "overheads"]
+    )
+    def test_figures_run_only_through_batch(self, command):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command])
+        args = build_parser().parse_args(["batch", "--experiments", command])
+        assert args.experiments == [command]
+
 
 class TestExecution:
     def test_overheads_command(self, capsys):
-        assert main(["overheads"]) == 0
+        assert main(["batch", "--experiments", "overheads"]) == 0
         out = capsys.readouterr().out
         assert "LIWC" in out and "UCA" in out
+        assert "uca_tile_cycles" in out
+        assert out.rstrip().endswith("anchors: 5 of 5 in band")
 
     def test_compare_command(self, capsys):
         code = main(
@@ -45,8 +56,12 @@ class TestExecution:
         assert "qvr" in out and "latency" in out
 
     def test_table1_command(self, capsys):
-        assert main(["table1"]) == 0
-        assert "Foveated3D" in capsys.readouterr().out
+        assert main(["batch", "--experiments", "table1"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("Table 1\n")
+        assert "Foveated3D" in out
+        assert "table1      600" in out  # Table 1's own frame count
+        assert "Paper anchors" not in out  # Table 1 measures no anchor
 
 
 class TestBatchCommand:
@@ -54,8 +69,10 @@ class TestBatchCommand:
         args = build_parser().parse_args(["batch"])
         assert args.experiments == [
             "admission", "churn", "failover", "fig12", "fig13", "fig14",
-            "fig15", "netdrop", "table4",
+            "fig15", "fig3", "fig5", "fig6", "netdrop", "overheads",
+            "table1", "table4",
         ]
+        assert args.frames is None  # each experiment runs at its own default
         assert args.jobs == 1
         assert args.cache_dir is None
 
@@ -67,8 +84,16 @@ class TestBatchCommand:
         code = main(["batch", "--experiments", "fig13", "--frames", "40"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "fig13" in out
+        assert out.startswith("Fig. 13 — transmitted data")
+        assert "fig13       40" in out
         assert "cache hits" in out
+        # The scorecard lists exactly the anchors Fig. 13 measures.
+        card = out[out.index("Paper anchors"):]
+        for anchor in (
+            "qvr_data_reduction", "doom3l_data_reduction", "qvr_resolution_reduction",
+        ):
+            assert anchor in card
+        assert card.rstrip().splitlines()[-1].endswith(" of 3 in band")
 
     def test_batch_command_with_cache_dir(self, capsys, tmp_path):
         argv = [
@@ -125,6 +150,9 @@ class TestBatchCommand:
         assert "profile=wifi-drop" in out
         assert "skipped (no --profile support)" in out  # table4 keeps its grid
         assert "netdrop" in out
+        assert "Fig. 14 — balancing summary" in out
+        assert "Table 4" not in out
+        assert "Paper anchors" not in out  # off the paper's platform
 
     def test_unknown_profile_rejected(self):
         from repro.errors import NetworkError
