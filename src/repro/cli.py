@@ -54,7 +54,6 @@ from repro.sim.runner import (
     speedup_over,
 )
 from repro.sim.server import OVERFLOW_MODES, POLICY_NAMES, RenderServer
-from repro.sim.shard import SHARD_MODES
 from repro.sim.session import (
     ClientSpec,
     Join,
@@ -91,12 +90,6 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         help="spec shards for the executor that runs uncached specs "
         "(default: four per job, capped at the spec count; results are "
         "bit-identical at any shard/worker count)",
-    )
-    parser.add_argument(
-        "--shard-mode", default="process", choices=list(SHARD_MODES),
-        help="execution mode: in-process with one job and a process pool "
-        "with more (default), or subprocess workers simulating a "
-        "multi-machine fleet (claim files, heartbeats, requeue)",
     )
     parser.add_argument(
         "--stream", nargs="?", const="", default=None, metavar="DIR",
@@ -289,7 +282,6 @@ def _engine_from(args: argparse.Namespace) -> BatchEngine:
         cache_dir=args.cache_dir,
         engine=getattr(args, "engine", None),
         shards=getattr(args, "shards", None),
-        shard_mode=getattr(args, "shard_mode", "process"),
         stream_dir=stream_dir or None,
     )
 
@@ -374,19 +366,19 @@ def _cmd_batch(args: argparse.Namespace) -> None:
         f"{stats.deduplicated} deduplicated in-batch; total {total_s:.2f}s"
     )
     if engine.last_shard_stats is not None:
-        print(_shard_line(engine.last_shard_stats, args.shard_mode))
+        print(_shard_line(engine.last_shard_stats))
     if measured:
         print()
         print(format_scorecard(measured))
 
 
-def _shard_line(stats, mode: str) -> str:
+def _shard_line(stats) -> str:
     """The ``shards:`` report line of a batch that ran sharded."""
     return (
         f"shards: {stats.shards} planned ({stats.specs} specs), "
         f"{stats.skipped_shards} resumed complete, "
         f"{stats.salvaged} frames salvaged, {stats.requeues} requeues, "
-        f"{stats.workers} workers ({mode})"
+        f"{stats.workers} workers"
     )
 
 
@@ -856,7 +848,7 @@ def _cmd_population(args: argparse.Namespace) -> None:
         file=sys.stderr,
     )
     if engine.last_shard_stats is not None:
-        print(_shard_line(engine.last_shard_stats, args.shard_mode), file=sys.stderr)
+        print(_shard_line(engine.last_shard_stats), file=sys.stderr)
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:

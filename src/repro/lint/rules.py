@@ -22,7 +22,7 @@ dynamically (see ``docs/determinism.md`` for the war stories):
   loop-carried ``+=`` silently reintroduces order sensitivity.
 * MP001 — fork-unsafety around worker entry points: mutable default
   arguments, and module-global mutable state reachable from functions
-  that run inside pool/subprocess workers.
+  that run inside pool workers.
 
 All rules are syntactic: they see names and call shapes, not types.
 They deliberately over-approximate inside their configured scopes and

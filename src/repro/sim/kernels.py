@@ -610,9 +610,12 @@ class _FoveationKernel:
     def plan(self, f: int, e1_deg: float) -> PartitionPlan:
         """Replica of ``FoveationModel.plan(e1, None, gaze_x, gaze_y)``.
 
-        Plans are cached per (frame, e1): the controller's probe plan and
-        the frame's partition plan coincide whenever ``e1`` is unchanged,
-        and different systems revisit the same decisions.
+        Plans are cached per (frame, e1).  Within one run the memo never
+        hits (a frame's probe and partition ask different ``e1``); it
+        pays across runs on this kernel: FFR's fixed ``e1`` recurs on
+        every same-resolution app, and Q-VR asks exactly DFR's plans.  A
+        cold traced ``fig12-grid`` pass builds 8,995 plans for 20,160
+        lookups.
         """
         key = (f, e1_deg)
         plan = self._plans.get(key)

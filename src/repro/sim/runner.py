@@ -552,11 +552,9 @@ class BatchEngine:
         scheduling and spill behaviour, never computation — and
         :class:`ResultCache` keys are unchanged.
     shard_mode:
-        Execution mode (see :data:`repro.sim.shard.SHARD_MODES`):
-        ``"process"`` (default) runs shards in this process with one job
-        and on a process pool with more; ``"subprocess"`` simulates a
-        multi-machine fleet of claim-based workers with heartbeat and
-        requeue.
+        Execution mode; ``"process"``, the only one in
+        :data:`repro.sim.shard.SHARD_MODES`, runs shards in this process
+        with one job and on a process pool with more.
     stream_dir:
         Directory for the executor's spill-to-disk result stream.
         Reusing the directory resumes an interrupted sweep: completed
@@ -604,7 +602,6 @@ class BatchEngine:
         self.jobs = jobs
         self.engine = engine
         self.shards = shards
-        self.shard_mode = shard_mode
         self.stream_dir = stream_dir
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
         self.stats = BatchStats()
@@ -640,6 +637,8 @@ class BatchEngine:
         hits yielded as they arrive — and the misses execute once the
         input is drained.  Executed results land in the disk cache, and
         with ``memoize`` every result also lands in the engine memo.
+        ``stats.executed`` counts what the executor ran, not the frames a
+        resumed stream read back from disk.
         """
         seen: set[RunSpec] = set()
         misses: list[RunSpec] = []
@@ -664,7 +663,6 @@ class BatchEngine:
                 self._memo[spec] = result
             if self.cache is not None:
                 self.cache.put(spec, result)
-            self.stats.executed += 1
             yield spec, result
 
     def _execute(
@@ -688,13 +686,13 @@ class BatchEngine:
         executor = ShardedExecutor(
             shards=self.shards if self.shards is not None else 4 * self.jobs,
             workers=self.jobs,
-            mode=self.shard_mode,
             stream_dir=self.stream_dir,
             engine=self.engine,
         )
         try:
             yield from executor.execute(specs)
         finally:
+            self.stats.executed += executor.stats.executed
             if self.shards is not None or executor.stream is not None:
                 self.last_shard_stats = executor.stats
             executor.cleanup()

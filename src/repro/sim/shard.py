@@ -6,35 +6,27 @@ list is partitioned into contiguous **shards**, and every completed run
 can be **streamed to disk** as an append-only pickle frame in a
 per-shard result file — so a 10k-spec sweep executes in memory bounded
 by one shard, an interrupted sweep resumes from the spill files, and a
-killed worker's shard is requeued and re-executed without losing the
-frames it already wrote.
+killed worker's shard is re-executed without losing the frames it
+already wrote.
 
-Two execution modes share one on-disk protocol (:class:`ResultStream`):
-
-* ``process`` (the default) — with one worker, shards run one after
-  another in this process (the serial case and the reference order);
-  with more, every shard is submitted to a ``concurrent.futures``
-  process pool, which runs each wherever a process is free, and shards
-  are read back in completion order.  In-process execution spills only
-  when a stream directory is given: without one nothing could resume
-  from the spill, so frames are yielded straight from execution;
-* ``subprocess`` — the simulated multi-machine mode: independent
-  ``python -m repro.sim.shard`` worker processes claim shards from the
-  spool directory via atomic claim files, heartbeat while executing,
-  and steal unclaimed shards from the tail once their own partition is
-  drained.  The parent requeues any shard whose claimant died or whose
-  heartbeat went stale, so a ``SIGKILL``-ed worker's shard is stolen
-  and re-executed — deterministically, because every run derives all
-  randomness from its spec.
+With one worker, shards run one after another in this process (the
+serial case and the reference order); with more, every shard is
+submitted to a ``concurrent.futures`` process pool, which runs each
+wherever a process is free, and shards are read back in completion
+order.  A worker that dies breaks the pool: the shards it left
+unfinished then run in this process, each resuming after the frames
+already spilled to its ``.part`` file.  In-process execution spills
+only when a stream directory is given: without one nothing could
+resume from the spill, so frames are yielded straight from execution.
 
 Determinism contract: shard planning is a pure function of the spec
 list, frames within a shard are written in spec order, and each run is
 bit-reproducible from its spec — so the stream decodes to identical
-results at any shard count, worker count and mode, and across
-crash/requeue or interrupt/resume cycles.  A resumed shard file is
-byte-identical to an uninterrupted run's at the same worker count (a
-frame pickled in this process shares strings between its spec and
-result that a worker's frame does not, so the two differ in bytes).
+results at any shard count and worker count, and across crash or
+interrupt/resume cycles.  The spill bytes are identical too: each frame
+pickles a fresh copy of its spec, so no frame shares objects between
+spec and result, whichever process wrote it, and a resumed shard file
+is byte-identical to an uninterrupted run's.
 """
 
 from __future__ import annotations
@@ -44,16 +36,12 @@ import hashlib
 import json
 import os
 import pickle
-import subprocess
-import sys
 import tempfile
-import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.errors import ConfigurationError
-from repro.obs import clock as obs_clock
 from repro.obs import trace as obs_trace
 from repro.sim.metrics import SimulationResult
 from repro.sim.runner import RunSpec, run, spec_key, spec_keys
@@ -67,18 +55,9 @@ __all__ = [
     "plan_shards",
 ]
 
-#: Execution modes of the sharded executor (see the module docstring).
-SHARD_MODES = ("process", "subprocess")
-
-#: Heartbeat period (seconds) subprocess workers refresh their claim at.
-DEFAULT_HEARTBEAT_S = 1.0
-
-#: A claim whose heartbeat is older than this many periods is stale.
-_STALE_HEARTBEATS = 4
-
-#: Test hook: sleep this many milliseconds after each spec execution in a
-#: subprocess worker, widening the mid-shard window fault tests kill in.
-_DELAY_ENV = "REPRO_SHARD_SPEC_DELAY_MS"
+#: Execution modes :class:`~repro.sim.runner.BatchEngine` accepts; the
+#: process pool (in-process with one worker) is the only one.
+SHARD_MODES = ("process",)
 
 #: What a torn or garbage frame tail surfaces as: the pickle machinery
 #: raises different exception types depending on where the bytes were cut
@@ -150,11 +129,8 @@ class ResultStream:
     Layout of the stream directory::
 
         manifest.json       the shard plan: n_shards, spec count, digest
-        shard-0007.spec     pickled Shard (subprocess workers read these)
         shard-0007.part     in-progress frames (appended, flushed per spec)
         shard-0007.results  completed shard (atomic rename of the .part)
-        shard-0007.claim    subprocess-mode ownership + heartbeat (mtime)
-        shard-0007.owner    who completed the shard (provenance)
 
     Each frame is one ``pickle.dump((spec, result))``, written in spec
     order and flushed immediately, so readers observe a valid prefix at
@@ -177,18 +153,6 @@ class ResultStream:
     def part_path(self, index: int) -> Path:
         """In-progress partial file for shard ``index``."""
         return self.directory / f"shard-{index:04d}.part"
-
-    def spec_path(self, index: int) -> Path:
-        """Pickled spec list for shard ``index``."""
-        return self.directory / f"shard-{index:04d}.spec"
-
-    def claim_path(self, index: int) -> Path:
-        """Work-stealing claim marker for shard ``index``."""
-        return self.directory / f"shard-{index:04d}.claim"
-
-    def owner_path(self, index: int) -> Path:
-        """Claim-owner record for shard ``index``."""
-        return self.directory / f"shard-{index:04d}.owner"
 
     # -- manifest ------------------------------------------------------------
 
@@ -226,44 +190,14 @@ class ResultStream:
             return None
         return json.loads(path.read_text())
 
-    # -- shard spec spool (subprocess mode) -----------------------------------
-
-    def write_shard_specs(self, shards: Sequence[Shard]) -> None:
-        """Spool each shard's spec list for subprocess workers to claim."""
-        for shard in shards:
-            path = self.spec_path(shard.index)
-            if path.exists():
-                continue
-            tmp = path.with_suffix(".tmp")
-            with tmp.open("wb") as handle:
-                pickle.dump(shard, handle)
-            os.replace(tmp, path)
-
-    def load_shard(self, index: int) -> Shard:
-        """Load one spooled shard description."""
-        with self.spec_path(index).open("rb") as handle:
-            shard = pickle.load(handle)
-        if not isinstance(shard, Shard) or shard.index != index:
-            raise ConfigurationError(
-                f"corrupt shard spool entry {self.spec_path(index)}"
-            )
-        return shard
-
-    def _indices(self, suffix: str) -> list[int]:
-        return sorted(
-            int(path.stem.split("-")[1])
-            for path in self.directory.glob(f"shard-*{suffix}")
-        )
-
-    def spooled_indices(self) -> list[int]:
-        """Indices of every spooled shard, ascending."""
-        return self._indices(".spec")
-
     # -- completion state ------------------------------------------------------
 
     def completed_shards(self) -> list[int]:
         """Indices of shards whose result files are complete, ascending."""
-        return self._indices(".results")
+        return sorted(
+            int(path.stem.split("-")[1])
+            for path in self.directory.glob("shard-*.results")
+        )
 
     def is_complete(self, index: int) -> bool:
         """True when shard ``index`` has a completed results file."""
@@ -382,22 +316,23 @@ class _ShardWriter:
 
 
 def _shard_frames(
-    shard: Shard,
-    writer: _ShardWriter | None,
-    engine: str | None,
-    after_spec: Callable[[], None] | None = None,
+    shard: Shard, writer: _ShardWriter | None, engine: str | None
 ) -> Iterator[tuple[RunSpec, SimulationResult]]:
     """Execute one shard's remaining specs, yielding each frame as it lands.
 
-    The per-shard loop of every mode.  With a ``writer``, execution
-    starts after its salvaged prefix, each frame is spilled before it is
-    yielded, and the shard's results file is published once the last
-    spec lands; without one nothing touches disk.  An engine override
-    rewrites how each spec executes; the *requested* spec is what is
-    yielded and spilled, so stream contents are override-invariant.
-    With tracing on, each spec runs under a ``shard.execute`` span keyed
-    by shard ordinal + spec key.  ``after_spec`` runs once each frame
-    has been consumed (a subprocess worker's heartbeat).
+    The per-shard loop of every execution path.  With a ``writer``,
+    execution starts after its salvaged prefix, each frame is spilled
+    before it is yielded, and the shard's results file is published once
+    the last spec lands; without one nothing touches disk.  An engine
+    override rewrites how each spec executes; the *requested* spec is
+    what is yielded and spilled, so stream contents are
+    override-invariant.  The spilled spec is a pickle round-trip copy:
+    a spec this process built can share string objects with its result,
+    which a worker's unpickled spec never does, and pickle encodes
+    shared objects as back-references — the copy makes the frame bytes
+    the same whichever process writes them.  With tracing on, each spec
+    runs under a ``shard.execute`` span keyed by shard ordinal + spec
+    key.
     """
     tracer = obs_trace.active()
     start = 0 if writer is None else writer.start
@@ -408,10 +343,8 @@ def _shard_frames(
             with tracer.span("shard.execute", key=key, shard=shard.index):
                 result = run(job)
             if writer is not None:
-                writer.append(spec, result)
+                writer.append(pickle.loads(pickle.dumps(spec)), result)
             yield spec, result
-            if after_spec is not None:
-                after_spec()
     except BaseException:
         if writer is not None:
             writer.close(completed=False)
@@ -424,22 +357,22 @@ def _execute_shard(
     shard: Shard,
     stream_dir: str | os.PathLike,
     engine: str | None,
-    after_spec: Callable[[], None] | None = None,
     trace_dir: str | None = None,
 ) -> tuple[int, int, int]:
     """Run one shard to its spill file; returns (index, salvaged, executed).
 
     Every spilled shard runs through here, in this process or a worker.
     Skips work already on disk: a completed shard is a no-op, a partial
-    ``.part`` file resumes after its salvaged prefix.  With ``trace_dir`` set, a fork-safe
-    per-process tracer records the shard's spans and instants.
+    ``.part`` file resumes after its salvaged prefix.  With
+    ``trace_dir`` set, a fork-safe per-process tracer records the
+    shard's spans and instants.
     """
     obs_trace.ensure(trace_dir)
     stream = ResultStream(stream_dir)
     if stream.is_complete(shard.index):
         return shard.index, 0, 0
     writer = _ShardWriter(stream, shard)
-    for _ in _shard_frames(shard, writer, engine, after_spec):
+    for _ in _shard_frames(shard, writer, engine):
         pass
     return shard.index, writer.start, len(shard.specs) - writer.start
 
@@ -460,7 +393,6 @@ class ShardStats:
     skipped_shards: int = 0
     requeues: int = 0
     workers: int = 0
-    inline_fallback: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -476,10 +408,8 @@ class ShardedExecutor:
     shards:
         Target shard count (capped at the spec count).
     workers:
-        Concurrent workers.  One ``process``-mode worker (or a single
-        pending shard) runs the shards in this process.
-    mode:
-        One of :data:`SHARD_MODES`.
+        Concurrent workers.  One worker (or a single pending shard) runs
+        the shards in this process; more run them on a process pool.
     stream_dir:
         Directory for the :class:`ResultStream`.  Reusing a directory
         resumes the identical sweep: completed shards are skipped, a
@@ -489,35 +419,22 @@ class ShardedExecutor:
     engine:
         Optional execution-engine override (``"vector"`` / ``"scalar"``)
         applied at execution only; streamed frames keep requested specs.
-    heartbeat_s:
-        Subprocess-mode heartbeat period; a claim is considered stale —
-        and its shard requeued for stealing — after four missed beats.
     """
 
     def __init__(
         self,
         shards: int = 4,
         workers: int = 1,
-        mode: str = "process",
         stream_dir: str | os.PathLike | None = None,
         engine: str | None = None,
-        heartbeat_s: float = DEFAULT_HEARTBEAT_S,
     ) -> None:
-        if mode not in SHARD_MODES:
-            raise ConfigurationError(
-                f"unknown shard mode {mode!r}; known: {SHARD_MODES}"
-            )
         if shards < 1:
             raise ConfigurationError(f"shards must be >= 1, got {shards}")
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        if heartbeat_s <= 0:
-            raise ConfigurationError("heartbeat_s must be > 0")
         self.shards = shards
         self.workers = workers
-        self.mode = mode
         self.engine = engine
-        self.heartbeat_s = heartbeat_s
         self._stream_dir = stream_dir
         self._tempdir = None
         self.stats = ShardStats()
@@ -538,7 +455,7 @@ class ShardedExecutor:
 
     def _in_process(self, n_shards: int) -> bool:
         """Whether ``n_shards`` pending shards run in this process."""
-        return self.mode == "process" and (self.workers == 1 or n_shards == 1)
+        return self.workers == 1 or n_shards == 1
 
     # -- public API -----------------------------------------------------------
 
@@ -583,10 +500,8 @@ class ShardedExecutor:
                 self._tally(_execute_shard(shard, stream.directory, self.engine))
                 for shard in pending
             )
-        elif self.mode == "process":
-            runner = self._run_pool(pending)
         else:
-            runner = self._run_subprocess(pending)
+            runner = self._run_pool(pending)
         for index in runner:
             yield from stream.iter_shard(index)
 
@@ -604,259 +519,50 @@ class ShardedExecutor:
 
         All shards are submitted up front and the pool runs each wherever
         a process is free, so no worker idles while a shard is queued.
+        A worker that dies breaks the pool, which fails every shard it
+        had not finished with ``BrokenProcessPool``.  Once the pool's
+        processes are joined, a failed shard already complete on disk is
+        read back, and every other one is requeued: it runs here,
+        resuming after the frames its ``.part`` file already holds.  Any
+        other worker exception propagates.
         """
+        # Imported here so serial runs never load multiprocessing.
+        from concurrent.futures.process import BrokenProcessPool
+
         workers = min(self.workers, len(pending))
         self.stats.workers = workers
-        trace_dir = obs_trace.active().directory
+        tracer = obs_trace.active()
+        directory = str(self.stream.directory)
+        broken = []
         pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
         try:
-            futures = [
+            futures = {
                 pool.submit(
-                    _execute_shard,
-                    shard,
-                    str(self.stream.directory),
-                    self.engine,
-                    trace_dir=trace_dir,
-                )
+                    _execute_shard, shard, directory, self.engine,
+                    trace_dir=tracer.directory,
+                ): shard
                 for shard in pending
-            ]
+            }
             for future in concurrent.futures.as_completed(futures):
-                yield self._tally(future.result())
+                try:
+                    outcome = future.result()
+                except BrokenProcessPool:
+                    broken.append(futures[future])
+                    continue
+                yield self._tally(outcome)
         finally:
             # An abandoned sweep must not wait for its queued shards to run.
             pool.shutdown(cancel_futures=True)
-
-    # -- subprocess (simulated multi-machine) -----------------------------------
-
-    def _run_subprocess(self, pending: list[Shard]) -> Iterator[int]:
-        """Spool shards, launch claim-based workers, police heartbeats.
-
-        The parent's only runtime roles are liveness and completion: it
-        requeues shards whose claimant died or stopped heartbeating (the
-        surviving workers then steal them), and falls back to in-process
-        execution if every worker has exited with work still pending, so
-        the sweep always completes.
-        """
-        stream = self.stream
-        stream.write_shard_specs(pending)
-        salvaged = {shard.index: _valid_prefix(stream, shard)[0] for shard in pending}
-        self.stats.salvaged += sum(salvaged.values())
-        workers = min(self.workers, len(pending))
-        self.stats.workers = workers
-        env = dict(os.environ)
-        package_root = str(Path(__file__).resolve().parents[2])
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = (
-            package_root if not existing else package_root + os.pathsep + existing
-        )
-        command = [
-            sys.executable, "-m", "repro.sim.shard",
-            "--spool", str(stream.directory),
-            "--workers", str(workers),
-            "--heartbeat", str(self.heartbeat_s),
-        ]
-        if self.engine is not None:
-            command += ["--engine", self.engine]
-        if obs_trace.active().directory is not None:
-            command += ["--trace", obs_trace.active().directory]
-        procs = [
-            subprocess.Popen(command + ["--worker-id", str(worker)], env=env)
-            for worker in range(workers)
-        ]
-        stale_after = self.heartbeat_s * _STALE_HEARTBEATS
-        remaining = {shard.index: shard for shard in pending}
-        try:
-            while remaining:
-                for index in sorted(remaining):
-                    if stream.is_complete(index):
-                        shard = remaining.pop(index)
-                        self.stats.executed += len(shard.specs) - salvaged[index]
-                        yield index
-                if not remaining:
-                    break
-                self._requeue_stale(remaining, stale_after)
-                if all(proc.poll() is not None for proc in procs):
-                    # Every worker exited; run what is left ourselves.
-                    leftovers = [
-                        remaining[index]
-                        for index in sorted(remaining)
-                        if not stream.is_complete(index)
-                    ]
-                    for shard in leftovers:
-                        stream.claim_path(shard.index).unlink(missing_ok=True)
-                        obs_trace.active().instant(
-                            "shard.fallback", key=("fallback", shard.index),
-                            shard=shard.index,
-                        )
-                        _, _, executed = _execute_shard(
-                            shard, stream.directory, self.engine,
-                            trace_dir=obs_trace.active().directory,
-                        )
-                        self.stats.executed += executed
-                        self.stats.inline_fallback += 1
-                        _write_owner(stream, shard.index, "parent")
-                        del remaining[shard.index]
-                        yield shard.index
-                    break
-                time.sleep(min(0.05, self.heartbeat_s / 4))
-        finally:
-            for proc in procs:
-                if proc.poll() is None:
-                    proc.terminate()
-            for proc in procs:
-                try:
-                    proc.wait(timeout=5)
-                except subprocess.TimeoutExpired:
-                    proc.kill()
-                    proc.wait()
-
-    def _requeue_stale(self, remaining: dict[int, Shard], stale_after: float) -> None:
-        """Release claims whose owner died or whose heartbeat went stale."""
-        now = obs_clock.wall_s()
-        for index in list(remaining):
-            claim = self.stream.claim_path(index)
-            if self.stream.is_complete(index) or not claim.exists():
-                continue
-            try:
-                payload = json.loads(claim.read_text())
-                pid = int(payload.get("pid", -1))
-                beat = claim.stat().st_mtime
-            except (OSError, ValueError):
-                continue  # torn claim write; judge it next poll
-            dead = not _pid_alive(pid)
-            if dead or now - beat > stale_after:
-                claim.unlink(missing_ok=True)
+        for shard in sorted(broken, key=lambda shard: shard.index):
+            if self.stream.is_complete(shard.index):
+                # A worker published it; its salvage count died with the pool.
+                self.stats.executed += len(shard.specs)
+            else:
                 self.stats.requeues += 1
-                obs_trace.active().instant(
-                    "shard.requeue", key=("requeue", index, self.stats.requeues),
-                    shard=index, owner_pid=pid, dead=dead,
+                tracer.instant(
+                    "shard.requeue", key=("requeue", shard.index), shard=shard.index
                 )
-
-
-def _pid_alive(pid: int) -> bool:
-    if pid <= 0:
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True
-    return True
-
-
-def _write_owner(stream: ResultStream, index: int, owner: str) -> None:
-    try:
-        stream.owner_path(index).write_text(owner + "\n")
-    except OSError:
-        pass
-
-
-# ---------------------------------------------------------------------------
-# Subprocess worker entry point (``python -m repro.sim.shard``)
-# ---------------------------------------------------------------------------
-
-
-def _claim(stream: ResultStream, index: int, worker: int) -> bool:
-    """Atomically claim one shard; False when another worker holds it."""
-    try:
-        fd = os.open(stream.claim_path(index), os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        return False
-    with os.fdopen(fd, "w") as handle:
-        json.dump({"pid": os.getpid(), "worker": worker}, handle)
-    return True
-
-
-def _next_claimable(stream: ResultStream, worker: int, workers: int) -> tuple[int, bool] | None:
-    """The next shard this worker should take, and whether it is a steal.
-
-    Own-partition shards (``index % workers == worker``) come first in
-    ascending order; once the partition is drained, unclaimed shards are
-    stolen from the tail (descending index) — the work-stealing
-    discipline that keeps every machine busy through stragglers.
-    """
-    spooled = stream.spooled_indices()
-    candidates = [i for i in spooled if not stream.is_complete(i) and not stream.claim_path(i).exists()]
-    own = [i for i in candidates if i % workers == worker]
-    if own:
-        return own[0], False
-    if candidates:
-        return candidates[-1], True
-    return None
-
-
-def worker_main(argv: list[str] | None = None) -> int:
-    """Claim-execute-heartbeat loop of one subprocess shard worker."""
-    import argparse
-
-    parser = argparse.ArgumentParser(description=worker_main.__doc__)
-    parser.add_argument("--spool", required=True, help="stream/spool directory")
-    parser.add_argument("--worker-id", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--engine", default=None)
-    parser.add_argument("--heartbeat", type=float, default=DEFAULT_HEARTBEAT_S)
-    parser.add_argument("--trace", default=None, help="obs trace directory")
-    args = parser.parse_args(argv)
-
-    label = f"worker-{args.worker_id}"
-    tracer = obs_trace.ensure(args.trace, process=label)
-    stream = ResultStream(args.spool)
-    delay_ms = float(os.environ.get(_DELAY_ENV, "0") or "0")
-    last_beat = obs_clock.monotonic_s()
-
-    def heartbeat_for(index: int) -> Callable[[], None]:
-        """Build the per-spec liveness callback for shard ``index``."""
-        claim = stream.claim_path(index)
-
-        def beat() -> None:
-            """Touch the claim mtime to signal this worker is alive."""
-            nonlocal last_beat
-            now = obs_clock.monotonic_s()
-            if now - last_beat >= args.heartbeat / 2:
-                try:
-                    os.utime(claim)
-                except OSError:
-                    pass
-                last_beat = now
-                tracer.instant("shard.heartbeat", shard=index, worker=args.worker_id)
-            if delay_ms > 0.0:
-                time.sleep(delay_ms / 1000.0)
-
-        return beat
-
-    while True:
-        claimable = _next_claimable(stream, args.worker_id, args.workers)
-        if claimable is None:
-            obs_trace.shutdown()
-            return 0
-        index, stolen = claimable
-        if not _claim(stream, index, args.worker_id):
-            continue  # lost the race; look again
-        tracer.instant(
-            "shard.claim", key=("claim", index, args.worker_id),
-            shard=index, worker=args.worker_id, stolen=stolen,
-        )
-        if stolen:
-            tracer.instant(
-                "shard.steal", key=("steal", index),
-                shard=index, worker=args.worker_id,
-            )
-        try:
-            shard = stream.load_shard(index)
-            _execute_shard(
-                shard, stream.directory, args.engine,
-                after_spec=heartbeat_for(index), trace_dir=args.trace,
-            )
-            _write_owner(stream, index, label)
-        finally:
-            stream.claim_path(index).unlink(missing_ok=True)
-
-
-if __name__ == "__main__":  # pragma: no cover — exercised via subprocess tests
-    # `python -m repro.sim.shard` loads this file as ``__main__``; delegate to
-    # the canonically imported module so pickled Shard objects (restored as
-    # ``repro.sim.shard.Shard``) pass the isinstance checks in load_shard.
-    from repro.sim.shard import worker_main as _canonical_worker_main
-
-    raise SystemExit(_canonical_worker_main())
+                self._tally(_execute_shard(
+                    shard, directory, self.engine, trace_dir=tracer.directory
+                ))
+            yield shard.index

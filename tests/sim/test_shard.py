@@ -1,37 +1,33 @@
-"""Tests for the sharded work-stealing executor and its result stream.
+"""Tests for the sharded executor and its result stream.
 
 Bit-identity is asserted through ``pickle.dumps`` equality (dataclass
 ``==`` is false-negative on NaN fields); the determinism contract under
-test is that any shard count, worker count, execution mode, crash, or
-resume produces byte-identical results to a flat serial run.
+test is that any shard count, worker count, crash, or resume produces
+byte-identical results to a flat serial run.
 """
 
 import hashlib
+import multiprocessing
 import os
 import pickle
-import subprocess
-import sys
-import time
+import signal
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.network.conditions import WIFI
+from repro.obs import sinks as obs_sinks
+from repro.obs import trace as obs_trace
 from repro.sim.runner import BatchEngine, RunSpec, Sweep, run, spec_key, spec_keys
 from repro.sim import shard as shard_module
 from repro.sim.shard import (
-    _DELAY_ENV,
     _plan_digest,
     ResultStream,
-    Shard,
     ShardedExecutor,
     plan_shards,
 )
 from repro.sim.systems import PlatformConfig
-
-SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def _sweep_specs(seeds=(0, 1, 2)) -> list[RunSpec]:
@@ -125,29 +121,15 @@ class TestBitParityAcrossShards:
     def test_process_pool_parity_with_stealing(self):
         specs = _sweep_specs()
         reference = _reference(specs)
-        executor = ShardedExecutor(shards=7, workers=2, mode="process")
+        executor = ShardedExecutor(shards=7, workers=2)
         assert _collect(executor, specs) == reference
         assert executor.stats.workers == 2
         assert executor.stats.executed == len(specs)
 
-    def test_subprocess_parity(self, tmp_path):
-        specs = _sweep_specs(seeds=(0,))
-        reference = _reference(specs)
-        executor = ShardedExecutor(
-            shards=3, workers=2, mode="subprocess", stream_dir=tmp_path
-        )
-        assert _collect(executor, specs) == reference
-        assert executor.stats.inline_fallback == 0
-        owners = {
-            index: (tmp_path / f"shard-{index:04d}.owner").read_text().strip()
-            for index in range(3)
-        }
-        assert all(owner.startswith("worker-") for owner in owners.values())
-
     def test_single_spec_sweep(self):
         specs = _sweep_specs(seeds=(0,))[:1]
         reference = _reference(specs)
-        executor = ShardedExecutor(shards=8, workers=4, mode="process")
+        executor = ShardedExecutor(shards=8, workers=4)
         assert _collect(executor, specs) == reference
         assert executor.stats.shards == 1
 
@@ -158,10 +140,6 @@ class TestBitParityAcrossShards:
 
 
 class TestExecutorValidation:
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ShardedExecutor(mode="cluster")
-
     def test_nonpositive_shards_rejected(self):
         with pytest.raises(ConfigurationError):
             ShardedExecutor(shards=0)
@@ -169,10 +147,6 @@ class TestExecutorValidation:
     def test_nonpositive_workers_rejected(self):
         with pytest.raises(ConfigurationError):
             ShardedExecutor(workers=0)
-
-    def test_nonpositive_heartbeat_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ShardedExecutor(heartbeat_s=0.0)
 
 
 class TestResultStream:
@@ -245,108 +219,78 @@ class TestResume:
         assert second.stats.executed == len(specs) - 2
 
 
-class TestSubprocessFaults:
-    def _spool(self, tmp_path, specs, shards):
-        planned = plan_shards(specs, shards)
-        stream = ResultStream(tmp_path)
-        stream.write_manifest(planned, _plan_digest(specs, len(planned)))
-        stream.write_shard_specs(planned)
-        return stream, planned
-
-    def test_killed_worker_mid_shard_is_requeued_and_stolen(self, tmp_path):
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the faults are patched into run() before the pool forks",
+)
+class TestPoolFaults:
+    def test_killed_worker_mid_shard_finishes_from_salvaged_prefix(
+        self, tmp_path, monkeypatch
+    ):
         specs = _sweep_specs(seeds=(0, 1))
         reference = _reference(specs)
-        stream, planned = self._spool(tmp_path, specs, 2)
+        clean = ResultStream(tmp_path / "clean")
+        _collect(ShardedExecutor(shards=2, workers=2, stream_dir=clean.directory), specs)
+
+        # Past a shard's first spec the shard has spilled a frame; there
+        # the first worker to win the O_EXCL marker SIGKILLs itself.
+        firsts = {shard.specs[0] for shard in plan_shards(specs, 2)}
+        marker = tmp_path / "killed"
+        parent = os.getpid()
+        real_run = shard_module.run
+
+        def run_or_die(spec):
+            if os.getpid() != parent and spec not in firsts:
+                try:
+                    fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                except FileExistsError:
+                    pass
+                else:
+                    os.write(fd, str(os.getpid()).encode())
+                    os.close(fd)
+                    os.kill(os.getpid(), signal.SIGKILL)
+            return real_run(spec)
+
+        monkeypatch.setattr(shard_module, "run", run_or_die)
+        stream = ResultStream(tmp_path / "stream")
         trace_dir = tmp_path / "trace"
-
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-        env[_DELAY_ENV] = "300"
-        proc = subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro.sim.shard",
-                "--spool",
-                str(tmp_path),
-                "--worker-id",
-                "0",
-                "--workers",
-                "1",
-                "--trace",
-                str(trace_dir),
-            ],
-            env=env,
-        )
-        part = stream.part_path(0)
-        deadline = time.monotonic() + 60
+        obs_trace.configure(trace_dir, process="parent")
         try:
-            while time.monotonic() < deadline:
-                if part.exists() and part.stat().st_size > 0:
-                    break
-                time.sleep(0.01)
-            else:
-                pytest.fail("worker never flushed a frame to the spill file")
+            executor = ShardedExecutor(
+                shards=2, workers=2, stream_dir=stream.directory
+            )
+            assert _collect(executor, specs) == reference
         finally:
-            proc.kill()
-            proc.wait()
-
-        # The dead worker leaves its claim behind; the next run must
-        # release it, salvage the flushed prefix, and finish elsewhere.
-        assert stream.claim_path(0).exists()
-        executor = ShardedExecutor(
-            shards=2, workers=2, mode="subprocess", stream_dir=tmp_path
-        )
-        assert _collect(executor, specs) == reference
+            obs_trace.shutdown()
+        for index in range(2):
+            assert (
+                stream.results_path(index).read_bytes()
+                == clean.results_path(index).read_bytes()
+            )
         assert executor.stats.requeues >= 1
         assert executor.stats.salvaged >= 1
-        owner = stream.owner_path(0).read_text().strip()
-        assert owner in {"worker-0", "worker-1", "parent"}
 
         # The SIGKILLed worker's per-process trace stream still merges:
-        # the salvage read keeps the valid prefix (claim instant, any
-        # completed spans) and drops at most a torn final line.
-        from repro.obs import sinks as obs_sinks
-        from repro.obs import trace as obs_trace
-
+        # the salvage read keeps the valid prefix (its completed spans)
+        # and drops at most a torn final line.
         events, _ = obs_sinks.merge_trace_dir(trace_dir)
-        assert events, "dead worker left no mergeable trace events"
-        assert {e["proc"] for e in events} == {"worker-0"}
-        names = {e["name"] for e in events}
-        assert "shard.claim" in names and "shard.execute" in names
-        # Span pairing tolerates any begin the kill left unmatched.
+        dead = f"pid-{marker.read_text()}"
+        assert "shard.execute" in {e["name"] for e in events if e["proc"] == dead}
+        assert "shard.requeue" in {e["name"] for e in events if e["proc"] == "parent"}
+        # Span pairing tolerates the begin the kill left unmatched.
         for begin, end in obs_trace.spans(events):
             assert end["ts_s"] >= begin["ts_s"]
 
-    def test_parent_finishes_when_every_worker_exits(self, tmp_path):
-        specs = _sweep_specs(seeds=(0,))
-        reference = _reference(specs)
-        stream, planned = self._spool(tmp_path, specs, 2)
-        # Claims held by a live process (this test) with fresh heartbeats
-        # are unstealable: the workers find nothing claimable and exit,
-        # and the parent must then complete the sweep inline itself.
-        for shard in planned:
-            path = stream.claim_path(shard.index)
-            path.write_text('{"pid": %d, "worker": 99}' % os.getpid())
-        executor = ShardedExecutor(
-            shards=2, workers=2, mode="subprocess", stream_dir=tmp_path
-        )
-        assert _collect(executor, specs) == reference
-        assert executor.stats.inline_fallback == 2
-        for shard in planned:
-            assert stream.owner_path(shard.index).read_text().strip() == "parent"
+    def test_worker_error_fails_the_sweep(self, tmp_path, monkeypatch):
+        def fail(spec):
+            raise ValueError("injected worker fault")
 
-    def test_stale_claim_from_dead_pid_is_released(self, tmp_path):
-        specs = _sweep_specs(seeds=(0,))
-        reference = _reference(specs)
-        stream, planned = self._spool(tmp_path, specs, 3)
-        # PID 2**22 + 1 exceeds every default pid_max on Linux: certainly dead.
-        stream.claim_path(1).write_text('{"pid": 4194305, "worker": 7}')
-        executor = ShardedExecutor(
-            shards=3, workers=2, mode="subprocess", stream_dir=tmp_path
-        )
-        assert _collect(executor, specs) == reference
-        assert executor.stats.requeues >= 1
+        monkeypatch.setattr(shard_module, "run", fail)
+        executor = ShardedExecutor(shards=2, workers=2, stream_dir=tmp_path)
+        with pytest.raises(ValueError, match="injected worker fault"):
+            _collect(executor, _sweep_specs(seeds=(0,)))
+        assert executor.stats.requeues == 0
+        assert ResultStream(tmp_path).completed_shards() == []
 
 
 class TestBatchEngineIntegration:
@@ -357,7 +301,7 @@ class TestBatchEngineIntegration:
             spec_key(s): pickle.dumps(r) for s, r in flat.run_specs(specs).items()
         }
         for shards in (1, 4, 16):
-            engine = BatchEngine(jobs=2, shards=shards, shard_mode="process")
+            engine = BatchEngine(jobs=2, shards=shards)
             got = {
                 spec_key(s): pickle.dumps(r) for s, r in engine.run_specs(specs).items()
             }
@@ -398,6 +342,8 @@ class TestBatchEngineIntegration:
             BatchEngine(shards=0)
         with pytest.raises(ConfigurationError):
             BatchEngine(shards=2, shard_mode="cluster")
+        with pytest.raises(ConfigurationError):
+            BatchEngine(shards=2, shard_mode="subprocess")
 
     def test_stream_dir_without_shards_spills_and_resumes(self, tmp_path):
         specs = _sweep_specs(seeds=(0,))
@@ -416,6 +362,22 @@ class TestBatchEngineIntegration:
         assert got == reference
         assert second.last_shard_stats.skipped_shards == manifest["n_shards"]
         assert second.last_shard_stats.executed == 0
+
+    def test_resumed_stream_reports_nothing_executed(self, tmp_path):
+        specs = _sweep_specs(seeds=(0,))
+        first = BatchEngine(shards=2, stream_dir=tmp_path)
+        reference = {
+            spec_key(s): pickle.dumps(r) for s, r in first.stream_specs(specs)
+        }
+        assert first.stats.executed == len(specs)
+        second = BatchEngine(shards=2, stream_dir=tmp_path)
+        got = {
+            spec_key(s): pickle.dumps(r) for s, r in second.stream_specs(specs)
+        }
+        assert got == reference
+        # Frames read back from the stream were executed by the first run.
+        assert second.stats.executed == 0
+        assert second.last_shard_stats.skipped_shards == 2
 
     def test_serial_engine_stays_off_disk(self, tmp_path, monkeypatch):
         import tempfile

@@ -4,11 +4,10 @@ A crash can leave a shard's ``.part`` file cut at any byte, or followed
 by bytes no frame wrote.  Whatever the damage, resuming must salvage
 exactly the intact frame prefix, execute the rest, and publish a
 ``.results`` file byte-identical to an uninterrupted run's — in this
-process (one worker) and on the process pool (two workers).  The
-reference run uses the same worker count: a frame pickled in this
-process shares string objects between its spec and result that a
-frame pickled in a worker does not, so the two decode to equal values
-through different bytes.
+process (one worker) and on the process pool (two workers).  One
+reference run serves both worker counts: each frame pickles a fresh
+copy of its spec, so the spill bytes do not depend on which process
+wrote them.
 """
 
 import tempfile
@@ -33,20 +32,12 @@ def _specs():
 
 
 @pytest.fixture(scope="module")
-def reference() -> dict[int, list[bytes]]:
-    """Each shard's ``.results`` bytes from an uninterrupted run, by workers."""
-    runs = {}
-    for workers in (1, 2):
-        with tempfile.TemporaryDirectory() as directory:
-            executor = ShardedExecutor(
-                shards=SHARDS, workers=workers, stream_dir=directory
-            )
-            list(executor.execute(_specs()))
-            stream = ResultStream(directory)
-            runs[workers] = [
-                stream.results_path(i).read_bytes() for i in range(SHARDS)
-            ]
-    return runs
+def reference() -> list[bytes]:
+    """Each shard's ``.results`` bytes from an uninterrupted serial run."""
+    with tempfile.TemporaryDirectory() as directory:
+        list(ShardedExecutor(shards=SHARDS, stream_dir=directory).execute(_specs()))
+        stream = ResultStream(directory)
+        return [stream.results_path(i).read_bytes() for i in range(SHARDS)]
 
 
 _DAMAGE = st.tuples(
@@ -63,7 +54,6 @@ _DAMAGE = st.tuples(
 )
 def test_resume_from_any_kill_point_is_byte_identical(reference, damage, workers):
     specs = _specs()
-    reference = reference[workers]
     with tempfile.TemporaryDirectory() as directory:
         stream = ResultStream(directory)
         for index, (cut, garbage) in enumerate(damage):
