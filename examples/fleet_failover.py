@@ -28,7 +28,7 @@ Run:
 import sys
 
 from repro import constants
-from repro.analysis import format_table
+from repro.analysis import format_session
 from repro.analysis.experiments import default_failover_session
 from repro.sim.session import simulate_session
 
@@ -42,51 +42,14 @@ def main() -> None:
     for mode in ("least-loaded", "requeue"):
         session = default_failover_session(n_frames, mode=mode)
         result = simulate_session(session, n_frames=n_frames)
-        timeline = result.timeline
-
-        print(
-            format_table(
-                ["epoch", "window (ms)", "server", "load/cap", "clients"],
-                [
-                    [
-                        index,
-                        f"{epoch.start_ms:.0f}-{epoch.end_ms:.0f}",
-                        w.server,
-                        f"{w.load:g}/{w.capacity:g}",
-                        ",".join(str(i) for i in w.clients) or "-",
-                    ]
-                    for index, epoch in enumerate(timeline.epochs)
-                    for w in epoch.servers
-                ],
-                title=f"{mode}: server b fails at {fail_ms:.0f} ms",
+        print(format_session(result, f"{mode}: server b fails at {fail_ms:.0f} ms"))
+        for index in result.timeline.serviced_indices:
+            stats = result.client_window(index, *window)
+            p99 = f"{stats.p99_fps:.1f} FPS" if stats is not None else "-"
+            print(
+                f"window p99 {window[0]:.0f}-{window[1]:.0f} ms, "
+                f"client {index}: {p99}"
             )
-        )
-
-        rows = []
-        for client in timeline.clients:
-            run = result.result_for(client.index)
-            if run is None:
-                continue
-            stats = result.client_window(client.index, *window)
-            rows.append(
-                [
-                    client.index,
-                    client.spec.app,
-                    "->".join(
-                        name if name is not None else "~"
-                        for _, name in client.servers
-                    ),
-                    client.migrations,
-                    f"{run.measured_fps:.1f}",
-                    f"{stats.p99_fps:.1f}" if stats is not None else "-",
-                ]
-            )
-        print(
-            format_table(
-                ["client", "app", "servers", "migr", "FPS", "window p99"],
-                rows,
-            )
-        )
         print()
 
 

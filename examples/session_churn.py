@@ -17,62 +17,18 @@ Run:
 
 import sys
 
-from repro import constants
-from repro.analysis import format_table
+from repro.analysis import format_session
 from repro.analysis.experiments import default_churn_session
 from repro.sim.session import simulate_session
 
 
 def main() -> None:
     n_frames = int(sys.argv[1]) if len(sys.argv) > 1 else 150
-    duration_ms = n_frames * constants.FRAME_BUDGET_MS
 
     for policy in ("fair-share", "deadline"):
         session = default_churn_session(n_frames, policy=policy)
         result = simulate_session(session, n_frames=n_frames)
-        timeline = result.timeline
-
-        epoch_rows = []
-        for index, epoch in enumerate(timeline.epochs):
-            epoch_rows.append(
-                [
-                    index,
-                    f"{epoch.start_ms:.0f}-{epoch.end_ms:.0f}",
-                    ",".join(str(i) for i in epoch.serviced),
-                    ",".join(str(i) for i in epoch.queued) or "-",
-                ]
-            )
-        print(
-            format_table(
-                ["epoch", "window (ms)", "serviced", "queued"],
-                epoch_rows,
-                title=f"{policy}: {len(timeline.epochs)} epochs over "
-                f"{duration_ms:.0f} ms",
-            )
-        )
-
-        rows = []
-        for client in timeline.clients:
-            run = result.result_for(client.index)
-            if run is None:
-                rows.append([client.index, client.spec.app, "-", "-", "-", "-"])
-                continue
-            rows.append(
-                [
-                    client.index,
-                    client.spec.app,
-                    f"{client.start_ms:.0f}",
-                    f"{client.queued_ms:.0f}",
-                    len(run.records),
-                    f"{run.measured_fps:.1f}",
-                ]
-            )
-        print(
-            format_table(
-                ["client", "app", "start (ms)", "queued (ms)", "frames", "FPS"],
-                rows,
-            )
-        )
+        print(format_session(result, "qvr"))
         print()
 
 

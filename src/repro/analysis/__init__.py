@@ -6,7 +6,7 @@ Each figure and table has one home, its entry in :data:`EXPERIMENTS`
 
 from repro.analysis.calibration import ANCHORS, Anchor, format_scorecard, within_band
 from repro.analysis.experiments import EXPERIMENTS, Experiment
-from repro.analysis.report import format_series, format_table
+from repro.analysis.report import format_series, format_session, format_table
 
 __all__ = [
     "ANCHORS",
@@ -16,5 +16,6 @@ __all__ = [
     "EXPERIMENTS",
     "Experiment",
     "format_series",
+    "format_session",
     "format_table",
 ]

@@ -17,6 +17,7 @@ shared :class:`~repro.sim.runner.BatchEngine`: each one's table, then,
 on the paper's platform, a scorecard of the paper anchors they measure.
 ``scenarios`` runs a heterogeneous multi-client session (optionally
 event-driven, on a fleet, or with motion-driven link switches) and
+prints it through :func:`~repro.analysis.report.format_session`;
 ``population`` streams a city of them.  docs/cli.md documents every
 command and flag; docs/reproduction.md gives one command per figure.
 """
@@ -31,7 +32,7 @@ import sys
 from repro import constants
 from repro.analysis.calibration import format_scorecard
 from repro.analysis.experiments import EXPERIMENTS
-from repro.analysis.report import format_table
+from repro.analysis.report import format_session, format_table
 from repro.errors import ConfigurationError
 from repro.motion.traces import generate_trace
 from repro.network.conditions import by_name
@@ -175,9 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scenarios.add_argument(
         "--events", default=None, metavar="EVENTS_JSON",
-        help="JSON event timeline (join/leave/switch entries) upgrading "
-        "the scenario to an event-driven session that re-plans admission "
-        "and scheduling at every event",
+        help="JSON event timeline (join/leave/switch entries); the "
+        "session re-plans admission and scheduling at every event",
     )
     scenarios.add_argument(
         "--capacity", type=float, default=None,
@@ -558,13 +558,8 @@ def _motion_events(
     )
 
 
-def _cmd_session(args: argparse.Namespace, clients: tuple[ClientSpec, ...]) -> None:
-    """The event-driven branch of ``repro scenarios``.
-
-    Taken for ``--events``, ``--fleet``, and/or ``--motion-events``; a
-    fleet session prints per-server occupancy and placement history on
-    top of the usual epoch/fate tables.
-    """
+def _cmd_scenarios(args: argparse.Namespace) -> None:
+    clients = tuple(_parse_client(token) for token in args.clients)
     fleet = _parse_fleet(args.fleet) if args.fleet is not None else None
     if fleet is not None and (args.capacity is not None or args.overflow is not None):
         raise ConfigurationError(
@@ -591,183 +586,7 @@ def _cmd_session(args: argparse.Namespace, clients: tuple[ClientSpec, ...]) -> N
         system=args.system,
         engine=_engine_from(args),
     )
-    timeline = result.timeline
-    print(
-        format_table(
-            ["epoch", "window (ms)", "serviced", "queued"],
-            [
-                [
-                    index,
-                    f"{epoch.start_ms:.0f}-{epoch.end_ms:.0f}",
-                    ",".join(str(i) for i in epoch.serviced) or "-",
-                    ",".join(str(i) for i in epoch.queued) or "-",
-                ]
-                for index, epoch in enumerate(timeline.epochs)
-            ],
-            title=(
-                f"{args.system} — session of {len(timeline.clients)} clients, "
-                f"{len(timeline.epochs)} epochs, {args.policy} scheduling, "
-                f"{args.engine} engine"
-                + (f", {fleet.placement} placement" if fleet is not None else "")
-            ),
-        )
-    )
-    if fleet is not None:
-        print(
-            format_table(
-                ["epoch", "server", "load/cap", "clients", "migrated in"],
-                [
-                    [
-                        index,
-                        window.server,
-                        f"{window.load:g}/{window.capacity:g}",
-                        ",".join(str(i) for i in window.clients) or "-",
-                        ",".join(str(i) for i in window.migrated_in) or "-",
-                    ]
-                    for index, epoch in enumerate(timeline.epochs)
-                    for window in epoch.servers
-                ],
-                title="per-server occupancy (down servers have no row)",
-            )
-        )
-    rows = []
-    for client in timeline.clients:
-        run = result.result_for(client.index)
-        history = (
-            "->".join(
-                name if name is not None else "~" for _, name in client.servers
-            )
-            or "-"
-        )
-        if run is None:
-            ever_queued = any(
-                client.index in epoch.queued for epoch in timeline.epochs
-            )
-            if client.end_ms is not None:
-                fate = "left (queued)" if ever_queued else "left"
-            else:
-                fate = "queued" if ever_queued else "rejected"
-            row = [client.index, client.spec.app, f"{client.joined_ms:.0f}",
-                   "-", fate, "-", "-", "-"]
-            if fleet is not None:
-                row += [history, client.migrations]
-            rows.append(row)
-            continue
-        assert client.start_ms is not None
-        fate = "late-start" if client.start_ms > client.joined_ms else "admit"
-        if client.end_ms is not None:
-            fate += ", left"
-        row = [
-            client.index,
-            client.spec.app,
-            f"{client.joined_ms:.0f}",
-            f"{client.start_ms:.0f}",
-            fate,
-            len(run.records),
-            run.measured_fps,
-            run.mean_latency_ms,
-        ]
-        if fleet is not None:
-            row += [history, client.migrations]
-        rows.append(row)
-    headers = ["client", "app", "join (ms)", "start (ms)", "fate", "frames",
-               "FPS", "latency (ms)"]
-    if fleet is not None:
-        headers += ["servers", "migr"]
-    print(format_table(headers, rows))
-    if fleet is not None:
-        print(
-            format_table(
-                ["server", "up (ms)", "mean util", "peak load",
-                 "clients", "migr in"],
-                [
-                    [
-                        stats.server,
-                        f"{stats.up_ms:.0f}",
-                        stats.mean_utilisation,
-                        stats.peak_load,
-                        stats.distinct_clients,
-                        stats.migrations_in,
-                    ]
-                    for stats in timeline.server_stats
-                ],
-                title="fleet summary",
-            )
-        )
-    serviced = len(result.per_client)
-    print(
-        f"aggregate: {result.mean_fps:.1f} FPS mean across {serviced} serviced "
-        f"clients, {result.clients_meeting_fps}/{serviced} hold 90 Hz"
-    )
-
-
-def _cmd_scenarios(args: argparse.Namespace) -> None:
-    clients = tuple(_parse_client(token) for token in args.clients)
-    if (
-        args.events is not None
-        or args.fleet is not None
-        or args.motion_events is not None
-    ):
-        _cmd_session(args, clients)
-        return
-    session = Session(
-        clients=clients,
-        sharing_efficiency=args.sharing_efficiency,
-        policy=args.policy,
-        server=_server_from(args),
-    )
-    result = simulate_session(
-        session,
-        n_frames=args.frames,
-        seed=args.seed,
-        system=args.system,
-        engine=_engine_from(args),
-    )
-    decisions = result.timeline.epochs[0].decisions
-    rows = []
-    for decision, client in zip(decisions, clients):
-        platform = client.resolved_platform(session.platform)
-        network = platform.network
-        client_result = result.result_for(decision.client_index)
-        if client_result is None:
-            rows.append(
-                [client.app, getattr(network, "name", type(network).__name__),
-                 f"{platform.gpu.frequency_mhz:.0f}", decision.action,
-                 "-", "-", "-", "-"]
-            )
-            continue
-        rows.append(
-            [
-                client.app,
-                getattr(network, "name", type(network).__name__),
-                f"{platform.gpu.frequency_mhz:.0f}",
-                decision.action,
-                client_result.mean_e1_deg,
-                client_result.measured_fps,
-                client_result.mean_latency_ms,
-                "yes" if client_result.meets_target_fps else "no",
-            ]
-        )
-    print(
-        format_table(
-            [
-                "app", "profile", "MHz", "admission", "e1 (deg)", "FPS",
-                "latency (ms)", ">=90 FPS",
-            ],
-            rows,
-            title=(
-                f"{args.system} — {session.n_clients} heterogeneous clients, "
-                f"shared server + downlink, {args.policy} scheduling, "
-                f"{args.engine} engine"
-            ),
-        )
-    )
-    serviced = len(result.per_client)
-    print(
-        f"aggregate: {result.mean_fps:.1f} FPS mean, "
-        f"e1 {result.mean_e1_deg:.1f} deg mean, "
-        f"{result.clients_meeting_fps}/{serviced} serviced clients hold 90 Hz"
-    )
+    print(format_session(result, f"{args.system}, {args.engine} engine"))
 
 
 def _cmd_population(args: argparse.Namespace) -> None:

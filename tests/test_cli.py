@@ -1,5 +1,11 @@
 """Tests for the command-line interface."""
 
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import _parse_client, _parse_events, build_parser, main
@@ -189,7 +195,7 @@ class TestScenariosCommand:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "heterogeneous clients" in out
+        assert "session of 2 clients, 1 epoch" in out
         assert "Doom3-L" in out and "GRID" in out
         assert "aggregate:" in out
 
@@ -417,6 +423,102 @@ class TestFleetCommand:
              "--motion-events", "4g", "--frames", "200", "--fleet", fleet]
         ) == 0
         assert "fleet summary" in capsys.readouterr().out
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _client_rows(out: str) -> list[dict[str, str]]:
+    """The client table of a session report, one dict per row.
+
+    Columns are cut at the dash rule's spans, so cells holding spaces
+    (``4G LTE``, ``on-time, left``) stay whole.
+    """
+    lines = out.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("client  "))
+    spans = [m.start() for m in re.finditer(r"-+", lines[start + 1])]
+    bounds = list(zip(spans, spans[1:] + [None]))
+    headers = [lines[start][a:b].strip() for a, b in bounds]
+    rows = []
+    for line in lines[start + 2:]:
+        if not line[:1].isdigit():
+            break
+        rows.append(dict(zip(headers, (line[a:b].strip() for a, b in bounds))))
+    return rows
+
+
+class TestSessionReport:
+    """``repro scenarios`` prints every session through one report."""
+
+    DEGRADE = ["scenarios", "--clients", "GRID", "Doom3-L", "--capacity", "0.5",
+               "--overflow", "degrade", "--frames", "40"]
+
+    def _run(self, capsys, argv):
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    def test_degraded_clients_read_degrade_with_or_without_events(self, capsys):
+        plain = _client_rows(self._run(capsys, self.DEGRADE))
+        motion = _client_rows(
+            self._run(capsys, self.DEGRADE + ["--motion-events", "4g"])
+        )
+        assert len(motion) == 2
+        for row in motion:
+            assert row["admission"] == "degrade"
+            assert "admit" not in row["fate"]
+        cells = ("admission", "e1 (deg)", "FPS", "latency (ms)")
+        assert [[r[c] for c in cells] for r in plain] == [
+            [r[c] for c in cells] for r in motion
+        ]
+
+    def test_fates_name_the_unserviced(self, capsys):
+        rows = _client_rows(self._run(
+            capsys,
+            ["scenarios", "--clients", "GRID", "Doom3-L", "Doom3-L",
+             "--capacity", "2", "--overflow", "reject", "--frames", "40"],
+        ))
+        assert [(r["admission"], r["fate"]) for r in rows] == [
+            ("admit", "on-time"), ("admit", "on-time"), ("reject", "rejected")
+        ]
+        assert rows[2]["FPS"] == "-"
+
+    def test_report_does_not_depend_on_the_engine(self, capsys):
+        argv = ["scenarios", "--clients", "GRID", "Doom3-L",
+                "--events", str(REPO / "examples" / "session_events.json"),
+                "--capacity", "2", "--overflow", "queue", "--frames", "120"]
+        vector = self._run(capsys, argv + ["--engine", "vector"])
+        scalar = self._run(capsys, argv + ["--engine", "scalar"])
+        assert vector.splitlines()[0].startswith("qvr, vector engine")
+        assert scalar.splitlines()[0].startswith("qvr, scalar engine")
+        assert vector.splitlines()[1:] == scalar.splitlines()[1:]
+        fates = [r["fate"] for r in _client_rows(vector)]
+        assert fates == ["on-time", "on-time, left", "late-start"]
+
+
+class TestExitStatus:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scenarios", "--clients", "NotAnApp"],
+            ["scenarios", "--clients", "GRID", "Doom3-L", "--events",
+             str(REPO / "examples" / "session_events.json"), "--frames", "60"],
+        ],
+        ids=["unknown-app", "event-past-session"],
+    )
+    def test_configuration_error_exits_2_without_traceback(self, argv):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(REPO / "src"), env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            capture_output=True, text=True, env=env, cwd=REPO, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("repro: error: ")
+        assert "Traceback" not in proc.stderr
 
 
 class TestPopulationCommand:
