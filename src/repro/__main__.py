@@ -1,17 +1,18 @@
 """``python -m repro`` entry point.
 
-A :class:`~repro.errors.ConfigurationError` exits as argparse's errors
-do: one ``repro: error: ...`` line on stderr, exit status 2.
+Any library-raised :class:`~repro.errors.ReproError` exits as argparse's
+errors do: one ``repro: error: ...`` line on stderr, exit status 2.
+Programming errors still print their traceback.
 """
 
 import sys
 
 from repro.cli import main
-from repro.errors import ConfigurationError
+from repro.errors import ReproError
 
 if __name__ == "__main__":
     try:
         sys.exit(main())
-    except ConfigurationError as error:
+    except ReproError as error:
         print(f"repro: error: {error}", file=sys.stderr)
         sys.exit(2)

@@ -1,6 +1,6 @@
 """Network substrate: condition presets, time-varying profiles, channel."""
 
-from repro.network.channel import NetworkChannel, TransferRecord, snr_efficiency
+from repro.network.channel import NetworkChannel, snr_efficiency
 from repro.network.conditions import (
     ALL_CONDITIONS,
     EARLY_5G,
@@ -24,7 +24,6 @@ from repro.network.profile import (
 
 __all__ = [
     "NetworkChannel",
-    "TransferRecord",
     "snr_efficiency",
     "NetworkConditions",
     "WIFI",

@@ -21,15 +21,14 @@ This module reproduces that model:
   pose uploads and LIWC feedback serialise at that rate
   (:meth:`NetworkChannel.uplink_time_ms`); when unset, the request path
   costs only propagation, as in earlier releases;
-* the channel records per-transfer observations and exposes the **ACK
-  throughput estimate** that LIWC monitors ("monitor the network's ACK
-  packets for assessing the remote latencies").
+* each completed transfer updates the **ACK throughput estimate** that
+  LIWC monitors ("monitor the network's ACK packets for assessing the
+  remote latencies").
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +37,7 @@ from repro.errors import NetworkError
 from repro.network.conditions import NetworkConditions
 from repro.network.profile import NetworkProfile, as_profile
 
-__all__ = ["TransferRecord", "NetworkChannel", "snr_efficiency"]
+__all__ = ["NetworkChannel", "snr_efficiency"]
 
 #: Fixed per-transfer protocol overhead (headers, pacing), in ms.
 _TRANSFER_OVERHEAD_MS = 0.25
@@ -56,15 +55,6 @@ def snr_efficiency(snr_db: float) -> float:
     """
     snr_linear = 10.0 ** (snr_db / 10.0)
     return min(1.0, math.log2(1.0 + snr_linear) / _IDEAL_BITS_PER_HZ)
-
-
-@dataclass(frozen=True)
-class TransferRecord:
-    """Accounting record for one completed transfer."""
-
-    payload_bytes: float
-    duration_ms: float
-    throughput_bytes_per_ms: float
 
 
 class NetworkChannel:
@@ -99,7 +89,6 @@ class NetworkChannel:
         self._now_ms = 0.0
         self._conditions: NetworkConditions | None = None
         self._rng = np.random.default_rng(seed)
-        self._history: list[TransferRecord] = []
         self._ack_estimate_bytes_per_ms: float | None = None
 
     # -- the environment clock -------------------------------------------------
@@ -167,13 +156,7 @@ class NetworkChannel:
             return 0.0
         throughput = self._draw_effective_bytes_per_ms()
         duration = payload_bytes / throughput + _TRANSFER_OVERHEAD_MS
-        record = TransferRecord(
-            payload_bytes=payload_bytes,
-            duration_ms=duration,
-            throughput_bytes_per_ms=payload_bytes / duration,
-        )
-        self._history.append(record)
-        self._update_ack_estimate(record)
+        self._update_ack_estimate(payload_bytes / duration)
         return duration
 
     def expected_transfer_time_ms(self, payload_bytes: float) -> float:
@@ -233,8 +216,7 @@ class NetworkChannel:
 
     # -- ACK-based observation (what LIWC sees) --------------------------------
 
-    def _update_ack_estimate(self, record: TransferRecord, alpha: float = 0.3) -> None:
-        observed = record.throughput_bytes_per_ms
+    def _update_ack_estimate(self, observed: float, alpha: float = 0.3) -> None:
         if self._ack_estimate_bytes_per_ms is None:
             self._ack_estimate_bytes_per_ms = observed
         else:
@@ -252,8 +234,3 @@ class NetworkChannel:
         if self._ack_estimate_bytes_per_ms is None:
             return self.mean_effective_bytes_per_ms
         return self._ack_estimate_bytes_per_ms
-
-    @property
-    def history(self) -> tuple[TransferRecord, ...]:
-        """All completed transfers, oldest first."""
-        return tuple(self._history)

@@ -34,6 +34,16 @@ where most of the cross-spec batch speedup comes from.  The geometry
 memo is two-level: a seed-free per-resolution lattice, shared by every
 seed, under a per-``(resolution, seed, n_frames)`` gaze kernel.
 
+Per-frame state is kept only where a measurement shows it pays
+(``fig12-grid`` seed 0, 10 alternating cold-process pairs, 2 vCPUs):
+without the plan memo ``wall_s`` rises 1.94 -> 2.17 s (9 of 10 pairs);
+the scalar :meth:`_Lattice.disc_area_256` costs half a one-row
+:meth:`_Lattice.area256_rows` (10.8 vs 22.9 us, 5,712 calls); the
+batched area rows replace 7,013 of 12,725 scalar integrals, a wall-time
+effect inside the noise.  Render times are not memoized: keyed by
+(workload, plan) such a memo hit 25% of frames, each hit saving no more
+than hashing its key cost.
+
 Memory: the integration scratch buffers live on the lattice — one set
 per resolution per process, however many gaze kernels use it — so a
 gaze kernel retains only its results: per-frame sweeps and plans, the
@@ -44,9 +54,9 @@ frame's sweep covers only the master-lattice suffix from the smallest
 arrives, so rows below the smallest eccentricity the controllers
 reach are neither integrated nor held.  The gaze itself is read from
 the memoized workload stream's motion samples, not generated a second
-time.  Sharing
-one scratch set assumes kernels run one at a time in a process, which
-holds: execution is single-threaded and parallelism is by process.
+time.  Sharing one scratch set assumes kernels run one at a time in a
+process, which holds: execution is single-threaded and parallelism is
+by process.
 """
 
 from __future__ import annotations
@@ -113,16 +123,6 @@ _GEOMETRY_CACHE_MAX = 8
 _LATTICE_CACHE: OrderedDict = OrderedDict()
 _LATTICE_CACHE_MAX = 8
 
-#: Per-(GPU, server) memo of the pure foveated render times, keyed by the
-#: (full workload, partition plan) pair.  ``GPUPerfModel``/``RemoteRenderer``
-#: render timings carry no cross-frame state, so systems that reach the
-#: same partition decision on the same frame (e.g. DFR and QVR early in a
-#: run) share one evaluation.  The time-varying ``server_share`` divisor is
-#: applied outside the memo.
-_RENDER_CACHES: OrderedDict = OrderedDict()
-_RENDER_CACHES_MAX = 8
-_RENDER_CACHE_ENTRIES_MAX = 200_000
-
 
 def _memoized(cache: OrderedDict, limit: int, name: str, key, build):
     """LRU lookup of ``key`` in ``cache``, calling ``build()`` on a miss.
@@ -142,14 +142,6 @@ def _memoized(cache: OrderedDict, limit: int, name: str, key, build):
         obs_metrics.counter(f"{name}.hit").inc()
         cache.move_to_end(key)
     return value
-
-
-def _render_cache(config_key: tuple) -> dict:
-    """Memo dict for one (mobile GPU, remote server) hardware config."""
-    return _memoized(
-        # repro-lint: disable=MP001 -- per-process memo of pure functions of the key: a fork-inherited or rebuilt cache yields bit-identical values and never flows back to the parent
-        _RENDER_CACHES, _RENDER_CACHES_MAX, "kernels.render_cache", config_key, dict
-    )
 
 
 def _workloads(app: VRApp, seed: int, n_frames: int):
@@ -614,8 +606,8 @@ class _FoveationKernel:
         hits (a frame's probe and partition ask different ``e1``); it
         pays across runs on this kernel: FFR's fixed ``e1`` recurs on
         every same-resolution app, and Q-VR asks exactly DFR's plans.  A
-        cold traced ``fig12-grid`` pass builds 8,995 plans for 20,160
-        lookups.
+        cold ``fig12-grid`` pass builds 8,995 plans for 20,160 lookups,
+        and without the memo its ``wall_s`` rises 1.94 -> 2.17 s.
         """
         key = (f, e1_deg)
         plan = self._plans.get(key)
@@ -1027,7 +1019,6 @@ def _run_foveated(
     render_time = mobile.render_time_ms
     remote_pure_render = env.remote.render_time_ms
     server_share = env.server_share
-    render_memo = _render_cache((env.platform.gpu, env.platform.server))
     remote_encode = env.remote.encode_time_ms
     transfer_time = channel.transfer_time_ms
     uplink_time = channel.uplink_time_ms
@@ -1099,16 +1090,8 @@ def _run_foveated(
         ).payload_bytes
         transmitted = middle_bytes + outer_bytes
         full = wl.full
-        render_key = (full, plan)
-        pair = render_memo.get(render_key)
-        if pair is None:
-            pair = (
-                render_time(split_local_workload(full, plan)),
-                remote_pure_render(split_remote_workload(full, plan)),
-            )
-            if len(render_memo) < _RENDER_CACHE_ENTRIES_MAX:
-                render_memo[render_key] = pair
-        local_ms, rr_pure = pair
+        local_ms = render_time(split_local_workload(full, plan))
+        rr_pure = remote_pure_render(split_remote_workload(full, plan))
         rr_ms = rr_pure / server_share()
         enc_ms = remote_encode(plan.periphery_pixels)
         transmit_ms = transfer_time(transmitted)

@@ -93,17 +93,16 @@ class TestChannel:
         fiveg = NetworkChannel(EARLY_5G, seed=0)
         assert fiveg.expected_transfer_time_ms(1e6) < wifi.expected_transfer_time_ms(1e6)
 
-    def test_transfer_records_history(self):
+    def test_ack_estimate_is_ewma_of_observed_throughput(self):
         channel = NetworkChannel(WIFI, seed=0)
-        channel.transfer_time_ms(1e5)
-        channel.transfer_time_ms(2e5)
-        assert len(channel.history) == 2
-        assert channel.history[1].payload_bytes == 2e5
+        d1 = channel.transfer_time_ms(1e5)
+        d2 = channel.transfer_time_ms(2e5)
+        assert channel.ack_throughput_bytes_per_ms == 0.7 * (1e5 / d1) + 0.3 * (2e5 / d2)
 
     def test_zero_payload_free(self):
         channel = NetworkChannel(WIFI, seed=0)
         assert channel.transfer_time_ms(0.0) == 0.0
-        assert len(channel.history) == 0
+        assert channel.ack_throughput_bytes_per_ms == channel.mean_effective_bytes_per_ms
 
     def test_negative_payload_rejected(self):
         with pytest.raises(NetworkError):

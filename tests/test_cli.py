@@ -506,19 +506,45 @@ class TestExitStatus:
         ids=["unknown-app", "event-past-session"],
     )
     def test_configuration_error_exits_2_without_traceback(self, argv):
+        self._assert_exits_2_with_one_line(argv)
+
+    @pytest.mark.parametrize(
+        "profile, csv_text, message",
+        [
+            ("bad.csv", "5,80\n10,80\n", "trace must start at 0 ms"),
+            ("bad.csv", "time_ms,throughput_mbps\n",
+             "trace profile needs at least one sample"),
+            ("nosuchprofile", None, "unknown network profile"),
+        ],
+        ids=["trace-late-start", "trace-no-sample", "unknown-profile"],
+    )
+    def test_network_profile_error_exits_2_without_traceback(
+        self, tmp_path, profile, csv_text, message
+    ):
+        if csv_text is not None:
+            (tmp_path / profile).write_text(csv_text)
+        lines = self._assert_exits_2_with_one_line(
+            ["scenarios", "--clients", f"GRID:{profile}", "--frames", "20"],
+            cwd=tmp_path,
+        )
+        assert message in lines[0]
+
+    @staticmethod
+    def _assert_exits_2_with_one_line(argv, cwd=REPO):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [str(REPO / "src"), env.get("PYTHONPATH")])
         )
         proc = subprocess.run(
             [sys.executable, "-m", "repro", *argv],
-            capture_output=True, text=True, env=env, cwd=REPO, timeout=120,
+            capture_output=True, text=True, env=env, cwd=cwd, timeout=120,
         )
         assert proc.returncode == 2
         assert proc.stdout == ""
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("repro: error: ")
         assert "Traceback" not in proc.stderr
+        return lines
 
 
 class TestPopulationCommand:
