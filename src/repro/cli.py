@@ -673,6 +673,8 @@ def _cmd_population(args: argparse.Namespace) -> None:
 def _cmd_obs(args: argparse.Namespace) -> int:
     from repro.obs import report as obs_report
 
+    if not os.path.isdir(args.trace_dir):
+        raise ConfigurationError(f"{args.trace_dir!r} is not a trace directory")
     print(obs_report.render_report(args.trace_dir))
     if args.chrome_trace is not None:
         count = obs_report.export_chrome_trace(args.trace_dir, args.chrome_trace)

@@ -34,26 +34,30 @@ where most of the cross-spec batch speedup comes from.  The geometry
 memo is two-level: a seed-free per-resolution lattice, shared by every
 seed, under a per-``(resolution, seed, n_frames)`` gaze kernel.
 
-Per-frame state is kept only where a measurement shows it pays
-(``fig12-grid`` seed 0, 10 alternating cold-process pairs, 2 vCPUs):
-without the plan memo ``wall_s`` rises 1.94 -> 2.17 s (9 of 10 pairs);
-the scalar :meth:`_Lattice.disc_area_256` costs half a one-row
-:meth:`_Lattice.area256_rows` (10.8 vs 22.9 us, 5,712 calls); the
-batched area rows replace 7,013 of 12,725 scalar integrals, a wall-time
-effect inside the noise.  Render times are not memoized: keyed by
-(workload, plan) such a memo hit 25% of frames, each hit saving no more
-than hashing its key cost.
+Per-frame state is kept only where a later lookup reads it (cold
+``fig12-grid`` pass, seed 0).  The plan memo holds the 5,721 lattice
+and beyond-corner plans, which 16,886 lookups read 11,165 times;
+without it ``wall_s`` rose 1.94 -> 2.17 s (10 alternating cold-process
+pairs, 2 vCPUs, 9 won).  The area memo holds those plans' 7,863
+256-sample integrals, each computed by :meth:`_Lattice.disc_area_256`.
+SW-QVR's off-lattice ``e1`` — 3,274 plans, none asked twice — is
+searched directly and kept nowhere.  Render times are not memoized:
+keyed by (workload, plan) such a memo hit 25% of frames, each hit
+saving no more than hashing its key cost.
 
 Memory: the integration scratch buffers live on the lattice — one set
 per resolution per process, however many gaze kernels use it — so a
-gaze kernel retains only its results: per-frame sweeps and plans, the
-few scalar area integrals of rarely seen eccentricities, and one
-float64 row of every frame's area per recurring eccentricity.  A
+gaze kernel retains only its results: per-frame sweeps and the
+memoized plans and area integrals, about 380 KB for a 120-frame GRID
+kernel.  Holding the direct plans too, and batch-integrating every
+frame's area of each recurring eccentricity into a row (25,320 areas
+on that pass), bought no resolvable wall time and raised
+``fig12-grid`` peak RSS from 68.6 to 72.3 MB (10 of 10 pairs).  A
 frame's sweep covers only the master-lattice suffix from the smallest
 ``e1`` offset asked at that frame, extended downward when a smaller one
-arrives, so rows below the smallest eccentricity the controllers
-reach are neither integrated nor held.  The gaze itself is read from
-the memoized workload stream's motion samples, not generated a second
+arrives, so rows below the smallest eccentricity the controllers reach
+are neither integrated nor held.  The gaze itself is read from the
+memoized workload stream's motion samples, not generated a second
 time.  Sharing one scratch set assumes kernels run one at a time in a
 process, which holds: execution is single-threaded and parallelism is
 by process.
@@ -274,9 +278,6 @@ class _Lattice:
         self._b1d = np.empty(_SAMPLES_1D)
         self._d1d = np.empty(_SAMPLES_1D - 1)
         self._e1d = np.empty(_SAMPLES_1D - 1)
-        # Row block of :meth:`area256_rows`, grown to the largest
-        # ``min(n_frames, 1024)`` requested.
-        self._batch1d: tuple[np.ndarray, ...] | None = None
         obs_metrics.counter("kernels.lattice.scratch").inc()
 
     # -- integration kernels (replicas of foveation._disc_rect_area*) ------
@@ -372,67 +373,6 @@ class _Lattice:
         sums *= 0.5  # the trapezoid ``/ 2.0``, exact on the sum (see above)
         return sums
 
-    def area256_rows(self, gx: np.ndarray, gy: np.ndarray, r: float) -> np.ndarray:
-        """:meth:`disc_area_256` at radius ``r`` for every gaze centre at once.
-
-        Row ``f`` applies exactly the scalar op chain of
-        :meth:`disc_area_256` at centre ``(gx[f], gy[f])`` — element-wise
-        ufuncs over independent rows are bit-identical to the per-frame
-        scalar calls (multiplication commutes bitwise, and the trailing
-        ``add.reduce`` over the contiguous last axis uses the same pairwise
-        summation as the 1-D reduction).  Centres run through the row
-        block in chunks of at most 1,024.
-        """
-        n = len(gx)
-        if r == 0.0:
-            return np.zeros(n)
-        out = np.empty(n)
-        rows = min(n, 1024)
-        if self._batch1d is None or len(self._batch1d[0]) < rows:
-            self._batch1d = (
-                np.empty((rows, _SAMPLES_1D)),
-                np.empty((rows, _SAMPLES_1D)),
-                np.empty((rows, _SAMPLES_1D)),
-                np.empty((rows, _SAMPLES_1D - 1)),
-                np.empty((rows, _SAMPLES_1D - 1)),
-            )
-            obs_metrics.counter("kernels.lattice.scratch").inc()
-        r_sq = r * r
-        for start in range(0, n, rows):
-            cx = gx[start : start + rows]
-            cy = gy[start : start + rows]
-            m = len(cx)
-            y_lo = np.maximum(0.0, cy - r)
-            y_hi = np.minimum(self.height, cy + r)
-            step = (y_hi - y_lo) / (_SAMPLES_1D - 1)
-            ys = self._batch1d[0][:m]
-            np.multiply(self.idx1d, step[:, None], out=ys)
-            ys += y_lo[:, None]
-            ys[:, -1] = y_hi
-            a = self._batch1d[1][:m]
-            np.subtract(ys, cy[:, None], out=a)
-            a *= a
-            np.subtract(r_sq, a, out=a)
-            np.maximum(a, 0.0, out=a)
-            np.sqrt(a, out=a)  # half chord
-            b = self._batch1d[2][:m]
-            np.subtract(cx[:, None], a, out=b)
-            np.maximum(0.0, b, out=b)  # x_lo
-            np.add(cx[:, None], a, out=a)
-            np.minimum(self.width, a, out=a)  # x_hi
-            np.subtract(a, b, out=a)
-            np.maximum(a, 0.0, out=a)  # widths
-            d = self._batch1d[3][:m]
-            e = self._batch1d[4][:m]
-            np.subtract(ys[:, 1:], ys[:, :-1], out=d)
-            np.add(a[:, 1:], a[:, :-1], out=e)
-            e *= d
-            sums = np.add.reduce(e, axis=1)
-            sums *= 0.5
-            # repro-lint: disable=DET004 -- pure lane select between already-computed arrays (no arithmetic): bit-exact, unlike the clamp-shaped np.clip/np.where PR 6 removed
-            out[start : start + m] = np.where(y_hi > y_lo, sums, 0.0)
-        return out
-
     def optimize_direct(self, cx: float, cy: float, e1: float) -> float:
         """Off-lattice ``optimize_e2``: the full grid search from ``e1``.
 
@@ -481,10 +421,15 @@ class _FoveationKernel:
 
     Pairs a shared per-resolution :class:`_Lattice` — constants,
     integration kernels and the one scratch set — with one seed's
-    per-frame gaze positions and lazily-built per-frame area sweeps /
-    area integrals / plans, shared by every foveated system (and every
-    same-resolution app) in the process.  The kernel owns no scratch:
-    what it retains is its results alone.
+    per-frame gaze positions and lazily-built per-frame area sweeps,
+    area integrals and plans, shared by every foveated system (and every
+    same-resolution app) in the process.  The kernel owns no scratch,
+    and of its results it keeps only what a later lookup can read: the
+    sweeps, and the plans and area integrals of lattice and
+    beyond-corner eccentricities.  An off-lattice ``e1`` below the
+    corner is searched directly and kept nowhere: on a cold
+    ``fig12-grid`` pass SW-QVR asks 3,274 of them, none twice, while
+    the 5,721 memoized plans serve 11,165 of 16,886 lookups.
 
     ``motion`` is the seed's motion trace (any sequence of
     :class:`~repro.motion.traces.MotionSample`).  It depends only on the
@@ -516,20 +461,19 @@ class _FoveationKernel:
         self._sweeps: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
         self._areas: dict[tuple[int, float], float] = {}
         self._plans: dict[tuple[int, float], PartitionPlan] = {}
-        # Miss counts per eccentricity: once a value keeps recurring
-        # (fixed-e1 controllers, lattice e2 picks), its area is batch
-        # integrated for every frame at once into one row of
-        # ``_area_rows`` instead of one gaze at a time into ``_areas``.
-        self._e_misses: dict[float, int] = {}
-        self._area_rows: dict[float, np.ndarray] = {}
 
     def areas_filled(self) -> int:
-        """Area integrals held: every frame of each row plus scalar entries."""
-        return len(self.gx) * len(self._area_rows) + len(self._areas)
+        """Area integrals held."""
+        return len(self._areas)
 
     def sweep_rows(self) -> int:
         """Master-lattice rows integrated so far, over every frame."""
         return sum(len(areas) for _, areas, _ in self._sweeps.values())
+
+    def direct_plans(self, e1s) -> int:
+        """How many of the eccentricities ``e1s`` :meth:`plan` searches directly."""
+        corner, offsets = self.corner, self.lattice_offsets
+        return sum(1 for e1 in e1s if e1 < corner and e1 not in offsets)
 
     # -- per-frame cached quantities ----------------------------------------
 
@@ -556,43 +500,26 @@ class _FoveationKernel:
         self._sweeps[f] = (k, areas, outer)
         return areas, outer
 
-    #: Cache misses at one eccentricity before its area integral is batch
-    #: evaluated across every frame (breakeven is ~9 scalar calls; a value
-    #: seen this often — a fixed e1 or a recurring lattice e2 — keeps
-    #: recurring, while SW-QVR's one-off float states never trigger it).
-    _BATCH_AFTER = 4
+    def _area(self, f: int, e_deg: float) -> float:
+        """``region_area_px(e_deg, gaze)`` for frame ``f``."""
+        radius = e_deg * self.ppd
+        if radius == 0.0:
+            return 0.0
+        return self.lattice.disc_area_256(self.gx[f], self.gy[f], radius)
 
     def _area256(self, f: int, e_deg: float) -> float:
-        """Cached ``region_area_px(e_deg, gaze)`` for frame ``f``."""
-        row = self._area_rows.get(e_deg)
-        if row is not None:
-            return row.item(f)
+        """Memoized :meth:`_area`."""
         key = (f, e_deg)
         area = self._areas.get(key)
         if area is None:
-            misses = self._e_misses.get(e_deg, 0) + 1
-            if misses >= self._BATCH_AFTER:
-                del self._e_misses[e_deg]
-                row = self.lattice.area256_rows(
-                    np.asarray(self.gx), np.asarray(self.gy), e_deg * self.ppd
-                )
-                self._area_rows[e_deg] = row
-                return row.item(f)
-            self._e_misses[e_deg] = misses
-            radius = e_deg * self.ppd
-            area = 0.0 if radius == 0.0 else self.lattice.disc_area_256(
-                self.gx[f], self.gy[f], radius
-            )
-            self._areas[key] = area
+            area = self._areas[key] = self._area(f, e_deg)
         return area
 
     def _optimize_e2(self, f: int, e1: float) -> float:
-        """Replica of ``FoveationModel.optimize_e2`` at frame ``f``'s gaze."""
+        """Replica of ``FoveationModel.optimize_e2`` for a lattice or corner ``e1``."""
         if e1 >= self.corner:
             return e1
-        k = self.lattice_offsets.get(e1)
-        if k is None:
-            return self.lattice.optimize_direct(self.gx[f], self.gy[f], e1)
+        k = self.lattice_offsets[e1]
         areas, outer = self._sweep(f, k)
         s_mid = min(self.mar.sampling_factor(e1, self.omega_star), self.cap)
         middle = np.maximum(areas - areas[0], 0.0) / (s_mid * s_mid)
@@ -602,27 +529,39 @@ class _FoveationKernel:
     def plan(self, f: int, e1_deg: float) -> PartitionPlan:
         """Replica of ``FoveationModel.plan(e1, None, gaze_x, gaze_y)``.
 
-        Plans are cached per (frame, e1).  Within one run the memo never
-        hits (a frame's probe and partition ask different ``e1``); it
-        pays across runs on this kernel: FFR's fixed ``e1`` recurs on
-        every same-resolution app, and Q-VR asks exactly DFR's plans.  A
-        cold ``fig12-grid`` pass builds 8,995 plans for 20,160 lookups,
-        and without the memo its ``wall_s`` rises 1.94 -> 2.17 s.
+        Lattice and beyond-corner plans are cached per (frame, e1).
+        Within one run the memo never hits (a frame's probe and partition
+        ask different ``e1``); it pays across runs on this kernel: FFR's
+        fixed ``e1`` recurs on every same-resolution app, and Q-VR asks
+        exactly DFR's plans.  An off-lattice ``e1`` below the corner —
+        SW-QVR's proportional step emits a fresh float every frame — is
+        searched directly and kept nowhere, its plan and both its area
+        integrals alike: no later lookup asks for it again.
         """
+        e1 = min(e1_deg, self.corner)
+        if e1 < self.corner and e1 not in self.lattice_offsets:
+            e2 = self.lattice.optimize_direct(self.gx[f], self.gy[f], e1)
+            e2 = min(e2, self.corner)
+            return self._partition(e1, e2, self._area(f, e1), self._area(f, e2))
         key = (f, e1_deg)
         plan = self._plans.get(key)
-        if plan is not None:
-            return plan
-        e1 = min(e1_deg, self.corner)
-        e2 = self._optimize_e2(f, e1)
-        e2 = min(e2, self.corner)
-        area_e1 = self._area256(f, e1)
-        area_e2 = self._area256(f, e2)
+        if plan is None:
+            e2 = min(self._optimize_e2(f, e1), self.corner)
+            plan = self._partition(
+                e1, e2, self._area256(f, e1), self._area256(f, e2)
+            )
+            self._plans[key] = plan
+        return plan
+
+    def _partition(
+        self, e1: float, e2: float, area_e1: float, area_e2: float
+    ) -> PartitionPlan:
+        """The plan of the layer boundaries ``e1 <= e2`` and their disc areas."""
         middle_area = max(area_e2 - area_e1, 0.0)
         outer_area = max(self.total - area_e2, 0.0)
         s_mid = min(self.mar.sampling_factor(e1, self.omega_star), self.cap)
         s_out = min(self.mar.sampling_factor(e2, self.omega_star), self.cap)
-        plan = PartitionPlan(
+        return PartitionPlan(
             e1_deg=e1,
             e2_deg=e2,
             middle_scale=s_mid,
@@ -632,8 +571,6 @@ class _FoveationKernel:
             outer_pixels=self.eyes * outer_area / (s_out * s_out),
             native_pixels=self.native,
         )
-        self._plans[key] = plan
-        return plan
 
 
 # --------------------------------------------------------------------------
@@ -1228,7 +1165,10 @@ def run_vectorized(
             # LRU hit rates for the kernel's lazy per-frame caches are
             # sampled as size deltas around the pass — the per-frame
             # accessors stay untouched, so the disabled path costs
-            # nothing and the traced path adds no per-frame work.
+            # nothing and the traced path adds no per-frame work.  Plans
+            # searched directly are kept nowhere, so they are counted from
+            # the pass's e1 column; the LIWC probes need no count, since
+            # LIWC's whole-degree e1 values all lie on the lattice.
             if tracer.enabled:
                 plans_before = len(kern._plans)
                 sweeps_before = len(kern._sweeps)
@@ -1242,6 +1182,7 @@ def run_vectorized(
                 obs_metrics.counter("kernels.fov.plan.calls").inc(plans)
                 obs_metrics.counter("kernels.fov.plan.new").inc(
                     len(kern._plans) - plans_before
+                    + kern.direct_plans(cols["e1_deg"])
                 )
                 obs_metrics.counter("kernels.fov.sweep.new").inc(
                     len(kern._sweeps) - sweeps_before

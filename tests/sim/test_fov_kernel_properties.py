@@ -2,32 +2,36 @@
 
 Every ``_FoveationKernel.plan(f, e1)`` must equal, field by field and bit
 for bit, the scalar ``FoveationModel.plan(e1, None, gaze_x, gaze_y)`` at
-frame ``f``'s gaze.  The kernel caches sweeps, areas and plans per seed
-and shares one scratch set per resolution, so the generated cases mix
-what could make sharing leak: several seeds on one lattice with their
-calls interleaved, lattice, off-lattice and beyond-corner eccentricities
-(recurring ones switch to batch-integrated rows), and kernels of
-different lengths built in either order (the shared row block only
-grows).  The footprint test pins what sharing buys: an extra kernel at
-a resolution retains its results, not a scratch set.  The suffix-sweep
-properties pin what makes partial sweeps exact: any slice of radii
-integrates to the same bits as those rows of a full call, and sweeps
-asked at offsets in any order hold the full master sweep's bits.
+frame ``f``'s gaze.  The kernel memoises sweeps, areas and plans per
+seed for lattice and beyond-corner eccentricities, searches off-lattice
+ones directly without storing them, and shares one scratch set per
+resolution, so the generated cases mix what could make sharing leak:
+several seeds on one lattice with their calls interleaved, and lattice,
+off-lattice and beyond-corner eccentricities recurring over runs of
+frames.  A cold SW-QVR run checks that its off-lattice plans leave no
+memo entry behind and still match the oracle.  The footprint test pins
+what sharing buys: an extra 120-frame GRID kernel retains its results
+(about 380 KB), not a scratch set, and a lattice counts one scratch
+allocation however many kernels use it.  The suffix-sweep properties pin
+what makes partial sweeps exact: any slice of radii integrates to the
+same bits as those rows of a full call, and sweeps asked at offsets in
+any order hold the full master sweep's bits.
 """
 
 import dataclasses
 import tracemalloc
+from collections import OrderedDict
 
 import numpy as np
-import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro import constants
 from repro.core.foveation import DisplayGeometry, FoveationModel
 from repro.motion.traces import generate_trace
 from repro.obs import metrics as obs_metrics
+from repro.sim import kernels as kernels_mod
 from repro.sim.kernels import _FoveationKernel, _Lattice
-from repro.workloads.apps import get_app
+from repro.workloads.apps import APPS, get_app
 
 RESOLUTIONS = ((1920, 2160), (1280, 1600))
 
@@ -90,8 +94,8 @@ def shared_lattice_case(draw):
         st.lists(st.integers(1, 48), min_size=len(seeds), max_size=len(seeds))
     )
     # Calls come in runs of consecutive frames at one (kernel, e1) drawn
-    # from a small pool, so eccentricities recur and batch rows get built;
-    # successive runs interleave the kernels.
+    # from a small pool, so eccentricities recur and memoised plans and
+    # areas are read back; successive runs interleave the kernels.
     pool = draw(st.lists(eccentricity(lattice), min_size=1, max_size=3))
     runs = draw(
         st.lists(
@@ -120,60 +124,29 @@ class TestPlanParity:
         width, height, lattice, kernel_args, calls = case
         kernels = [make_kernel(lattice, seed, n) for seed, n in kernel_args]
         assert_calls_match(width, height, kernels, calls)
-        event(f"rows per kernel: {max(len(k._area_rows) for k in kernels)}")
 
-    @pytest.mark.parametrize("width,height", RESOLUTIONS)
-    def test_short_kernel_after_long_reuses_the_row_block(self, width, height):
-        lattice = _Lattice(width, height)
-        long_kern = make_kernel(lattice, 3, 40)
-        e1 = float(lattice.master[6])
-        assert_calls_match(width, height, [long_kern], [(0, f, e1) for f in range(40)])
-        block = lattice._batch1d
-        assert block is not None and len(block[0]) == 40
-        short_kern = make_kernel(lattice, 4, 7)
-        calls = [(0, f, e1) for f in range(7)] + [(0, f, 9.3) for f in range(7)]
-        assert_calls_match(width, height, [short_kern], calls)
-        assert lattice._batch1d is block
+    def test_direct_search_leaves_nothing_behind(self, monkeypatch):
+        """SW-QVR's off-lattice plans are rebuilt on demand, never stored."""
+        for name in ("_GEOMETRY_CACHE", "_WORKLOAD_CACHE", "_LATTICE_CACHE"):
+            monkeypatch.setattr(kernels_mod, name, OrderedDict())
+        app = APPS["GRID"]
+        result = kernels_mod.run_vectorized("sw-qvr", app, seed=3, n_frames=24)
+        workloads = kernels_mod._workloads(app, 3, 24)
+        kern = kernels_mod._foveation_kernel(app, 3, workloads)
 
-    @pytest.mark.parametrize("width,height", RESOLUTIONS)
-    def test_long_kernel_after_short_grows_the_row_block(self, width, height):
-        lattice = _Lattice(width, height)
-        short_kern = make_kernel(lattice, 5, 6)
-        long_kern = make_kernel(lattice, 6, 30)
-        e1 = float(lattice.master[2])
-        calls = [(0, f, e1) for f in range(6)]
-        calls += [(1, f, e1) for f in range(30)]
-        calls += [(0, f, e1) for f in range(6)]
-        assert_calls_match(width, height, [short_kern, long_kern], calls)
-        assert len(lattice._batch1d[0]) == 30
+        def direct(e):
+            return e < kern.corner and e not in kern.lattice_offsets
 
-    def test_rows_cross_the_chunk_boundary(self):
-        width, height = RESOLUTIONS[1]
-        lattice = _Lattice(width, height)
-        kern = make_kernel(lattice, 8, 1030)
-        e1 = float(lattice.master[4])
-        # The fourth miss at e1 integrates all 1,030 frames in two chunks.
-        frames = [0, 1, 2, 1023, 1024, 1025, 1029, 511]
-        assert_calls_match(width, height, [kern], [(0, f, e1) for f in frames])
-        assert e1 in kern._area_rows and len(kern._area_rows[e1]) == 1030
-        assert len(lattice._batch1d[0]) == 1024
-        display = DisplayGeometry(width, height)
-        row = kern._area_rows[e1]
-        for f in (1022, 1023, 1024, 1029):
-            want = display.region_area_px(e1, kern.gx[f], kern.gy[f])
-            assert row.item(f).hex() == want.hex()
-
-    def test_row_stops_scalar_area_entries(self):
-        width, height = RESOLUTIONS[0]
-        lattice = _Lattice(width, height)
-        kern = make_kernel(lattice, 1, 20)
-        e1 = 10.0
-        for f in range(20):
-            kern.plan(f, e1)
-        scalar_at_e1 = [key for key in kern._areas if key[1] == e1]
-        assert e1 in kern._area_rows
-        assert len(scalar_at_e1) == kern._BATCH_AFTER - 1
-        assert e1 not in kern._e_misses
+        assert not [key for key in kern._plans if direct(key[1])]
+        assert not [key for key in kern._areas if direct(key[1])]
+        off_lattice = [
+            (r.index, r.e1_deg) for r in result.records if direct(r.e1_deg)
+        ]
+        assert off_lattice
+        model = FoveationModel(DisplayGeometry(app.width_px, app.height_px))
+        for f, e1 in off_lattice:
+            want = model.plan(e1, None, kern.gx[f], kern.gy[f])
+            assert_plan_identical(kern.plan(f, e1), want)
 
 
 @st.composite
@@ -243,7 +216,6 @@ def test_extra_kernels_retain_results_not_scratch():
         return kern
 
     kernels = [build(0)]
-    block = lattice._batch1d
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -253,17 +225,14 @@ def test_extra_kernels_retain_results_not_scratch():
         tracemalloc.stop()
     per_kernel = retained / 7
     assert per_kernel < 1_000_000, f"{per_kernel / 1e6:.2f} MB per extra kernel"
-    # One scratch set, by identity: the lattice's, never regrown.
+    # One scratch set, by identity: the lattice's.
     assert all(kern.lattice is lattice for kern in kernels)
-    assert lattice._batch1d is block
     for kern in kernels:
-        assert not [
-            name for name in vars(kern) if name.startswith(("_ws_", "_batch"))
-        ]
+        assert not [name for name in vars(kern) if name.startswith("_ws_")]
 
 
 def test_scratch_counter_counts_lattice_allocations(monkeypatch):
-    """One count for the lattice's set, one per growth of its row block."""
+    """One count for the lattice's scratch set, however many kernels use it."""
     registry = obs_metrics.MetricsRegistry()
     monkeypatch.setattr(obs_metrics, "_active", registry)
     lattice = _Lattice(1280, 1600)
@@ -272,5 +241,4 @@ def test_scratch_counter_counts_lattice_allocations(monkeypatch):
         for f in range(n_frames):
             kern.plan(f, 8.0)
     counters = registry.snapshot()["counters"]
-    # The set, the 10-row block, and its growth to 25 rows.
-    assert counters["kernels.lattice.scratch"] == 3
+    assert counters["kernels.lattice.scratch"] == 1

@@ -502,8 +502,9 @@ class TestExitStatus:
             ["scenarios", "--clients", "NotAnApp"],
             ["scenarios", "--clients", "GRID", "Doom3-L", "--events",
              str(REPO / "examples" / "session_events.json"), "--frames", "60"],
+            ["obs", "report", "no-such-trace-dir"],
         ],
-        ids=["unknown-app", "event-past-session"],
+        ids=["unknown-app", "event-past-session", "missing-trace-dir"],
     )
     def test_configuration_error_exits_2_without_traceback(self, argv):
         self._assert_exits_2_with_one_line(argv)
