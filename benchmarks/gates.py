@@ -21,7 +21,6 @@ import sys
 import tempfile
 import time
 from collections import deque
-from dataclasses import replace
 from pathlib import Path
 
 from repro import constants
@@ -63,8 +62,8 @@ def _timed(call, *args, **kwargs) -> float:
     return time.perf_counter() - start
 
 
-def _run_all(specs) -> list:
-    return [run(spec) for spec in specs]
+def _run_all(specs, engine: str = "vector") -> list:
+    return [run(spec, engine) for spec in specs]
 
 
 def fig12_gates(jobs: int, shards: int) -> dict[str, float]:
@@ -73,7 +72,7 @@ def fig12_gates(jobs: int, shards: int) -> dict[str, float]:
     specs = Sweep(
         systems=FIG12_SYSTEMS, apps=TABLE3_ORDER, seeds=(0,), n_frames=120
     ).specs()
-    scalar_s = _timed(_run_all, [replace(spec, engine="scalar") for spec in specs])
+    scalar_s = _timed(_run_all, specs, "scalar")
     serial_s = _timed(_run_all, specs)
 
     # serial_s ran with cold memos, so it cannot anchor a 2% comparison.
@@ -100,7 +99,7 @@ def fig12_gates(jobs: int, shards: int) -> dict[str, float]:
         with tempfile.TemporaryDirectory(prefix="qvr-gates-") as scratch:
             cached = BatchEngine(jobs=jobs, cache_dir=Path(scratch, "cache"))
             cold_s = min(cold_s, _timed(cached.run_specs, specs))
-            sharded = BatchEngine(jobs=jobs, shards=shards, shard_mode="process",
+            sharded = BatchEngine(jobs=jobs, shards=shards,
                                   stream_dir=Path(scratch, "stream"))
             shard_s = min(shard_s, _timed(sharded.run_specs, specs))
 
@@ -120,7 +119,7 @@ def population_gates(jobs: int, shards: int) -> dict[str, float]:
     serial_s = shard_s = float("inf")
     for _ in range(POPULATION_REPS):
         serial = BatchEngine()
-        sharded = BatchEngine(jobs=jobs, shards=shards, shard_mode="process")
+        sharded = BatchEngine(jobs=jobs, shards=shards)
         serial_s = min(serial_s, _timed(run_population, scenario, 7, serial, max_sessions=120))
         shard_s = min(shard_s, _timed(run_population, scenario, 7, sharded, max_sessions=120))
     return {

@@ -43,7 +43,7 @@ def main() -> None:
         f"(mean {scenario.arrivals.rate_per_min:.3f} sessions/min, "
         f"{len(scenario.flash_crowds)} flash crowd(s)) ..."
     )
-    engine = BatchEngine(shards=shards, shard_mode="process")
+    engine = BatchEngine(shards=shards)
     report = run_population(scenario, seed=7, engine=engine)
     print(
         f"{report['sessions']} sessions -> {report['clients']} clients -> "

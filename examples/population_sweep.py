@@ -44,7 +44,7 @@ def main() -> None:
     latency = {name: StreamSummary() for name in SYSTEMS}
     fps = {name: StreamSummary() for name in SYSTEMS}
     with tempfile.TemporaryDirectory(prefix="qvr-population-") as stream_dir:
-        engine = BatchEngine(shards=16, shard_mode="process", stream_dir=stream_dir)
+        engine = BatchEngine(shards=16, stream_dir=stream_dir)
         for spec, result in engine.stream_sweep(sweep):
             result.fold_into(latency=latency[spec.system], fps=fps[spec.system])
         stats = engine.last_shard_stats

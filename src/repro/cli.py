@@ -280,7 +280,7 @@ def _engine_from(args: argparse.Namespace) -> BatchEngine:
     return BatchEngine(
         jobs=args.jobs,
         cache_dir=args.cache_dir,
-        engine=getattr(args, "engine", None),
+        engine=args.engine,
         shards=getattr(args, "shards", None),
         stream_dir=stream_dir or None,
     )

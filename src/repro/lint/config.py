@@ -10,9 +10,6 @@ and carries the HASH001 spec-key field ledger.  Layout::
     [lint.rules.DET001]
     paths = ["src/repro/sim/**", "src/repro/network/**"]
 
-    [lint.rules.HASH001]
-    module = "src/repro/sim/runner.py"
-
     [lint.rules.HASH001.dataclasses.RunSpec]
     module = "src/repro/sim/runner.py"
     baseline = ["system", "app"]

@@ -314,8 +314,8 @@ class Project:
     """What a :class:`ProjectRule` sees: the linted files plus the repo root.
 
     ``get_file`` loads modules *by repo-relative path* even when they are
-    outside the lint targets (HASH001 must read the strip tables no
-    matter which subtree is being linted); loaded files contribute their
+    outside the lint targets (HASH001 must read the hashed dataclasses
+    no matter which subtree is being linted); loaded files contribute their
     suppression comments exactly like linted ones.
     """
 

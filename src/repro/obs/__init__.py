@@ -8,9 +8,8 @@ around that exception:
 - :mod:`repro.obs.trace` — process-local spans and instant events with
   deterministic IDs, written as append-only JSONL; a no-op singleton
   when tracing is disabled, so instrumented hot paths cost nothing.
-- :mod:`repro.obs.metrics` — counters/gauges/histograms with mergeable
-  snapshots, reusing the streaming-merge semantics of
-  :mod:`repro.sim.metrics`.
+- :mod:`repro.obs.metrics` — counters and gauges with mergeable
+  snapshots.
 - :mod:`repro.obs.sinks` — the JSONL event stream, torn-tail salvage,
   cross-process merge (clock-offset reconciliation), and Chrome
   trace-event export loadable in Perfetto.

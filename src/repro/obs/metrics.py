@@ -1,12 +1,9 @@
-"""Counters, gauges, and histograms with mergeable snapshots.
+"""Counters and gauges with mergeable snapshots.
 
-A process-local registry in the spirit of the streaming aggregates in
-:mod:`repro.sim.metrics` — and literally built on them: a histogram is a
-:class:`~repro.sim.metrics.StreamSummary` (exact moments plus a
-log-binned quantile sketch), and snapshot merging folds
-partial aggregates with the same exact-sum / add-the-counters semantics
-the population report already trusts.  Every merge is exact, so merged
-snapshots are identical in any order, which ``tests/obs`` asserts.
+A process-local registry whose snapshot merging folds partial
+aggregates with the same add-the-counters semantics the population
+report already trusts.  Every merge is exact, so merged snapshots are
+identical in any order, which ``tests/obs`` asserts.
 
 When tracing is disabled (the default) the module-level accessors
 return shared null instruments whose methods are empty — no allocation,
@@ -19,19 +16,15 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.sim.metrics import StreamSummary
-
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "activate",
     "counter",
     "deactivate",
     "enabled",
     "gauge",
-    "histogram",
     "merge_snapshots",
     "registry",
 ]
@@ -63,14 +56,6 @@ class Gauge:
         self.updates += 1
 
 
-class Histogram(StreamSummary):
-    """A :class:`~repro.sim.metrics.StreamSummary` fed by ``observe``."""
-
-    __slots__ = ()
-
-    observe = StreamSummary.add
-
-
 class _NullCounter:
     __slots__ = ()
 
@@ -85,16 +70,8 @@ class _NullGauge:
         return None
 
 
-class _NullHistogram:
-    __slots__ = ()
-
-    def observe(self, value: float) -> None:
-        return None
-
-
 _NULL_COUNTER = _NullCounter()
 _NULL_GAUGE = _NullGauge()
-_NULL_HISTOGRAM = _NullHistogram()
 
 
 class MetricsRegistry:
@@ -105,7 +82,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
-        self._histograms: dict[str, Histogram] = {}
 
     def counter(self, name: str) -> Counter:
         instrument = self._counters.get(name)
@@ -119,12 +95,6 @@ class MetricsRegistry:
             instrument = self._gauges[name] = Gauge()
         return instrument
 
-    def histogram(self, name: str) -> Histogram:
-        instrument = self._histograms.get(name)
-        if instrument is None:
-            instrument = self._histograms[name] = Histogram()
-        return instrument
-
     def snapshot(self) -> dict:
         """A JSON-serializable, mergeable image of every instrument."""
         return {
@@ -134,10 +104,6 @@ class MetricsRegistry:
             "gauges": {
                 name: {"value": g.value, "updates": g.updates}
                 for name, g in sorted(self._gauges.items())
-            },
-            "histograms": {
-                name: h.state()
-                for name, h in sorted(self._histograms.items())
             },
         }
 
@@ -153,11 +119,8 @@ class _NullRegistry:
     def gauge(self, name: str) -> _NullGauge:
         return _NULL_GAUGE
 
-    def histogram(self, name: str) -> _NullHistogram:
-        return _NULL_HISTOGRAM
-
     def snapshot(self) -> dict:
-        return {"counters": {}, "gauges": {}, "histograms": {}}
+        return {"counters": {}, "gauges": {}}
 
 
 _NULL_REGISTRY = _NullRegistry()
@@ -179,10 +142,6 @@ def counter(name: str):
 
 def gauge(name: str):
     return _active.gauge(name)
-
-
-def histogram(name: str):
-    return _active.histogram(name)
 
 
 def activate() -> MetricsRegistry:
@@ -207,15 +166,13 @@ def deactivate() -> None:
 def merge_snapshots(snapshots: Iterable[dict]) -> dict:
     """Fold per-process snapshots into one (associative for counters).
 
-    Counters add exactly; histograms merge through the underlying
-    ``ExactMoments``/``QuantileSketch`` fold, which is exact, so the
-    merged state is identical for every order of ``snapshots``; a gauge
-    keeps the value with the most updates (ties broken toward the larger
-    value, so the fold is order-independent).
+    Counters add exactly, so their merged state is identical for every
+    order of ``snapshots``; a gauge keeps the value with the most updates
+    (ties broken toward the larger value, so the fold is
+    order-independent).
     """
     counters: dict[str, int] = {}
     gauges: dict[str, dict] = {}
-    histograms: dict[str, Histogram] = {}
     for snapshot in snapshots:
         for name, value in snapshot.get("counters", {}).items():
             counters[name] = counters.get(name, 0) + int(value)
@@ -223,19 +180,9 @@ def merge_snapshots(snapshots: Iterable[dict]) -> dict:
             held = gauges.get(name)
             if held is None or _gauge_wins(state, held):
                 gauges[name] = dict(state)
-        for name, state in snapshot.get("histograms", {}).items():
-            incoming = Histogram.from_state(state)
-            held_h = histograms.get(name)
-            if held_h is None:
-                histograms[name] = incoming
-            else:
-                held_h.merge(incoming)
     return {
         "counters": dict(sorted(counters.items())),
         "gauges": dict(sorted(gauges.items())),
-        "histograms": {
-            name: h.state() for name, h in sorted(histograms.items())
-        },
     }
 
 

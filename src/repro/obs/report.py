@@ -18,6 +18,7 @@ from repro.analysis.report import format_table
 from repro.obs import metrics
 from repro.obs.sinks import merge_trace_dir, write_chrome_trace
 from repro.obs.trace import spans
+from repro.sim.metrics import StreamSummary
 
 __all__ = [
     "export_chrome_trace",
@@ -44,27 +45,26 @@ def _span_durations(events: list[dict]) -> list[tuple[dict, dict, float]]:
 
 def stage_rows(events: list[dict]) -> list[list[object]]:
     """Per-stage latency rows: name, count, total s, mean/p50/p99/max ms."""
-    stages: dict[str, metrics.Histogram] = {}
+    stages: dict[str, StreamSummary] = {}
     for begin, _end, duration_s in _span_durations(events):
-        histogram = stages.setdefault(begin["name"], metrics.Histogram())
-        histogram.observe(duration_s * 1e3)
+        stages.setdefault(begin["name"], StreamSummary()).add(duration_s * 1e3)
     rows: list[list[object]] = []
-    for name, histogram in sorted(
+    for name, summary in sorted(
         stages.items(),
         key=lambda item: (
             -(item[1].moments.mean * item[1].moments.count),
             item[0],
         ),
     ):
-        moments = histogram.moments
+        moments = summary.moments
         rows.append(
             [
                 name,
                 moments.count,
                 moments.count * moments.mean / 1e3,
                 moments.mean,
-                histogram.sketch.quantile(0.5),
-                histogram.sketch.quantile(0.99),
+                summary.sketch.quantile(0.5),
+                summary.sketch.quantile(0.99),
                 moments.max,
             ]
         )

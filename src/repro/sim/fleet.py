@@ -66,6 +66,7 @@ from repro.sim.server import (
     ClientDemand,
     OVERFLOW_MODES,
     RenderServer,
+    _append_segment,
 )
 from repro.sim.session import (
     _HORIZON_SLACK,
@@ -570,9 +571,9 @@ class _ClientState:
             self.service_start = t0
         self.peak_roster = max(self.peak_roster, roster_size)
         for start, share in server_segments:
-            _append_merged(self.server_segments, t0 + start, share)
+            _append_segment(self.server_segments, t0 + start, share)
         for start, share in downlink_segments:
-            _append_merged(self.downlink_segments, t0 + start, share)
+            _append_segment(self.downlink_segments, t0 + start, share)
 
     def assign(self, t_ms: float, server: str) -> bool:
         """Seat the client; returns True when this is a cross-server move."""
@@ -715,15 +716,6 @@ class _ClientState:
             servers=tuple(self.placement_history),
             migrations=self.migrations,
         )
-
-
-def _append_merged(
-    segments: list[tuple[float, float]], start_ms: float, share: float
-) -> None:
-    """Append a segment, merging runs of identical shares across epochs."""
-    if segments and segments[-1][1] == share:
-        return
-    segments.append((start_ms, share))
 
 
 # ---------------------------------------------------------------------------

@@ -82,11 +82,11 @@ DEFAULT_FRAMES = 300
 #: Seed stride between co-located clients of one shared scenario.
 CLIENT_SEED_STRIDE = 97
 
-#: Execution engines a spec may select.  ``"vector"`` runs the
+#: Execution engines :func:`run` accepts.  ``"vector"`` runs the
 #: array-programmed kernels (:mod:`repro.sim.kernels`); ``"scalar"`` runs
 #: the original per-frame task-graph pipeline as a reference oracle.
-#: Both produce bit-identical results, so the choice never enters the
-#: cache key (see :data:`_EXECUTION_FIELDS`).
+#: Both produce bit-identical results, so the engine is chosen by
+#: whoever executes a spec, never by the spec itself.
 ENGINE_NAMES = ("vector", "scalar")
 
 #: Bump when spec semantics change so stale cache entries never resurface.
@@ -126,13 +126,6 @@ class RunSpec:
     session's network profile, so a late starter observes the link as it
     is at its start instant.  Allocation schedules are already emitted
     in client-local time by the session planner.
-
-    ``engine`` selects the execution backend: ``"vector"`` (default) runs
-    the array-programmed frame kernels, ``"scalar"`` the original
-    per-frame task-graph pipeline kept as a reference oracle.  The two
-    are bit-identical, so the field is pure execution detail: it is
-    excluded from the cache key entirely and both engines' results hash
-    to — and satisfy — the same cache entry.
     """
 
     system: str
@@ -147,13 +140,8 @@ class RunSpec:
     server_allocation: tuple[tuple[float, float], ...] | None = None
     downlink_allocation: tuple[tuple[float, float], ...] | None = None
     start_ms: float = 0.0
-    engine: str = "vector"
 
     def __post_init__(self) -> None:
-        if self.engine not in ENGINE_NAMES:
-            raise ConfigurationError(
-                f"unknown engine {self.engine!r}; known: {ENGINE_NAMES}"
-            )
         if self.system.lower() not in SYSTEM_NAMES:
             raise ConfigurationError(
                 f"unknown system {self.system!r}; known: {SYSTEM_NAMES}"
@@ -234,15 +222,22 @@ class RunSpec:
         return replace(base, network=network, server_schedule=self.server_allocation)
 
 
-def run(spec: RunSpec) -> SimulationResult:
+def _check_engine(engine: str) -> None:
+    if engine not in ENGINE_NAMES:
+        raise ConfigurationError(
+            f"unknown engine {engine!r}; known: {ENGINE_NAMES}"
+        )
+
+
+def run(spec: RunSpec, engine: str = "vector") -> SimulationResult:
     """Execute one run specification (deterministic in ``spec``).
 
-    The result is deterministic in the spec's *semantic* fields only:
-    both engines produce bit-identical records, so ``spec.engine`` picks
-    how the run executes, never what it computes.
+    Both engines (:data:`ENGINE_NAMES`) produce bit-identical records,
+    so ``engine`` picks how the run executes, never what it computes.
     """
+    _check_engine(engine)
     app = get_app(spec.app)
-    if spec.engine == "scalar":
+    if engine == "scalar":
         system = make_system(
             spec.system, app, spec.effective_platform(), seed=spec.seed
         )
@@ -291,7 +286,6 @@ class Sweep:
     n_frames: int = DEFAULT_FRAMES
     warmup_frames: int | None = None
     profiles: tuple[NetworkProfile | NetworkConditions | str, ...] | None = None
-    engine: str = "vector"
 
     def __post_init__(self) -> None:
         for name in ("systems", "apps", "platforms", "seeds"):
@@ -338,7 +332,6 @@ class Sweep:
             n_frames=self.n_frames,
             seed=seed,
             warmup_frames=warmup,
-            engine=self.engine,
         )
 
     def specs(self) -> tuple[RunSpec, ...]:
@@ -356,23 +349,13 @@ class Sweep:
 # ---------------------------------------------------------------------------
 
 
-#: Fields that describe *how* a run executes, not *what* it computes.
-#: They are dropped from the canonical form — an engine override must
-#: hash to the same key as the default, because both engines produce
-#: bit-identical results and must share (and satisfy) the same cache
-#: entry.
-_EXECUTION_FIELDS: dict[str, frozenset[str]] = {
-    "RunSpec": frozenset({"engine"}),
-}
-
-
 def _canonical(value: object, memo: dict[int, tuple[object, object]]) -> object:
     """Recursively convert a spec value into a canonical JSON-able form.
 
     Floats are rendered with ``float.hex`` so the key captures the exact
     bit pattern; dataclasses carry their type name so two config classes
     with coincidentally equal fields cannot collide.  Every field is
-    hashed except the execution-only ones (:data:`_EXECUTION_FIELDS`).
+    hashed.
 
     ``memo`` maps the ``id`` of each frozen dataclass already converted
     to ``(value, form)``, so a sub-object shared by many specs (one
@@ -386,10 +369,8 @@ def _canonical(value: object, memo: dict[int, tuple[object, object]]) -> object:
         if cached is not None:
             return cached[1]
         out: dict[str, object] = {"__type__": type(value).__name__}
-        execution = _EXECUTION_FIELDS.get(type(value).__name__, frozenset())
         for f in dataclasses.fields(value):
-            if f.name not in execution:
-                out[f.name] = _canonical(getattr(value, f.name), memo)
+            out[f.name] = _canonical(getattr(value, f.name), memo)
         if type(value).__dataclass_params__.frozen:
             memo[id(value)] = (value, out)
         return out
@@ -440,6 +421,21 @@ def spec_keys(specs: Iterable[RunSpec]) -> list[str]:
     return [_spec_key(spec, memo) for spec in specs]
 
 
+#: What unpickling damaged bytes raises: the pickle machinery raises
+#: different exception types depending on where the bytes were cut or
+#: garbled (mid-length prefix, unknown opcode, bad protocol marker, bad
+#: literal, missing global), and every reader of a cache entry or spill
+#: frame treats all of them as "unreadable".
+_UNPICKLE_ERRORS = (
+    EOFError,
+    pickle.UnpicklingError,
+    AttributeError,
+    ValueError,
+    IndexError,
+    KeyError,
+)
+
+
 class ResultCache:
     """On-disk memoization of completed runs, one pickle per spec hash.
 
@@ -463,7 +459,7 @@ class ResultCache:
         try:
             with path.open("rb") as handle:
                 payload = pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
+        except (OSError, *_UNPICKLE_ERRORS):
             obs_metrics.counter("runner.cache.miss").inc()
             return None
         if not isinstance(payload, dict) or payload.get("key") != spec_key(spec):
@@ -540,10 +536,9 @@ class BatchEngine:
         Optional directory for the on-disk :class:`ResultCache`; None
         keeps memoization in-memory only.
     engine:
-        Optional execution-engine override (``"vector"`` / ``"scalar"``)
-        applied to every spec this engine executes.  Results stay keyed
-        by the *requested* specs, and cache keys ignore the engine field,
-        so overriding changes how runs execute, never what callers see.
+        Execution engine (:data:`ENGINE_NAMES`) for every spec this batch
+        engine executes.  Both engines are bit-identical, so the choice
+        changes how runs execute, never their results or cache keys.
     shards:
         Shard count for the sharded executor (:mod:`repro.sim.shard`),
         which runs every batch.  None derives it from the inputs: four
@@ -580,7 +575,7 @@ class BatchEngine:
         self,
         jobs: int = 1,
         cache_dir: str | os.PathLike | None = None,
-        engine: str | None = None,
+        engine: str = "vector",
         shards: int | None = None,
         shard_mode: str = "process",
         stream_dir: str | os.PathLike | None = None,
@@ -589,10 +584,7 @@ class BatchEngine:
 
         if jobs < 1:
             raise ConfigurationError("jobs must be >= 1")
-        if engine is not None and engine not in ENGINE_NAMES:
-            raise ConfigurationError(
-                f"unknown engine {engine!r}; known: {ENGINE_NAMES}"
-            )
+        _check_engine(engine)
         if shards is not None and shards < 1:
             raise ConfigurationError(f"shards must be >= 1, got {shards}")
         if shard_mode not in SHARD_MODES:
@@ -673,11 +665,10 @@ class BatchEngine:
         Results stream back in completion order so each lands in the
         cache immediately — an interrupted or partially failed sweep
         keeps every run that finished.  Callers key by spec, so the
-        non-deterministic completion order never reaches outputs.  The
-        executor applies the engine override itself and yields the
-        requested specs.  A temporary stream directory is removed once
-        the batch finishes, while a configured ``stream_dir`` keeps its
-        spill files for resumption and post-hoc reads.
+        non-deterministic completion order never reaches outputs.  A
+        temporary stream directory is removed once the batch finishes,
+        while a configured ``stream_dir`` keeps its spill files for
+        resumption and post-hoc reads.
         """
         from repro.sim.shard import ShardedExecutor
 

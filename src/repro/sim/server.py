@@ -193,11 +193,6 @@ class SchedulingPolicy(ABC):
     ) -> float:
         """This client's (unnormalised) allocation weight at ``t_ms``."""
 
-    @property
-    def uniform(self) -> bool:
-        """True when weights never depend on client state (fair share)."""
-        return False
-
 
 class FairSharePolicy(SchedulingPolicy):
     """Uniform division: every client holds an equal share."""
@@ -207,11 +202,6 @@ class FairSharePolicy(SchedulingPolicy):
     def weight_at(self, demand, conditions, t_ms):
         """Equal weight for every client."""
         return 1.0
-
-    @property
-    def uniform(self) -> bool:
-        """Always True: fair share ignores client state."""
-        return True
 
 
 class WeightedPolicy(SchedulingPolicy):

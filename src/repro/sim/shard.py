@@ -37,14 +37,21 @@ import json
 import os
 import pickle
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from repro.errors import ConfigurationError
 from repro.obs import trace as obs_trace
 from repro.sim.metrics import SimulationResult
-from repro.sim.runner import RunSpec, run, spec_key, spec_keys
+from repro.sim.runner import (
+    _UNPICKLE_ERRORS,
+    RunSpec,
+    _check_engine,
+    run,
+    spec_key,
+    spec_keys,
+)
 
 __all__ = [
     "Shard",
@@ -58,20 +65,6 @@ __all__ = [
 #: Execution modes :class:`~repro.sim.runner.BatchEngine` accepts; the
 #: process pool (in-process with one worker) is the only one.
 SHARD_MODES = ("process",)
-
-#: What a torn or garbage frame tail surfaces as: the pickle machinery
-#: raises different exception types depending on where the bytes were cut
-#: (mid-length prefix, unknown opcode, bad protocol marker, missing
-#: global), and all of them mean the same thing here — end of the valid
-#: prefix.
-_TORN_FRAME_ERRORS = (
-    EOFError,
-    pickle.UnpicklingError,
-    AttributeError,
-    ValueError,
-    IndexError,
-    KeyError,
-)
 
 
 @dataclass(frozen=True)
@@ -216,7 +209,7 @@ class ResultStream:
             while True:
                 try:
                     frame = pickle.load(handle)
-                except _TORN_FRAME_ERRORS:
+                except _UNPICKLE_ERRORS:
                     return
                 if not isinstance(frame, tuple) or len(frame) != 2:
                     return
@@ -251,7 +244,7 @@ def _valid_prefix(stream: ResultStream, shard: Shard) -> tuple[int, int]:
         while frames < len(shard.specs):
             try:
                 frame = pickle.load(handle)
-            except _TORN_FRAME_ERRORS:
+            except _UNPICKLE_ERRORS:
                 break
             if (
                 not isinstance(frame, tuple)
@@ -316,32 +309,29 @@ class _ShardWriter:
 
 
 def _shard_frames(
-    shard: Shard, writer: _ShardWriter | None, engine: str | None
+    shard: Shard, writer: _ShardWriter | None, engine: str
 ) -> Iterator[tuple[RunSpec, SimulationResult]]:
     """Execute one shard's remaining specs, yielding each frame as it lands.
 
     The per-shard loop of every execution path.  With a ``writer``,
     execution starts after its salvaged prefix, each frame is spilled
     before it is yielded, and the shard's results file is published once
-    the last spec lands; without one nothing touches disk.  An engine
-    override rewrites how each spec executes; the *requested* spec is
-    what is yielded and spilled, so stream contents are
-    override-invariant.  The spilled spec is a pickle round-trip copy:
-    a spec this process built can share string objects with its result,
-    which a worker's unpickled spec never does, and pickle encodes
-    shared objects as back-references — the copy makes the frame bytes
-    the same whichever process writes them.  With tracing on, each spec
-    runs under a ``shard.execute`` span keyed by shard ordinal + spec
-    key.
+    the last spec lands; without one nothing touches disk.  Each spec
+    runs on ``engine``; both engines spill the same bytes.  The spilled
+    spec is a pickle round-trip copy: a spec this process built can
+    share string objects with its result, which a worker's unpickled
+    spec never does, and pickle encodes shared objects as
+    back-references — the copy makes the frame bytes the same whichever
+    process writes them.  With tracing on, each spec runs under a
+    ``shard.execute`` span keyed by shard ordinal + spec key.
     """
     tracer = obs_trace.active()
     start = 0 if writer is None else writer.start
     try:
         for spec in shard.specs[start:]:
-            job = spec if engine is None else replace(spec, engine=engine)
-            key = (shard.index, spec_key(job)) if tracer.enabled else None
+            key = (shard.index, spec_key(spec)) if tracer.enabled else None
             with tracer.span("shard.execute", key=key, shard=shard.index):
-                result = run(job)
+                result = run(spec, engine)
             if writer is not None:
                 writer.append(pickle.loads(pickle.dumps(spec)), result)
             yield spec, result
@@ -356,7 +346,7 @@ def _shard_frames(
 def _execute_shard(
     shard: Shard,
     stream_dir: str | os.PathLike,
-    engine: str | None,
+    engine: str,
     trace_dir: str | None = None,
 ) -> tuple[int, int, int]:
     """Run one shard to its spill file; returns (index, salvaged, executed).
@@ -417,8 +407,8 @@ class ShardedExecutor:
         multi-worker runs through a temporary directory and keeps
         in-process runs off disk entirely.
     engine:
-        Optional execution-engine override (``"vector"`` / ``"scalar"``)
-        applied at execution only; streamed frames keep requested specs.
+        Execution engine (:data:`~repro.sim.runner.ENGINE_NAMES`) every
+        shard runs its specs on.
     """
 
     def __init__(
@@ -426,8 +416,9 @@ class ShardedExecutor:
         shards: int = 4,
         workers: int = 1,
         stream_dir: str | os.PathLike | None = None,
-        engine: str | None = None,
+        engine: str = "vector",
     ) -> None:
+        _check_engine(engine)
         if shards < 1:
             raise ConfigurationError(f"shards must be >= 1, got {shards}")
         if workers < 1:

@@ -16,8 +16,8 @@ from repro.lint import LintConfig, all_rule_codes, lint_paths, load_config
 
 REPO = Path(__file__).resolve().parents[2]
 
-#: Everything HASH001 needs from the real tree: the spec module holding
-#: the execution table, the other hashed-dataclass modules, and the ledger.
+#: Everything HASH001 needs from the real tree: the modules holding the
+#: hashed dataclasses, and the ledger.
 _REAL_FILES = (
     "src/repro/sim/runner.py",
     "src/repro/sim/systems.py",
@@ -50,7 +50,7 @@ def test_throwaway_runspec_field_fails_lint(tmp_path):
     _copy_real_tree(tmp_path)
     runner = tmp_path / "src" / "repro" / "sim" / "runner.py"
     text = runner.read_text(encoding="utf-8")
-    anchor = '    engine: str = "vector"\n'
+    anchor = "    start_ms: float = 0.0\n"
     assert anchor in text
     runner.write_text(
         text.replace(anchor, anchor + "    throwaway_knob: int = 0\n"),
@@ -64,52 +64,41 @@ def test_throwaway_runspec_field_fails_lint(tmp_path):
 
 
 def _mini_project(
-    tmp_path: Path, spec_body: str, model_body: str, baseline: tuple = ()
+    tmp_path: Path, model_body: str, baseline: tuple = ()
 ) -> LintConfig:
-    (tmp_path / "spec.py").write_text(textwrap.dedent(spec_body), encoding="utf-8")
     (tmp_path / "model.py").write_text(textwrap.dedent(model_body), encoding="utf-8")
     rules = {c: {"enabled": False} for c in all_rule_codes()}
     rules["HASH001"] = {
         "enabled": True,
-        "module": "spec.py",
         "dataclasses": {
-            "Model": {"module": "model.py", "baseline": ["kept", *baseline]}
+            "Model": {"module": "model.py", "baseline": ["kept", "seed", *baseline]}
         },
     }
     return LintConfig(root=tmp_path, rules=rules)
 
 
-_SPEC = """
-    _EXECUTION_FIELDS = {"Model": frozenset({"engine"})}
-    """
-
 _MODEL = """
     class Model:
         kept: int = 0
-        engine: str = "vector"
+        seed: int = 0
     """
 
 
 def test_synthetic_fully_ledgered_model_is_clean(tmp_path):
-    config = _mini_project(tmp_path, _SPEC, _MODEL)
+    config = _mini_project(tmp_path, _MODEL)
     result = lint_paths([tmp_path / "model.py"], config=config)
     assert result.ok, [str(f) for f in result.unsuppressed]
 
 
 def test_synthetic_unledgered_field_is_flagged(tmp_path):
-    config = _mini_project(
-        tmp_path, _SPEC, _MODEL + "    sneaky: float = 1.0\n"
-    )
+    config = _mini_project(tmp_path, _MODEL + "    sneaky: float = 1.0\n")
     result = lint_paths([tmp_path / "model.py"], config=config)
     hits = [f for f in result.unsuppressed if f.rule == "HASH001"]
     assert len(hits) == 1 and "Model.sneaky" in hits[0].message
 
 
 def test_synthetic_stale_ledger_entries_are_flagged(tmp_path):
-    stale_spec = """
-        _EXECUTION_FIELDS = {"Model": frozenset({"engine", "vanished"})}
-        """
-    config = _mini_project(tmp_path, stale_spec, _MODEL, baseline=("gone",))
+    config = _mini_project(tmp_path, _MODEL, baseline=("gone", "vanished"))
     result = lint_paths([tmp_path / "model.py"], config=config)
     messages = [f.message for f in result.unsuppressed if f.rule == "HASH001"]
     assert len(messages) == 2

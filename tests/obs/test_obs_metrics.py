@@ -29,14 +29,10 @@ def test_disabled_accessors_are_shared_null_instruments():
     assert not metrics.enabled()
     assert metrics.counter("a") is metrics.counter("b")
     assert metrics.gauge("a") is metrics.gauge("b")
-    assert metrics.histogram("a") is metrics.histogram("b")
     # No-ops never raise and never record anything.
     metrics.counter("a").inc(5)
     metrics.gauge("a").set(1.0)
-    metrics.histogram("a").observe(2.0)
-    assert metrics.registry().snapshot() == {
-        "counters": {}, "gauges": {}, "histograms": {},
-    }
+    assert metrics.registry().snapshot() == {"counters": {}, "gauges": {}}
 
 
 def test_live_registry_memoizes_and_snapshots(live_registry):
@@ -45,14 +41,9 @@ def test_live_registry_memoizes_and_snapshots(live_registry):
     counter.inc()
     counter.inc(4)
     metrics.gauge("slo").set(0.75)
-    for value in (1.0, 2.0, 4.0):
-        metrics.histogram("lat").observe(value)
     snapshot = live_registry.snapshot()
     assert snapshot["counters"] == {"hits": 5}
     assert snapshot["gauges"] == {"slo": {"value": 0.75, "updates": 1}}
-    hist = snapshot["histograms"]["lat"]
-    assert hist["count"] == 3
-    assert hist["min"] == 1.0 and hist["max"] == 4.0
 
 
 def test_counter_merge_is_associative_in_any_order():
@@ -82,26 +73,3 @@ def test_gauge_merge_is_order_independent():
     # The gauge with more updates wins regardless of fold order.
     assert fwd["gauges"]["slo"] == {"value": 0.4, "updates": 2}
     assert fwd == rev
-
-
-def test_histogram_merge_matches_single_stream():
-    lhs, rhs, whole = (
-        metrics.MetricsRegistry(), metrics.MetricsRegistry(),
-        metrics.MetricsRegistry(),
-    )
-    values = [0.5, 1.5, 3.0, 8.0, 21.0, 55.0]
-    for value in values[:3]:
-        lhs.histogram("lat").observe(value)
-        whole.histogram("lat").observe(value)
-    for value in values[3:]:
-        rhs.histogram("lat").observe(value)
-        whole.histogram("lat").observe(value)
-    merged = metrics.merge_snapshots([lhs.snapshot(), rhs.snapshot()])
-    expected = whole.snapshot()["histograms"]["lat"]
-    got = merged["histograms"]["lat"]
-    assert got["count"] == expected["count"] == len(values)
-    assert got["min"] == expected["min"]
-    assert got["max"] == expected["max"]
-    assert got["sketch"] == expected["sketch"]
-    # Exact sums: the merged state is the single stream's, bit for bit.
-    assert got == expected

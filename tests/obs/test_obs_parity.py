@@ -87,7 +87,7 @@ def test_traced_pool_workers_produce_mergeable_streams(tmp_path):
     try:
         traced = run_population(
             scenario,
-            engine=BatchEngine(jobs=2, shards=2, shard_mode="process"),
+            engine=BatchEngine(jobs=2, shards=2),
             **kwargs,
         )
     finally:

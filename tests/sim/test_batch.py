@@ -209,6 +209,22 @@ class TestCache:
         cache.path_for(spec).write_bytes(b"not a pickle")
         assert cache.get(spec) is None
 
+    @pytest.mark.parametrize(
+        "blob", [b"\x80\x09", b"I1x\n."], ids=["bad-protocol", "bad-int-literal"]
+    )
+    def test_garbled_entry_is_re_executed(self, tmp_path, blob):
+        """Bytes that make unpickling raise ``ValueError`` (a bad protocol
+        marker, a bad int literal) are a miss: the batch re-executes the
+        spec and overwrites the entry."""
+        spec = RunSpec(system="local", app="Doom3-L", n_frames=25, warmup_frames=5)
+        cache = ResultCache(tmp_path)
+        cache.path_for(spec).write_bytes(blob)
+        engine = BatchEngine(cache_dir=tmp_path)
+        result = engine.run_specs([spec])[spec]
+        assert engine.stats.cache_hits == 0
+        assert engine.stats.executed == 1
+        assert _bit_identical(cache.get(spec), result)
+
     def test_foreign_pickle_entry_is_a_miss(self, tmp_path):
         """A valid pickle that is not the payload dict must not crash."""
         spec = RunSpec(system="local", app="Doom3-L", n_frames=25, warmup_frames=5)
@@ -222,10 +238,10 @@ class TestCache:
         engine = BatchEngine(cache_dir=tmp_path)
         original_run = run
 
-        def boom(spec):
+        def boom(spec, engine):
             if spec == specs[-1]:
                 raise RuntimeError("worker died")
-            return original_run(spec)
+            return original_run(spec, engine)
 
         import repro.sim.shard as shard_module
 

@@ -350,7 +350,7 @@ class TestRunPopulation:
 
     @pytest.mark.parametrize("shards", [1, 4, 16])
     def test_sharded_report_bit_identical(self, scenario, serial_report, shards):
-        engine = BatchEngine(shards=shards, shard_mode="process")
+        engine = BatchEngine(shards=shards)
         report = run_population(scenario, seed=7, engine=engine)
         assert json.dumps(report, sort_keys=True) == json.dumps(
             serial_report, sort_keys=True
@@ -393,7 +393,7 @@ class TestRunPopulation:
 
     def test_stream_dir_holds_one_stream_for_every_policy(self, scenario, tmp_path):
         def engine():
-            return BatchEngine(shards=2, shard_mode="process", stream_dir=str(tmp_path))
+            return BatchEngine(shards=2, stream_dir=str(tmp_path))
 
         first = engine()
         report = run_population(scenario, seed=7, engine=first, max_sessions=3)
@@ -433,7 +433,7 @@ class TestShippedCity:
 
     def test_pool_run_reproduces_the_serial_golden(self, city):
         goldens = json.loads((REPO / "perfbench" / "goldens.json").read_text())
-        engine = BatchEngine(jobs=2, shards=4, shard_mode="process")
+        engine = BatchEngine(jobs=2, shards=4)
         report = run_population(city, seed=7, engine=engine, max_sessions=60)
         assert engine.last_shard_stats.workers == 2
         digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode())

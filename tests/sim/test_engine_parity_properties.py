@@ -25,8 +25,9 @@ from repro.workloads.apps import APPS
 
 
 def assert_engines_agree(**fields) -> None:
-    vector = run(RunSpec(engine="vector", **fields))
-    scalar = run(RunSpec(engine="scalar", **fields))
+    spec = RunSpec(**fields)
+    vector = run(spec, "vector")
+    scalar = run(spec, "scalar")
     assert pickle.dumps(vector) == pickle.dumps(scalar), fields
 
 

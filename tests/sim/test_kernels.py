@@ -4,7 +4,7 @@ The vectorized engine (:mod:`repro.sim.kernels`) must be a pure
 performance refactor: for every system design, app, network environment
 and server schedule, it has to produce *bit-identical* frame records to
 the original per-frame task-graph pipeline, which stays available as the
-``engine="scalar"`` reference oracle.  These tests pin that contract —
+``run(spec, "scalar")`` reference oracle.  These tests pin that contract —
 any divergence, however small, is a bug in the kernels, never tolerance.
 """
 
@@ -19,7 +19,9 @@ from repro.network.conditions import WIFI
 from repro.network.profile import PROFILES, TraceProfile
 from repro.sim.kernels import run_vectorized
 from repro.sim.metrics import DEFAULT_WARMUP, effective_warmup
-from repro.sim.runner import BatchEngine, RunSpec, Sweep, run, spec_key
+from repro.obs import report, trace
+from repro.sim.runner import BatchEngine, RunSpec, Sweep, run
+from repro.sim.shard import ShardedExecutor
 from repro.sim.systems import PlatformConfig, SYSTEM_NAMES
 
 
@@ -56,10 +58,8 @@ def run_both(system, app, platform=None, seed=0, n_frames=60, warmup_frames=10):
     )
     if platform is not None:
         kwargs["platform"] = platform
-    return (
-        run(RunSpec(engine="vector", **kwargs)),
-        run(RunSpec(engine="scalar", **kwargs)),
-    )
+    spec = RunSpec(**kwargs)
+    return run(spec, "vector"), run(spec, "scalar")
 
 
 #: Network/schedule environments the parity grid crosses every system
@@ -141,17 +141,16 @@ class TestBitParity:
 
 
 class TestEngineSelection:
-    """The engine field is execution detail, invisible to identity."""
+    """The engine is chosen by the executor, never by the spec."""
 
     def test_engine_validated(self):
+        spec = RunSpec(system="local", app="GRID", n_frames=30, warmup_frames=5)
         with pytest.raises(ConfigurationError):
-            RunSpec(system="local", app="GRID", engine="turbo")
+            run(spec, "turbo")
         with pytest.raises(ConfigurationError):
             BatchEngine(engine="turbo")
-
-    def test_cache_key_ignores_engine(self):
-        base = RunSpec(system="qvr", app="GRID")
-        assert spec_key(base) == spec_key(replace(base, engine="scalar"))
+        with pytest.raises(ConfigurationError):
+            ShardedExecutor(engine="turbo")
 
     def test_scalar_result_satisfies_vector_cache_entry(self, tmp_path):
         """A cache populated by one engine answers the other engine's specs."""
@@ -163,25 +162,23 @@ class TestEngineSelection:
         assert reader.stats.executed == 0
         assert reader.stats.cache_hits == 1
 
-    def test_batch_engine_override_keys_by_requested_spec(self):
-        spec = RunSpec(system="local", app="GRID", n_frames=30, warmup_frames=5)
-        engine = BatchEngine(engine="scalar")
-        results = engine.run_specs([spec])
-        assert set(results) == {spec}
-        assert_identical(run(spec), results[spec])
-
-    def test_sweep_threads_engine(self):
-        sweep = Sweep(
-            systems=("local", "remote"),
-            apps=("GRID",),
-            n_frames=40,
-            engine="scalar",
-        )
-        assert all(spec.engine == "scalar" for spec in sweep.specs())
-        assert all(
-            spec.engine == "vector"
-            for spec in replace(sweep, engine="vector").specs()
-        )
+    @pytest.mark.parametrize("engine,kernel_spans", [("scalar", 0), ("vector", 4)])
+    def test_engine_choice_reaches_pool_workers(self, tmp_path, engine, kernel_spans):
+        """Both engines return the same bits, so only the trace can tell
+        which one ran: ``kernels.run`` spans open in ``run_vectorized``
+        alone, one per spec a pool worker executes on the vector engine."""
+        specs = Sweep(
+            systems=("local", "qvr"), apps=("GRID",), seeds=(0, 1), n_frames=30
+        ).specs()
+        trace.configure(tmp_path / "t", process="parent")
+        try:
+            BatchEngine(jobs=2, shards=2, engine=engine).run_specs(specs)
+        finally:
+            trace.shutdown()
+        events, _ = report.load_trace(tmp_path / "t")
+        names = [begin["name"] for begin, _end in trace.spans(events)]
+        assert names.count("shard.execute") == len(specs) == 4
+        assert names.count("kernels.run") == kernel_spans
 
 
 class TestWarmupClamping:

@@ -193,11 +193,11 @@ class TestResume:
         real_run = shard_module.run
         calls = []
 
-        def interrupted(spec):
+        def interrupted(spec, engine):
             if len(calls) == 2:
                 raise KeyboardInterrupt
             calls.append(spec)
-            return real_run(spec)
+            return real_run(spec, engine)
 
         monkeypatch.setattr(shard_module, "run", interrupted)
         first = ShardedExecutor(shards=1, stream_dir=tmp_path)
@@ -239,7 +239,7 @@ class TestPoolFaults:
         parent = os.getpid()
         real_run = shard_module.run
 
-        def run_or_die(spec):
+        def run_or_die(spec, engine):
             if os.getpid() != parent and spec not in firsts:
                 try:
                     fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
@@ -249,7 +249,7 @@ class TestPoolFaults:
                     os.write(fd, str(os.getpid()).encode())
                     os.close(fd)
                     os.kill(os.getpid(), signal.SIGKILL)
-            return real_run(spec)
+            return real_run(spec, engine)
 
         monkeypatch.setattr(shard_module, "run", run_or_die)
         stream = ResultStream(tmp_path / "stream")
@@ -282,7 +282,7 @@ class TestPoolFaults:
             assert end["ts_s"] >= begin["ts_s"]
 
     def test_worker_error_fails_the_sweep(self, tmp_path, monkeypatch):
-        def fail(spec):
+        def fail(spec, engine):
             raise ValueError("injected worker fault")
 
         monkeypatch.setattr(shard_module, "run", fail)

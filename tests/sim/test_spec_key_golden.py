@@ -15,9 +15,9 @@ a determinism bug), regenerate the table with::
     PYTHONPATH=src python tests/sim/test_spec_key_golden.py
 
 which prints the current matrix in copy-pasteable form.  HASH001 in
-``repro-lint.toml`` guards the companion invariant: no RunSpec /
-PlatformConfig / NetworkConditions field may be added without deciding
-whether it is hashed (baseline) or execution-only (``_EXECUTION_FIELDS``).
+``repro-lint.toml`` guards the companion invariant: every RunSpec /
+PlatformConfig / NetworkConditions field is hashed, so none may be added
+without extending its baseline ledger.
 """
 
 from __future__ import annotations
@@ -83,16 +83,10 @@ def test_matrix_and_golden_cover_same_labels() -> None:
     assert set(_matrix()) == set(GOLDEN)
 
 
-def test_execution_fields_do_not_move_the_key() -> None:
-    """Engine choice is execution-only: both engines share one cache key."""
-    base = _matrix()["qvr-grid-default"]
-    assert spec_key(replace(base, engine="scalar")) == GOLDEN["qvr-grid-default"]
-
-
 def test_neutral_valued_fields_do_not_move_the_key() -> None:
     """Spelling out the default of a field keeps the key, while a
-    non-default policy or start offset moves it, because every field
-    except the execution-only ones is hashed.
+    non-default policy or start offset moves it, because every field is
+    hashed.
     """
     base = _matrix()["qvr-grid-default"]
     explicit_neutral = replace(
