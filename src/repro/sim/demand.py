@@ -39,12 +39,13 @@ batch path in one session-major pass: every session re-plans under each
 policy in turn via :meth:`~repro.sim.session.Session.with_policy`, and
 the frozen specs of all policies stream through a single
 :meth:`~repro.sim.runner.BatchEngine.stream_specs` call (one result
-stream for the whole run), a session's policies back to back so the
-kernel memos reuse each client's workload stream and gaze trace.  Each
+stream for the whole run).  The engine runs them sorted by the kernels'
+memo group, so a client's specs under every policy run back to back and
+share its workload stream and gaze trace.  Each
 ``(spec, result)`` pair is folded into its policy's order-independent
 streaming aggregates (exact-sum :class:`~repro.sim.metrics.StreamSummary`)
-and dropped, so 10k+ client-sessions execute in bounded memory —
-no full result dict ever exists.  The headline metric is fleet-wide SLO
+and dropped, so no full result dict ever exists; the planned sessions
+and their specs are still all held before execution starts.  The headline metric is fleet-wide SLO
 attainment: the fraction of measurable client-windows whose steady-state
 p99 FPS meets the scenario's floor, reported per policy.  Because every
 aggregate is order-independent (exact sums, integer sketch counters,
@@ -866,14 +867,17 @@ def run_population(
     its frozen specs are fed — lazily, session by session, a session's
     policies back to back — to one
     :meth:`~repro.sim.runner.BatchEngine.stream_specs` call.  A client
-    keeps its app, seed and link under every policy, so its workload
-    stream and foveation kernel are built once and reused from the
-    kernel memos by the next policy's spec.  Each completed
-    ``(spec, result)`` pair folds into the :class:`_PolicyAccumulator`
-    of ``spec.policy`` and is dropped, so memory stays bounded
-    regardless of city size.  When the engine spills to a configured
-    stream directory, the run's one stream (one manifest, every policy)
-    lives there directly.
+    keeps its app, seed and link under every policy, so its specs share
+    one :func:`~repro.sim.kernels.memo_group`; the engine runs its
+    misses sorted by that group, which puts them back to back, so the
+    client's workload stream and foveation kernel are built once and
+    read by every policy's spec.  Each completed ``(spec, result)`` pair
+    folds into the :class:`_PolicyAccumulator` of ``spec.policy`` and is
+    dropped, so results held do not grow with city size; requests do:
+    every planned session is expanded up front, and the engine holds
+    every spec before it executes any.  When the engine spills to a
+    configured stream directory, the run's one stream (one manifest,
+    every policy) lives there directly.
 
     Returns the deterministic population report: per-policy client-window
     counts, streamed latency / FPS / per-client-p99 summaries, and SLO

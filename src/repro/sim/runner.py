@@ -234,6 +234,13 @@ def run(spec: RunSpec, engine: str = "vector") -> SimulationResult:
 
     Both engines (:data:`ENGINE_NAMES`) produce bit-identical records,
     so ``engine`` picks how the run executes, never what it computes.
+
+    The vector engine's workload-stream and gaze-kernel memos hold one
+    :func:`~repro.sim.kernels.memo_group` each, so a loop of ``run``
+    calls reuses them only while consecutive specs share a group; a
+    system-major loop rebuilds them at every spec.
+    :meth:`BatchEngine.run_specs` orders its runs by group and gets
+    every reuse.
     """
     _check_engine(engine)
     app = get_app(spec.app)
@@ -451,18 +458,21 @@ class ResultCache:
 
     def path_for(self, spec: RunSpec) -> Path:
         """Cache file path of a spec."""
-        return self.directory / f"{spec_key(spec)}.pkl"
+        return self._path(spec_key(spec))
+
+    def _path(self, key: str) -> Path:
+        return self.directory / f"{key}.pkl"
 
     def get(self, spec: RunSpec) -> SimulationResult | None:
         """The memoized result, or None on a miss."""
-        path = self.path_for(spec)
+        key = spec_key(spec)
         try:
-            with path.open("rb") as handle:
+            with self._path(key).open("rb") as handle:
                 payload = pickle.load(handle)
         except (OSError, *_UNPICKLE_ERRORS):
             obs_metrics.counter("runner.cache.miss").inc()
             return None
-        if not isinstance(payload, dict) or payload.get("key") != spec_key(spec):
+        if not isinstance(payload, dict) or payload.get("key") != key:
             obs_metrics.counter("runner.cache.miss").inc()
             return None
         obs_metrics.counter("runner.cache.hit").inc()
@@ -471,12 +481,13 @@ class ResultCache:
     def put(self, spec: RunSpec, result: SimulationResult) -> None:
         """Memoize one completed run."""
         obs_metrics.counter("runner.cache.put").inc()
-        payload = {"key": spec_key(spec), "result": result}
+        key = spec_key(spec)
+        payload = {"key": key, "result": result}
         fd, tmp_name = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as handle:
                 pickle.dump(payload, handle)
-            os.replace(tmp_name, self.path_for(spec))
+            os.replace(tmp_name, self._path(key))
         except BaseException:
             if os.path.exists(tmp_name):
                 os.unlink(tmp_name)
@@ -558,6 +569,15 @@ class BatchEngine:
         directory that is removed when execution finishes, and keeps
         in-process runs off disk.
 
+    Misses execute in :func:`~repro.sim.kernels.memo_group` order, a
+    stable sort by ``(seed, n_frames, panel resolution, app)``, not in
+    the order requested: the specs that share a workload stream or a
+    gaze kernel run back to back, so the kernels' one-group memos serve
+    every reuse the batch has, in this process and in each pool worker
+    (shards are contiguous slices of the sorted list).  Results are
+    returned keyed by spec, so the order never reaches outputs; it does
+    fix the shard plan a ``stream_dir`` resumes against.
+
     Completed runs are always memoized in-memory for the engine's
     lifetime, so overlapping batches (e.g. Table 4 and Fig. 15 sharing
     their Q-VR grid) execute each spec once even without a cache
@@ -627,7 +647,10 @@ class BatchEngine:
 
         ``specs`` is consumed incrementally — duplicates are dropped and
         hits yielded as they arrive — and the misses execute once the
-        input is drained.  Executed results land in the disk cache, and
+        input is drained, stably sorted by the kernels'
+        :func:`~repro.sim.kernels.memo_group` so that the specs sharing a
+        workload stream or gaze kernel run back to back (and land in the
+        same or adjacent shards).  Executed results land in the disk cache, and
         with ``memoize`` every result also lands in the engine memo.
         ``stats.executed`` counts what the executor ran, not the frames a
         resumed stream read back from disk.
@@ -650,6 +673,9 @@ class BatchEngine:
                 yield spec, cached
             else:
                 misses.append(spec)
+        from repro.sim.kernels import memo_group
+
+        misses.sort(key=lambda s: memo_group(get_app(s.app), s.seed, s.n_frames))
         for spec, result in self._execute(misses):
             if memoize:
                 self._memo[spec] = result
@@ -718,7 +744,11 @@ class BatchEngine:
 
         Pairs are yielded as execution completes, so the order mixes
         cache hits (input order, first) with executed shards (completion
-        order); consumers key by spec.
+        order); consumers key by spec.  Misses execute in memo-group
+        order (see :class:`BatchEngine`), so a session-major stream of
+        several policies' specs runs each client's specs back to back,
+        every policy reading the client's one workload stream and gaze
+        kernel.
         """
         yield from self._serve(specs, memoize=False)
 

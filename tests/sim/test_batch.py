@@ -255,6 +255,25 @@ class TestCache:
         # Every spec that completed before the failure was persisted.
         assert len(ResultCache(tmp_path)) == len(specs) - 1
 
+    def test_each_lookup_hashes_its_spec_once(self, tmp_path, monkeypatch):
+        """A cache ``get`` and a ``put`` each compute the spec key once."""
+        import repro.sim.runner as runner_module
+
+        specs = _small_sweep().specs()[:2]
+        hashed = []
+        spec_key_of = runner_module._spec_key
+
+        def counting(spec, memo):
+            hashed.append(spec)
+            return spec_key_of(spec, memo)
+
+        monkeypatch.setattr(runner_module, "_spec_key", counting)
+        BatchEngine(cache_dir=tmp_path).run_specs(specs)
+        assert len(hashed) == 4  # one get and one put per spec
+        hashed.clear()
+        BatchEngine(cache_dir=tmp_path).run_specs(specs)
+        assert len(hashed) == 2  # one get per spec
+
     def test_clear_evicts_every_entry(self, tmp_path):
         specs = _small_sweep().specs()
         engine = BatchEngine(cache_dir=tmp_path)

@@ -441,7 +441,7 @@ class TestShippedCity:
 
 
 class TestMemoReuse:
-    """Session-major order lets each client's second policy hit the memos."""
+    """Memo-group order lets each client's second policy hit the memos."""
 
     def test_second_policy_hits_the_kernel_memos(self, tmp_path, monkeypatch):
         scenario = _scenario()

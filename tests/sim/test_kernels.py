@@ -181,6 +181,51 @@ class TestEngineSelection:
         assert names.count("kernels.run") == kernel_spans
 
 
+class TestMemoOrder:
+    """The batch engine runs its misses grouped by the kernels' memo group."""
+
+    def test_system_major_grid_builds_each_memo_entry_once(self, monkeypatch):
+        import pickle
+        from collections import Counter, OrderedDict
+
+        from repro.sim import kernels
+        from repro.workloads.generator import WorkloadGenerator
+
+        for name in ("_GEOMETRY_CACHE", "_WORKLOAD_CACHE", "_LATTICE_CACHE"):
+            monkeypatch.setattr(kernels, name, OrderedDict())
+        streams = Counter()
+        gaze_kernels = []
+        generate = WorkloadGenerator.generate
+        fov_init = kernels._FoveationKernel.__init__
+
+        def counting_generate(gen, n_frames):
+            streams[gen.app.name, gen.seed, n_frames] += 1
+            return generate(gen, n_frames)
+
+        def counting_init(kern, lattice, motion):
+            gaze_kernels.append((lattice.width_px, lattice.height_px))
+            return fov_init(kern, lattice, motion)
+
+        monkeypatch.setattr(WorkloadGenerator, "generate", counting_generate)
+        monkeypatch.setattr(kernels._FoveationKernel, "__init__", counting_init)
+        # System-major: every design runs on every (app, seed) before the next.
+        specs = Sweep(
+            systems=("ffr", "dfr", "qvr"), apps=("Doom3-L", "GRID", "UT3"),
+            seeds=(1, 2), n_frames=24,
+        ).specs()
+        results = BatchEngine().run_specs(specs)
+
+        assert sorted(streams.values()) == [1] * 6  # 3 apps x 2 seeds
+        # GRID and UT3 share a panel: 2 seeds x 2 resolutions, each built once.
+        assert sorted(gaze_kernels) == [(1280, 1600)] * 2 + [(1920, 2160)] * 2
+        assert len(kernels._WORKLOAD_CACHE) <= 1
+        assert len(kernels._GEOMETRY_CACHE) <= 1
+        assert list(results) == list(specs)
+        assert [pickle.dumps(results[spec]) for spec in specs] == [
+            pickle.dumps(run(spec)) for spec in specs
+        ]
+
+
 class TestWarmupClamping:
     """One clamping rule, shared by both engines and the sweep layer."""
 
