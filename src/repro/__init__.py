@@ -36,7 +36,6 @@ from repro.sim.runner import (
     RunSpec,
     Sweep,
     run,
-    run_batch,
     run_comparison,
     speedup_over,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "Sweep",
     "BatchEngine",
     "run",
-    "run_batch",
     "run_comparison",
     "speedup_over",
     "PlatformConfig",

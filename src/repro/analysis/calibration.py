@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from repro.analysis.report import format_table
 
-__all__ = ["Anchor", "ANCHORS", "within_band", "format_scorecard"]
+__all__ = ["Anchor", "ANCHORS", "format_scorecard"]
 
 
 @dataclass(frozen=True)
@@ -78,13 +78,6 @@ ANCHORS: dict[str, Anchor] = {
         Anchor("uca_tile_cycles", 532.0, 532.0, 532.0, "Sec. 4.3"),
     )
 }
-
-
-def within_band(name: str, measured: float) -> bool:
-    """Check a measured value against its named anchor band."""
-    if name not in ANCHORS:
-        raise KeyError(f"unknown anchor {name!r}; known: {sorted(ANCHORS)}")
-    return ANCHORS[name].check(measured)
 
 
 def format_scorecard(measured: Mapping[str, float]) -> str:

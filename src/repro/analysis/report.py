@@ -12,7 +12,7 @@ from collections.abc import Iterable, Sequence
 
 from repro.errors import ConfigurationError
 
-__all__ = ["format_table", "format_series", "format_session"]
+__all__ = ["format_table", "format_session"]
 
 
 def format_table(
@@ -160,15 +160,6 @@ def format_session(result, title: str) -> str:
         f"{result.clients_meeting_fps}/{serviced} serviced clients hold 90 Hz"
     )
     return "\n".join(tables)
-
-
-def format_series(label: str, values: Sequence[float], per_line: int = 10) -> str:
-    """Render a numeric series compactly (for Fig. 14-style traces)."""
-    lines = [f"{label}:"]
-    for start in range(0, len(values), per_line):
-        chunk = values[start : start + per_line]
-        lines.append("  " + " ".join(f"{v:7.2f}" for v in chunk))
-    return "\n".join(lines)
 
 
 def _indices(values: Sequence[int]) -> str:

@@ -1,12 +1,11 @@
 """Video codec substrate: H.264 rate/latency model and streaming pipeline."""
 
 from repro.codec.h264 import EncodedFrame, H264Model
-from repro.codec.stream import DEFAULT_CHUNKS, StreamPlan, pipelined_latency_ms
+from repro.codec.stream import DEFAULT_CHUNKS, pipelined_latency_ms
 
 __all__ = [
     "EncodedFrame",
     "H264Model",
-    "StreamPlan",
     "pipelined_latency_ms",
     "DEFAULT_CHUNKS",
 ]

@@ -35,14 +35,6 @@ class EncodedFrame:
         if self.pixels < 0 or self.payload_bytes < 0:
             raise CodecError("encoded frame quantities must be >= 0")
 
-    @property
-    def compression_ratio(self) -> float:
-        """Raw RGB bytes divided by compressed bytes."""
-        raw = self.pixels * constants.BYTES_PER_PIXEL
-        if self.payload_bytes == 0:
-            return float("inf") if raw > 0 else 1.0
-        return raw / self.payload_bytes
-
 
 @dataclass(frozen=True)
 class H264Model:

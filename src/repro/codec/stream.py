@@ -16,11 +16,9 @@ which approaches ``max_i(s_i)`` as ``k`` grows — exactly the paper's
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.errors import CodecError
 
-__all__ = ["StreamPlan", "pipelined_latency_ms"]
+__all__ = ["pipelined_latency_ms"]
 
 #: Default number of slices a layer stream is cut into.
 DEFAULT_CHUNKS = 8
@@ -46,45 +44,3 @@ def pipelined_latency_ms(stage_times_ms: list[float] | tuple[float, ...], chunks
     total = sum(times)
     bottleneck = max(times)
     return total / chunks + (chunks - 1) / chunks * bottleneck
-
-
-@dataclass(frozen=True)
-class StreamPlan:
-    """A remote-path streaming schedule and its effective latency.
-
-    Attributes
-    ----------
-    render_ms, encode_ms, transmit_ms, decode_ms:
-        Stage totals for the remote path of one frame.
-    propagation_ms:
-        One-way path latency, paid once.
-    chunks:
-        Pipeline slicing factor.
-    """
-
-    render_ms: float
-    encode_ms: float
-    transmit_ms: float
-    decode_ms: float
-    propagation_ms: float
-    chunks: int = DEFAULT_CHUNKS
-
-    @property
-    def stage_times(self) -> tuple[float, float, float, float]:
-        """The four overlappable stage totals."""
-        return (self.render_ms, self.encode_ms, self.transmit_ms, self.decode_ms)
-
-    @property
-    def bottleneck_ms(self) -> float:
-        """The slowest stage (the paper's 'highest latency portion')."""
-        return max(self.stage_times)
-
-    @property
-    def latency_ms(self) -> float:
-        """End-to-end remote path latency with chunked overlap."""
-        return self.propagation_ms + pipelined_latency_ms(self.stage_times, self.chunks)
-
-    @property
-    def serial_latency_ms(self) -> float:
-        """Latency without any streaming overlap (the naive design)."""
-        return self.propagation_ms + sum(self.stage_times)

@@ -42,12 +42,6 @@ SENSOR_TRANSPORT_MS: float = 2.0
 #: Latency to scan a finished frame out onto the HMD, in ms.
 DISPLAY_SCANOUT_MS: float = 5.0
 
-#: Refresh rate of the state-of-the-art eye tracker (Sec. 7), in Hz.
-EYE_TRACKER_RATE_HZ: float = 120.0
-
-#: Refresh rate of the head-tracking IMU, in Hz (typical 1 kHz-class IMU).
-HEAD_TRACKER_RATE_HZ: float = 1000.0
-
 # --------------------------------------------------------------------------
 # Human visual system / MAR model (Sec. 3.1)
 # --------------------------------------------------------------------------
@@ -68,10 +62,6 @@ HMD_HFOV_DEG: float = 110.0
 
 #: Vertical field of view of one HMD eye, in degrees.
 HMD_VFOV_DEG: float = 110.0
-
-#: Human binocular field of view (Sec. 3): 160 deg horizontal, 135 vertical.
-HUMAN_HFOV_DEG: float = 160.0
-HUMAN_VFOV_DEG: float = 135.0
 
 #: Smallest eccentricity the adaptive controllers may select, in degrees.
 MIN_ECCENTRICITY_DEG: float = 5.0
@@ -101,9 +91,6 @@ RASTER_TILE_PX: int = 16
 # --------------------------------------------------------------------------
 # Display / colour
 # --------------------------------------------------------------------------
-
-#: Bytes per uncompressed pixel (RGB, 8 bit per channel).
-BYTES_PER_PIXEL: int = 3
 
 #: Number of eyes; VR renders a stereo pair.
 EYES: int = 2

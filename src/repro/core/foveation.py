@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -227,11 +226,6 @@ class LayerPartition:
     fovea_area_px: float
     middle_area_px: float
     outer_area_px: float
-
-    @property
-    def total_area_px(self) -> float:
-        """Sum of the three layer areas (the full panel)."""
-        return self.fovea_area_px + self.middle_area_px + self.outer_area_px
 
 
 @dataclass(frozen=True)
@@ -469,9 +463,3 @@ class FoveationModel:
             outer_pixels=outer_px,
             native_pixels=float(self.eyes * self.display.total_pixels),
         )
-
-
-@lru_cache(maxsize=64)
-def default_model(width_px: int, height_px: int) -> FoveationModel:
-    """Return a cached :class:`FoveationModel` for a per-eye resolution."""
-    return FoveationModel(DisplayGeometry(width_px, height_px))

@@ -405,8 +405,3 @@ class LIWC:
             periphery_pixels, payload_bytes, measured_remote_ms, ack_throughput_bytes_per_ms
         )
         self._pending = None
-
-    @property
-    def last_imbalance_ms(self) -> float | None:
-        """Most recent measured ``T_remote - T_local`` (None before data)."""
-        return self._last_diff_ms

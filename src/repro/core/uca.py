@@ -84,18 +84,6 @@ class TileStats:
     total_tiles: int
     bound_tiles: int
 
-    @property
-    def non_overlapping_tiles(self) -> int:
-        """Tiles on a single layer (bilinear path)."""
-        return self.total_tiles - self.bound_tiles
-
-    @property
-    def bound_fraction(self) -> float:
-        """Share of tiles requiring the fused trilinear path."""
-        if self.total_tiles == 0:
-            return 0.0
-        return self.bound_tiles / self.total_tiles
-
 
 class UCAUnit:
     """Timing model of the unified composition and ATW hardware."""
@@ -151,17 +139,3 @@ class UCAUnit:
     def critical_tail_ms(self, width_px: int, height_px: int, eyes: int = constants.EYES) -> float:
         """Latency UCA adds after the last input layer arrives."""
         return self.occupancy_ms(width_px, height_px, eyes) * self.config.critical_tail_fraction
-
-    def reconstruct_time_ms(self, width_px: int, height_px: int, eyes: int = constants.EYES) -> float:
-        """Time to synthesise a dropped frame from previous layers.
-
-        Reconstruction replays the same tile pipeline over the stale
-        layers with the updated pose, so it costs one full occupancy.
-        """
-        return self.occupancy_ms(width_px, height_px, eyes)
-
-    # -- sanity against the paper -----------------------------------------------------
-
-    def tiles_per_second(self) -> float:
-        """Aggregate tile throughput of all units."""
-        return self.config.units * self.config.frequency_mhz * 1e6 / self.config.cycles_per_tile

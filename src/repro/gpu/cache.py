@@ -29,20 +29,6 @@ class CacheTraffic:
     l1_miss_bytes: float
     dram_bytes: float
 
-    @property
-    def l1_hit_rate(self) -> float:
-        """Fraction of fragment request bytes served by L1."""
-        if self.fragment_requests_bytes == 0:
-            return 1.0
-        return 1.0 - self.l1_miss_bytes / self.fragment_requests_bytes
-
-    @property
-    def l2_hit_rate(self) -> float:
-        """Fraction of L1 miss bytes served by L2."""
-        if self.l1_miss_bytes == 0:
-            return 1.0
-        return 1.0 - self.dram_bytes / self.l1_miss_bytes
-
 
 class CacheModel:
     """Square-root capacity model for the L1/L2 texture hierarchy."""

@@ -136,11 +136,6 @@ class FrameTiming:
         parallel = max(self.compute_ms, self.dram_ms, self.raster_ms)
         return parallel + self.batch_overhead_ms + self.fixed_ms
 
-    @property
-    def memory_bound(self) -> bool:
-        """True when DRAM time dominates shading time."""
-        return self.dram_ms > self.compute_ms
-
 
 class GPUPerfModel:
     """Analytic per-frame timing model for a :class:`GPUConfig`."""

@@ -36,7 +36,6 @@ from repro.lint.framework import (
     LintResult,
     LintRunner,
     all_rule_codes,
-    registered_rules,
 )
 from repro.lint.reporters import render_json, render_text
 
@@ -51,7 +50,6 @@ __all__ = [
     "LintResult",
     "LintRunner",
     "all_rule_codes",
-    "registered_rules",
     "lint_paths",
     "load_config",
     "render_json",

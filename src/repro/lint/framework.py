@@ -44,7 +44,6 @@ __all__ = [
     "SyntaxRule",
     "all_rule_codes",
     "register",
-    "registered_rules",
 ]
 
 #: Framework-reserved finding codes (not suppressible, not configurable).
@@ -211,11 +210,6 @@ def register(rule_class: type[Rule]) -> type[Rule]:
         raise ConfigurationError(f"duplicate rule code {rule_class.code!r}")
     _REGISTRY[rule_class.code] = rule_class
     return rule_class
-
-
-def registered_rules() -> dict[str, type[Rule]]:
-    """The registry (code -> rule class), as a copy."""
-    return dict(_REGISTRY)
 
 
 def all_rule_codes() -> tuple[str, ...]:

@@ -1,7 +1,6 @@
-"""Motion substrate: 6-DoF pose algebra, trace synthesis, sensor sampling."""
+"""Motion substrate: 6-DoF pose algebra and trace synthesis."""
 
 from repro.motion.dof import GazeDelta, GazePoint, Pose, PoseDelta
-from repro.motion.sensors import SampledSensor, SensorReading, eye_tracker, head_tracker
 from repro.motion.traces import (
     GazeMotionConfig,
     HeadMotionConfig,
@@ -15,10 +14,6 @@ __all__ = [
     "PoseDelta",
     "GazePoint",
     "GazeDelta",
-    "SampledSensor",
-    "SensorReading",
-    "eye_tracker",
-    "head_tracker",
     "HeadMotionConfig",
     "GazeMotionConfig",
     "MotionSample",

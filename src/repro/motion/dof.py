@@ -39,10 +39,6 @@ class Pose:
             droll=_wrap_angle(self.roll - previous.roll),
         )
 
-    def as_tuple(self) -> tuple[float, float, float, float, float, float]:
-        """Return ``(x, y, z, yaw, pitch, roll)``."""
-        return (self.x, self.y, self.z, self.yaw, self.pitch, self.roll)
-
 
 @dataclass(frozen=True)
 class PoseDelta:
@@ -54,20 +50,6 @@ class PoseDelta:
     dyaw: float = 0.0
     dpitch: float = 0.0
     droll: float = 0.0
-
-    def as_tuple(self) -> tuple[float, float, float, float, float, float]:
-        """Return ``(dx, dy, dz, dyaw, dpitch, droll)``."""
-        return (self.dx, self.dy, self.dz, self.dyaw, self.dpitch, self.droll)
-
-    @property
-    def translation_magnitude_m(self) -> float:
-        """Euclidean translation distance in metres."""
-        return math.sqrt(self.dx**2 + self.dy**2 + self.dz**2)
-
-    @property
-    def rotation_magnitude_deg(self) -> float:
-        """Euclidean rotation magnitude in degrees."""
-        return math.sqrt(self.dyaw**2 + self.dpitch**2 + self.droll**2)
 
     def exceeds(
         self, translation_threshold_m: float, rotation_threshold_deg: float

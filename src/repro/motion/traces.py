@@ -136,13 +136,6 @@ class MotionTrace:
     def __iter__(self):
         return iter(self.samples)
 
-    @property
-    def mean_activity(self) -> float:
-        """Average activity level over the trace."""
-        if not self.samples:
-            return 0.0
-        return float(np.mean([s.activity for s in self.samples]))
-
 
 def generate_trace(
     n_frames: int,

@@ -209,11 +209,6 @@ class NetworkChannel:
         """One-way propagation latency of the path."""
         return self.conditions.propagation_ms
 
-    @property
-    def round_trip_ms(self) -> float:
-        """ACK round-trip time of the path."""
-        return 2.0 * self.conditions.propagation_ms
-
     # -- ACK-based observation (what LIWC sees) --------------------------------
 
     def _update_ack_estimate(self, observed: float, alpha: float = 0.3) -> None:

@@ -69,7 +69,11 @@ class NetworkConditions:
             )
 
     def with_uplink(self, uplink_mbps: float) -> "NetworkConditions":
-        """Copy of these conditions with an asymmetric uplink rate."""
+        """Copy of these conditions with an asymmetric uplink rate.
+
+        Public API with no caller in the package: README.md's uplink
+        paragraph documents it.
+        """
         return replace(self, uplink_mbps=uplink_mbps)
 
 

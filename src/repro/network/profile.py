@@ -132,12 +132,6 @@ class NetworkProfile(ABC):
         """Display label (used in tables and the CLI)."""
         return type(self).__name__
 
-    @property
-    def initial_conditions(self) -> NetworkConditions:
-        """Conditions at the start of a run (t = 0)."""
-        return self.sampler(0).conditions_at(0.0)
-
-
 @dataclass(frozen=True)
 class ConstantProfile(NetworkProfile):
     """A time-invariant link — the classic Table 2 preset as a profile."""
@@ -150,11 +144,6 @@ class ConstantProfile(NetworkProfile):
     @property
     def name(self) -> str:
         return self.conditions.name
-
-    @property
-    def initial_conditions(self) -> NetworkConditions:
-        return self.conditions
-
 
 @dataclass(frozen=True)
 class PiecewiseProfile(NetworkProfile):
@@ -420,11 +409,6 @@ class MarkovProfile(NetworkProfile):
     @property
     def name(self) -> str:
         return self.label
-
-    @property
-    def initial_conditions(self) -> NetworkConditions:
-        return self.good
-
 
 @dataclass(frozen=True)
 class ShareSchedule:

@@ -868,7 +868,7 @@ def run_population(
     policies back to back — to one
     :meth:`~repro.sim.runner.BatchEngine.stream_specs` call.  A client
     keeps its app, seed and link under every policy, so its specs share
-    one :func:`~repro.sim.kernels.memo_group`; the engine runs its
+    one :func:`~repro.workloads.generator.memo_group`; the engine runs its
     misses sorted by that group, which puts them back to back, so the
     client's workload stream and foveation kernel are built once and
     read by every policy's spec.  Each completed ``(spec, result)`` pair

@@ -364,11 +364,6 @@ class RenderFleet:
         """True when the named server is up at t = 0."""
         return self.initial is None or name in self.initial
 
-    @property
-    def total_capacity(self) -> float:
-        """Capacity of the whole declared roster, in client-equivalents."""
-        return sum(server.capacity for _, server in self.servers)
-
     def validate_events(self, events) -> None:
         """Replay up/down state so inconsistent capacity timelines fail
         at session build time (unknown server, double-down, up-while-up)."""

@@ -35,10 +35,10 @@ memo is two-level: a seed-free per-resolution lattice, shared by every
 seed, under a per-``(resolution, seed, n_frames)`` gaze kernel.
 
 The stream and gaze-kernel memos hold one entry each, the current
-:func:`memo_group`.  Every reuse they serve is between runs that share
-``(seed, n_frames, panel resolution, app)``, and
-:class:`~repro.sim.runner.BatchEngine` runs its misses sorted by that
-group, so an entry is dead once its group is done; only the lattices
+:func:`~repro.workloads.generator.memo_group`.  Every reuse they serve
+is between runs that share ``(seed, n_frames, panel resolution, app)``,
+and :class:`~repro.sim.runner.BatchEngine` runs its misses sorted by
+that group, so an entry is dead once its group is done; only the lattices
 (up to eight, one per resolution) outlive it.  After a cold
 ``fig12-grid`` pass with its results dropped, memos sized for a
 system-major grid (32 streams, 8 gaze kernels) left 11.9 MB of traced
@@ -123,7 +123,7 @@ from repro.sim.systems import (
     SYSTEM_NAMES,
 )
 from repro.workloads.apps import VRApp
-from repro.workloads.generator import WorkloadGenerator
+from repro.workloads.generator import WorkloadGenerator, memo_group
 
 __all__ = ["run_vectorized"]
 
@@ -163,18 +163,6 @@ def _memoized(cache: OrderedDict, limit: int, name: str, key, build):
         obs_metrics.counter(f"{name}.hit").inc()
         cache.move_to_end(key)
     return value
-
-
-def memo_group(app: VRApp, seed: int, n_frames: int) -> tuple:
-    """Sort key that makes runs sharing kernel memo entries adjacent.
-
-    ``(seed, n_frames, panel width, panel height, app name)``: runs with
-    an equal group share a workload stream, and runs whose groups agree
-    up to the app share a gaze kernel.  A batch executed in this order
-    reads each stream and each gaze kernel while it is the newest entry
-    of its memo, so one entry per memo serves it.
-    """
-    return (seed, n_frames, app.width_px, app.height_px, app.name)
 
 
 def _workloads(app: VRApp, seed: int, n_frames: int):

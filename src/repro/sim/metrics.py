@@ -7,8 +7,9 @@ Conventions:
   matching the paper's "from tracking to display" accounting;
 * **measured FPS** is computed from steady-state display completion
   intervals after a warm-up prefix;
-* **paper-formula FPS** is the paper's ``FPS = min(1/T_GPU, 1/T_network)``
-  (Sec. 6.1), evaluated per frame from resource busy times and averaged.
+* **paper-formula FPS** (:func:`paper_fps`) is the paper's
+  ``FPS = min(1/T_GPU, 1/T_network)`` (Sec. 6.1) of one frame's
+  resource busy times.
 """
 
 from __future__ import annotations
@@ -75,22 +76,21 @@ def tail_fps(display_times_ms, percentile: float = 99.0) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Streaming (mergeable) aggregation
+# Streaming aggregation
 # ---------------------------------------------------------------------------
 
 
 class ExactMoments:
-    """Mergeable count / mean / variance / extremes from exact partial sums.
+    """Count / mean / variance / extremes from exact partial sums.
 
     The constant-memory replacement for collect-then-``np.mean`` when a
     sweep is too large to hold: feed values one at a time with
-    :meth:`add`, or fold two partial aggregates with :meth:`merge`, and
-    read the summary statistics at any point.  The running sum and sum
-    of squares are kept as exact floating-point expansions (Shewchuk's
-    grow-expansion, the algorithm behind ``math.fsum``), so the exact
-    accumulated value — and therefore its correctly rounded reading — is
-    invariant under any permutation of :meth:`add` / :meth:`merge`
-    calls.
+    :meth:`add` and read the summary statistics at any point.  The
+    running sum and sum of squares are kept as exact floating-point
+    expansions (Shewchuk's grow-expansion, the algorithm behind
+    ``math.fsum``), so the exact accumulated value — and therefore its
+    correctly rounded reading — is invariant under any permutation of
+    the :meth:`add` calls.
 
     This is the property population-scale consumers need: the sharded
     executor yields results in nondeterministic completion order, and a
@@ -156,63 +156,6 @@ class ExactMoments:
         for value in values:
             self.add(value)
 
-    def merge(self, other: "ExactMoments") -> None:
-        """Fold another partial aggregate into this one (in place).
-
-        Exact: merging is equivalent to having added the other side's
-        observations directly, in any order.
-        """
-        if not isinstance(other, ExactMoments):
-            raise ConfigurationError(
-                "ExactMoments merges only with ExactMoments, got "
-                f"{type(other).__name__}"
-            )
-        self.count += other.count
-        for x in other._sum:
-            self._grow(self._sum, x)
-        for x in other._sumsq:
-            self._grow(self._sumsq, x)
-        self._pos_inf += other._pos_inf
-        self._neg_inf += other._neg_inf
-        if other.min < self.min:
-            self.min = other.min
-        if other.max > self.max:
-            self.max = other.max
-
-    def state(self) -> dict:
-        """A JSON-serializable image that depends only on the folded values.
-
-        Each exact sum is written as its canonical expansion — the
-        greedy sequence of correctly rounded remainders, largest first —
-        which is a function of the exact value alone, so two aggregates
-        of one multiset serialize identically whatever the fold or merge
-        order.
-        """
-        return {
-            "count": self.count,
-            "sum": _canonical_expansion(self._sum),
-            "sumsq": _canonical_expansion(self._sumsq),
-            "pos_inf": self._pos_inf,
-            "neg_inf": self._neg_inf,
-            "min": self.min,
-            "max": self.max,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "ExactMoments":
-        """Rebuild an aggregate from :meth:`state` (exactly)."""
-        moments = cls()
-        moments.count = int(state["count"])
-        for x in state["sum"]:
-            cls._grow(moments._sum, float(x))
-        for x in state["sumsq"]:
-            cls._grow(moments._sumsq, float(x))
-        moments._pos_inf = int(state["pos_inf"])
-        moments._neg_inf = int(state["neg_inf"])
-        moments.min = float(state["min"])
-        moments.max = float(state["max"])
-        return moments
-
     @property
     def mean(self) -> float:
         """Correctly rounded mean of the observations seen so far."""
@@ -244,39 +187,22 @@ class ExactMoments:
         return math.sqrt(variance) if variance == variance else float("nan")
 
 
-def _canonical_expansion(partials: list[float]) -> list[float]:
-    """The exact value of ``sum(partials)`` as greedy rounded remainders.
-
-    ``math.fsum`` rounds an exact sum correctly, so peeling off its
-    result and re-summing the exact remainder yields a sequence that
-    depends only on the exact value, not on how ``partials`` split it.
-    """
-    rest = list(partials)
-    out: list[float] = []
-    head = math.fsum(rest)
-    while head:
-        out.append(head)
-        rest.append(-head)
-        head = math.fsum(rest)
-    return out
-
-
 #: Default sub-buckets per decade of the log-binned quantile sketch —
 #: worst-case relative quantile error is ``10**(1/(2*64)) - 1`` (~1.8%).
 _SKETCH_BINS_PER_DECADE = 64
 
 
 class QuantileSketch:
-    """Mergeable fixed-resolution percentile sketch for positive magnitudes.
+    """Fixed-resolution percentile sketch for positive magnitudes.
 
     A log-binned (HDR-histogram-style) sketch: the positive axis between
     ``min_value`` and ``max_value`` is divided into ``bins_per_decade``
     geometrically spaced buckets per power of ten, and each observation
     increments one bucket counter.  Memory is bounded by the (sparse)
-    bucket map regardless of stream length, two sketches with the same
-    geometry merge by adding counters, and every operation is
-    deterministic — the properties the sharded batch executor needs to
-    aggregate a 10k-spec sweep without materializing it.
+    bucket map regardless of stream length, and the counters depend only
+    on the multiset of observations, not on the order they arrive in —
+    the properties the sharded batch executor needs to aggregate a
+    10k-spec sweep without materializing it.
 
     Accuracy contract: when every observation lies in
     ``[min_value, max_value)``, :meth:`quantile` is within relative
@@ -339,37 +265,6 @@ class QuantileSketch:
         for value in values:
             self.add(value)
 
-    def merge(self, other: "QuantileSketch") -> None:
-        """Fold another sketch into this one (same geometry required)."""
-        if (
-            other.lo != self.lo
-            or other.hi != self.hi
-            or other.bins_per_decade != self.bins_per_decade
-        ):
-            raise ConfigurationError(
-                "cannot merge quantile sketches with different geometries"
-            )
-        for index, n in other._counts.items():
-            self._counts[index] = self._counts.get(index, 0) + n
-        self.count += other.count
-
-    def state(self) -> dict:
-        """A JSON-serializable image: the geometry and the bucket counts."""
-        return {
-            "lo": self.lo,
-            "hi": self.hi,
-            "bins_per_decade": self.bins_per_decade,
-            "counts": {str(index): n for index, n in sorted(self._counts.items())},
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "QuantileSketch":
-        """Rebuild a sketch from :meth:`state`."""
-        sketch = cls(state["lo"], state["hi"], state["bins_per_decade"])
-        sketch._counts = {int(index): int(n) for index, n in state["counts"].items()}
-        sketch.count = sum(sketch._counts.values())
-        return sketch
-
     def quantile(self, q: float) -> float:
         """The value at quantile ``q`` in [0, 1], to one-bucket resolution.
 
@@ -395,11 +290,11 @@ class StreamSummary:
 
     The unit of streaming sweep aggregation: count / mean / std / min /
     max via :class:`ExactMoments` and approximate percentiles via
-    :class:`QuantileSketch`, mergeable across shards.  This is what the
-    population-scale paths fold per-spec metrics into instead of holding
-    a full-sweep result list.  Every reported statistic is independent
-    of fold and merge order, so a sharded run's report is bit-identical
-    at any shard count and completion order.
+    :class:`QuantileSketch`.  This is what the population-scale paths
+    fold per-spec metrics into instead of holding a full-sweep result
+    list.  Every reported statistic is independent of the order of the
+    :meth:`add` calls, so a sharded run's report, which folds results
+    in completion order, is bit-identical at any shard count.
     """
 
     __slots__ = ("moments", "sketch")
@@ -417,22 +312,6 @@ class StreamSummary:
         """Fold an iterable of observations (consumed lazily)."""
         for value in values:
             self.add(value)
-
-    def merge(self, other: "StreamSummary") -> None:
-        """Fold another summary into this one (in place)."""
-        self.moments.merge(other.moments)
-        self.sketch.merge(other.sketch)
-
-    def state(self) -> dict:
-        """A JSON-serializable image (see :meth:`ExactMoments.state`)."""
-        return {**self.moments.state(), "sketch": self.sketch.state()}
-
-    @classmethod
-    def from_state(cls, state: dict) -> "StreamSummary":
-        """Rebuild a summary from :meth:`state` (exactly)."""
-        summary = cls(QuantileSketch.from_state(state["sketch"]))
-        summary.moments = ExactMoments.from_state(state)
-        return summary
 
     @property
     def count(self) -> int:
@@ -829,21 +708,6 @@ class SimulationResult:
         return mean(r.e2e_latency_ms for r in steady)
 
     @property
-    def mean_pipeline_latency_ms(self) -> float:
-        """Mean steady-state latency in the pipelined DES schedule."""
-        steady = self._steady()
-        if not steady:
-            return float("nan")
-        return mean(r.pipeline_latency_ms for r in steady)
-
-    def latency_percentile_ms(self, percentile: float) -> float:
-        """Steady-state latency percentile (e.g. 99)."""
-        steady = self._steady()
-        if not steady:
-            return float("nan")
-        return float(np.percentile([r.e2e_latency_ms for r in steady], percentile))
-
-    @property
     def meets_mtp(self) -> bool:
         """True when mean latency satisfies the 25 ms MTP requirement."""
         return self.mean_latency_ms <= constants.MTP_LATENCY_REQUIREMENT_MS
@@ -875,14 +739,6 @@ class SimulationResult:
         return self.fps_percentile(99.0)
 
     @property
-    def formula_fps(self) -> float:
-        """The paper's min(1/T_GPU, 1/T_network) averaged over frames."""
-        steady = self._steady()
-        if not steady:
-            return float("nan")
-        return mean(paper_fps(r.gpu_busy_ms, r.net_busy_ms) for r in steady)
-
-    @property
     def meets_target_fps(self) -> bool:
         """True when measured FPS reaches the 90 Hz requirement."""
         return self.measured_fps >= constants.TARGET_FPS
@@ -910,14 +766,6 @@ class SimulationResult:
         if not steady:
             return float("nan")
         return mean(r.resolution_reduction for r in steady)
-
-    @property
-    def drop_rate(self) -> float:
-        """Fraction of steady-state frames needing reconstruction."""
-        steady = self._steady()
-        if not steady:
-            return float("nan")
-        return mean(1.0 if r.dropped else 0.0 for r in steady)
 
     # -- streaming ---------------------------------------------------------------------------
 

@@ -57,6 +57,7 @@ from repro.sim.metrics import DEFAULT_WARMUP, SimulationResult, effective_warmup
 from repro.sim.server import POLICY_NAMES, ShareSchedule
 from repro.sim.systems import PlatformConfig, SYSTEM_NAMES, make_system
 from repro.workloads.apps import VRApp, get_app
+from repro.workloads.generator import memo_group
 
 __all__ = [
     "RunSpec",
@@ -65,7 +66,6 @@ __all__ = [
     "BatchEngine",
     "ResultCache",
     "run",
-    "run_batch",
     "run_comparison",
     "spec_key",
     "spec_keys",
@@ -236,9 +236,9 @@ def run(spec: RunSpec, engine: str = "vector") -> SimulationResult:
     so ``engine`` picks how the run executes, never what it computes.
 
     The vector engine's workload-stream and gaze-kernel memos hold one
-    :func:`~repro.sim.kernels.memo_group` each, so a loop of ``run``
-    calls reuses them only while consecutive specs share a group; a
-    system-major loop rebuilds them at every spec.
+    :func:`~repro.workloads.generator.memo_group` each, so a loop of
+    ``run`` calls reuses them only while consecutive specs share a
+    group; a system-major loop rebuilds them at every spec.
     :meth:`BatchEngine.run_specs` orders its runs by group and gets
     every reuse.
     """
@@ -456,10 +456,6 @@ class ResultCache:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
 
-    def path_for(self, spec: RunSpec) -> Path:
-        """Cache file path of a spec."""
-        return self._path(spec_key(spec))
-
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.pkl"
 
@@ -569,9 +565,9 @@ class BatchEngine:
         directory that is removed when execution finishes, and keeps
         in-process runs off disk.
 
-    Misses execute in :func:`~repro.sim.kernels.memo_group` order, a
-    stable sort by ``(seed, n_frames, panel resolution, app)``, not in
-    the order requested: the specs that share a workload stream or a
+    Misses execute in :func:`~repro.workloads.generator.memo_group`
+    order, a stable sort by ``(seed, n_frames, panel resolution, app)``,
+    not in the order requested: the specs that share a workload stream or a
     gaze kernel run back to back, so the kernels' one-group memos serve
     every reuse the batch has, in this process and in each pool worker
     (shards are contiguous slices of the sorted list).  Results are
@@ -647,11 +643,12 @@ class BatchEngine:
 
         ``specs`` is consumed incrementally — duplicates are dropped and
         hits yielded as they arrive — and the misses execute once the
-        input is drained, stably sorted by the kernels'
-        :func:`~repro.sim.kernels.memo_group` so that the specs sharing a
-        workload stream or gaze kernel run back to back (and land in the
-        same or adjacent shards).  Executed results land in the disk cache, and
-        with ``memoize`` every result also lands in the engine memo.
+        input is drained, stably sorted by
+        :func:`~repro.workloads.generator.memo_group` so that the specs
+        sharing a workload stream or gaze kernel run back to back (and
+        land in the same or adjacent shards).  Executed results land in
+        the disk cache, and with ``memoize`` every result also lands in
+        the engine memo.
         ``stats.executed`` counts what the executor ran, not the frames a
         resumed stream read back from disk.
         """
@@ -673,8 +670,6 @@ class BatchEngine:
                 yield spec, cached
             else:
                 misses.append(spec)
-        from repro.sim.kernels import memo_group
-
         misses.sort(key=lambda s: memo_group(get_app(s.app), s.seed, s.n_frames))
         for spec, result in self._execute(misses):
             if memoize:
@@ -789,15 +784,6 @@ def default_engine() -> BatchEngine:
     if _DEFAULT_ENGINE is None:
         _DEFAULT_ENGINE = BatchEngine()
     return _DEFAULT_ENGINE
-
-
-def run_batch(
-    specs: Iterable[RunSpec],
-    jobs: int = 1,
-    cache_dir: str | os.PathLike | None = None,
-) -> dict[RunSpec, SimulationResult]:
-    """One-shot batch execution (constructs a throwaway engine)."""
-    return BatchEngine(jobs=jobs, cache_dir=cache_dir).run_specs(specs)
 
 
 def run_comparison(

@@ -533,7 +533,11 @@ class ClientTimeline:
 
     @property
     def queued_ms(self) -> float:
-        """Time spent waiting in the admission queue before service."""
+        """Time spent waiting in the admission queue before service.
+
+        Public API with no caller in the package: README.md's session
+        example prints it.
+        """
         if self.start_ms is None:
             return float("nan")
         return self.start_ms - self.joined_ms
@@ -698,7 +702,11 @@ class SessionResult:
         return window_stats(result.records, local_start, local_end)
 
     def epoch_stats(self, index: int) -> tuple[WindowStats | None, ...]:
-        """One :class:`~repro.sim.metrics.WindowStats` per session epoch."""
+        """One :class:`~repro.sim.metrics.WindowStats` per session epoch.
+
+        Public API with no caller in the package: README.md's session
+        example prints it.
+        """
         return tuple(
             self.client_window(index, epoch.start_ms, epoch.end_ms)
             for epoch in self.timeline.epochs

@@ -1,14 +1,9 @@
 """Workload substrate: Table 3 games, Table 1 tethered apps, scene dynamics."""
 
 from repro.workloads.apps import APPS, TABLE3_ORDER, VRApp, get_app
-from repro.workloads.generator import FrameWorkload, WorkloadGenerator, generate_workloads
+from repro.workloads.generator import FrameWorkload, WorkloadGenerator
 from repro.workloads.scene_model import InteractionModel, SceneComplexityModel
-from repro.workloads.tethered import (
-    TABLE1_ORDER,
-    TETHERED_APPS,
-    TetheredApp,
-    get_tethered_app,
-)
+from repro.workloads.tethered import TABLE1_ORDER, TETHERED_APPS, TetheredApp
 
 __all__ = [
     "APPS",
@@ -17,11 +12,9 @@ __all__ = [
     "get_app",
     "FrameWorkload",
     "WorkloadGenerator",
-    "generate_workloads",
     "InteractionModel",
     "SceneComplexityModel",
     "TABLE1_ORDER",
     "TETHERED_APPS",
     "TetheredApp",
-    "get_tethered_app",
 ]

@@ -17,7 +17,7 @@ from repro.motion.traces import MotionSample, MotionTrace, generate_trace
 from repro.workloads.apps import VRApp
 from repro.workloads.scene_model import SceneComplexityModel
 
-__all__ = ["FrameWorkload", "WorkloadGenerator", "generate_workloads"]
+__all__ = ["FrameWorkload", "WorkloadGenerator", "memo_group"]
 
 
 @dataclass(frozen=True)
@@ -120,8 +120,15 @@ class WorkloadGenerator:
         return frames
 
 
-def generate_workloads(
-    app: VRApp, n_frames: int, seed: int = 0
-) -> list[FrameWorkload]:
-    """Convenience wrapper: one call from app to workload stream."""
-    return WorkloadGenerator(app, seed=seed).generate(n_frames)
+def memo_group(app: VRApp, seed: int, n_frames: int) -> tuple:
+    """Sort key that makes runs sharing generated inputs adjacent.
+
+    ``(seed, n_frames, panel width, panel height, app name)``: runs with
+    an equal group read one workload stream, and runs whose groups agree
+    up to the app read one motion trace (:meth:`WorkloadGenerator.trace`
+    depends on the seed, the frame count and the panel alone).  The
+    batch engine runs its misses in this order, so the kernels' stream
+    and gaze-kernel memos (:mod:`repro.sim.kernels`), one entry each,
+    serve every reuse.
+    """
+    return (seed, n_frames, app.width_px, app.height_px, app.name)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from repro import constants
 from repro.errors import WorkloadError
 
-__all__ = ["TetheredApp", "TETHERED_APPS", "TABLE1_ORDER", "get_tethered_app"]
+__all__ = ["TetheredApp", "TETHERED_APPS", "TABLE1_ORDER"]
 
 
 @dataclass(frozen=True)
@@ -84,10 +84,6 @@ class TetheredApp:
         """Local render latency of the interactive objects (static design)."""
         return self.interactive_fraction(closeness) * self.full_frame_ms
 
-    def background_fraction(self, closeness: float) -> float:
-        """Complement of :meth:`interactive_fraction`."""
-        return 1.0 - self.interactive_fraction(closeness)
-
 
 TETHERED_APPS: dict[str, TetheredApp] = {
     app.name: app
@@ -128,11 +124,3 @@ TABLE1_ORDER: tuple[str, ...] = (
     "Sponza",
     "San Miguel",
 )
-
-
-def get_tethered_app(name: str) -> TetheredApp:
-    """Look up a Table 1 application by name (case-insensitive)."""
-    for app in TETHERED_APPS.values():
-        if app.name.lower() == name.lower():
-            return app
-    raise WorkloadError(f"unknown tethered app: {name!r}; known: {sorted(TETHERED_APPS)}")

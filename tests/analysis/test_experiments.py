@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.calibration import ANCHORS, format_scorecard, within_band
+from repro.analysis.calibration import ANCHORS, format_scorecard
 from repro.analysis.experiments import (
     EXPERIMENTS,
     default_churn_session,
@@ -21,7 +21,7 @@ from repro.analysis.experiments import (
     table1_static_characterization,
     table4_eccentricity,
 )
-from repro.analysis.report import format_series, format_table
+from repro.analysis.report import format_table
 from repro.errors import ConfigurationError
 from repro.network.conditions import WIFI
 from repro.sim.runner import BatchEngine
@@ -34,12 +34,8 @@ class TestCalibrationAnchors:
             assert anchor.low <= anchor.paper_value <= anchor.high, anchor.name
 
     def test_within_band(self):
-        assert within_band("qvr_avg_speedup", 3.4)
-        assert not within_band("qvr_avg_speedup", 0.5)
-
-    def test_unknown_anchor(self):
-        with pytest.raises(KeyError):
-            within_band("warp_speed", 1.0)
+        assert ANCHORS["qvr_avg_speedup"].check(3.4)
+        assert not ANCHORS["qvr_avg_speedup"].check(0.5)
 
     def test_scorecard_rows_and_band_count(self):
         card = format_scorecard({"uca_tile_cycles": 532.0, "qvr_avg_speedup": 1.7})
@@ -334,8 +330,3 @@ class TestReport:
     def test_format_table_bool_rendering(self):
         text = format_table(["ok"], [[True], [False]])
         assert "yes" in text and "no" in text
-
-    def test_format_series(self):
-        text = format_series("ratios", [1.0, 2.0, 3.0], per_line=2)
-        assert text.startswith("ratios:")
-        assert len(text.splitlines()) == 3

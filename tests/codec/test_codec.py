@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.codec.h264 import H264Model
-from repro.codec.stream import StreamPlan, pipelined_latency_ms
+from repro.codec.stream import pipelined_latency_ms
 from repro.errors import CodecError
 
 
@@ -25,7 +25,6 @@ class TestH264Rate:
         codec = H264Model()
         frame = codec.encode(1e6, 0.5)
         assert frame.payload_bytes < 1e6 * 3
-        assert frame.compression_ratio > 1.0
 
     def test_depth_cheaper_than_colour(self):
         codec = H264Model()
@@ -101,20 +100,3 @@ class TestPipelinedLatency:
     def test_pipeline_bounds_property(self, stages, chunks):
         latency = pipelined_latency_ms(stages, chunks)
         assert max(stages) - 1e-9 <= latency <= sum(stages) + 1e-9
-
-
-class TestStreamPlan:
-    def test_latency_composition(self):
-        plan = StreamPlan(
-            render_ms=2.0, encode_ms=1.0, transmit_ms=8.0, decode_ms=1.0,
-            propagation_ms=3.0, chunks=8,
-        )
-        assert plan.bottleneck_ms == 8.0
-        assert plan.latency_ms == pytest.approx(
-            3.0 + pipelined_latency_ms([2.0, 1.0, 8.0, 1.0], 8)
-        )
-        assert plan.serial_latency_ms == pytest.approx(15.0)
-
-    def test_streaming_beats_serial(self):
-        plan = StreamPlan(2.0, 1.0, 8.0, 1.0, propagation_ms=3.0)
-        assert plan.latency_ms < plan.serial_latency_ms

@@ -12,7 +12,6 @@ from repro.core.foveation import (
     FoveationModel,
     MARModel,
     _disc_rect_areas,
-    default_model,
 )
 from repro.errors import FoveationError
 
@@ -191,14 +190,11 @@ class TestFoveationPlan:
         with pytest.raises(FoveationError):
             FoveationModel(DisplayGeometry(100, 100), eyes=0)
 
-    def test_default_model_cached(self):
-        assert default_model(1920, 2160) is default_model(1920, 2160)
-
     @given(st.floats(min_value=5.0, max_value=70.0))
     @settings(max_examples=25, deadline=None)
     def test_plan_pixel_conservation(self, e1):
         """Rendered pixels never exceed native; all quantities nonnegative."""
-        model = default_model(1920, 2160)
+        model = FoveationModel(DisplayGeometry(1920, 2160))
         plan = model.plan(e1)
         assert plan.fovea_pixels >= 0
         assert plan.middle_pixels >= 0
@@ -211,7 +207,7 @@ class TestFoveationPlan:
     )
     @settings(max_examples=25, deadline=None)
     def test_fovea_pixels_monotone_in_e1(self, a, b):
-        model = default_model(1920, 2160)
+        model = FoveationModel(DisplayGeometry(1920, 2160))
         lo, hi = min(a, b), max(a, b)
         assert model.plan(lo).fovea_pixels <= model.plan(hi).fovea_pixels + 1e-6
 

@@ -236,7 +236,7 @@ class TestLIWCClosedLoop:
         liwc = self._run(_Env())
         liwc.reset()
         assert liwc.e1_deg == liwc.config.min_e1_deg
-        assert liwc.last_imbalance_ms is None
+        assert liwc._last_diff_ms is None
 
     def test_step_limited_to_five_degrees(self):
         liwc = LIWC()

@@ -4,7 +4,7 @@ import pytest
 
 from repro import constants
 from repro.core.foveation import DisplayGeometry, FoveationModel
-from repro.core.uca import TileStats, UCAConfig, UCAUnit
+from repro.core.uca import UCAConfig, UCAUnit
 from repro.errors import ConfigurationError
 
 
@@ -61,12 +61,6 @@ class TestUCATiming:
             0.25 * uca.occupancy_ms(1920, 2160)
         )
 
-    def test_reconstruction_costs_full_occupancy(self):
-        uca = UCAUnit()
-        assert uca.reconstruct_time_ms(1920, 2160) == pytest.approx(
-            uca.occupancy_ms(1920, 2160)
-        )
-
     def test_more_units_scale_throughput(self):
         one = UCAUnit(UCAConfig(units=1))
         two = UCAUnit(UCAConfig(units=2))
@@ -80,11 +74,6 @@ class TestUCATiming:
         assert slow.occupancy_ms(1920, 2160) == pytest.approx(
             2 * fast.occupancy_ms(1920, 2160)
         )
-
-    def test_tiles_per_second(self):
-        uca = UCAUnit()
-        assert uca.tiles_per_second() == pytest.approx(2 * 500e6 / 532)
-
 
 class TestTileClassification:
     def test_bound_tiles_scale_with_radius(self):
@@ -102,11 +91,3 @@ class TestTileClassification:
         for e1 in (5.0, 25.0, 60.0):
             stats = uca.classify_tiles(1920, 2160, model.plan(e1), ppd)
             assert 0 <= stats.bound_tiles <= stats.total_tiles
-            assert stats.non_overlapping_tiles == stats.total_tiles - stats.bound_tiles
-
-    def test_bound_fraction(self):
-        stats = TileStats(total_tiles=100, bound_tiles=25)
-        assert stats.bound_fraction == pytest.approx(0.25)
-
-    def test_bound_fraction_empty(self):
-        assert TileStats(0, 0).bound_fraction == 0.0

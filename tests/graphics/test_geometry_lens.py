@@ -1,71 +1,11 @@
-"""Tests for draw-batch geometry and the lens distortion model."""
+"""Tests for layer images and the lens distortion model."""
 
 import numpy as np
 import pytest
 
-from repro.errors import WorkloadError
 from repro.graphics.frame import LayerImage
-from repro.graphics.geometry import DrawBatch, SceneGeometry
 from repro.graphics.lens import LensModel
 from repro.errors import ConfigurationError
-
-
-def _scene():
-    return SceneGeometry(
-        batches=[
-            DrawBatch("sky", 5e3, depth=100.0, screen_coverage=0.5, material_cycles=50),
-            DrawBatch("terrain", 4e5, depth=20.0, screen_coverage=0.4, material_cycles=200),
-            DrawBatch("npc", 8e4, depth=2.0, screen_coverage=0.05, material_cycles=320,
-                      interactive=True),
-        ],
-        frame_pixels=8.3e6,
-    )
-
-
-class TestSceneGeometry:
-    def test_total_triangles(self):
-        assert _scene().total_triangles == pytest.approx(5e3 + 4e5 + 8e4)
-
-    def test_closest_batch_is_paper_heuristic(self):
-        assert _scene().closest_batch().name == "npc"
-
-    def test_tagged_interactive_preferred(self):
-        scene = _scene()
-        assert [b.name for b in scene.interactive_batches()] == ["npc"]
-
-    def test_untagged_falls_back_to_closest(self):
-        scene = _scene()
-        scene.batches = [
-            DrawBatch(b.name, b.triangles, b.depth, b.screen_coverage, b.material_cycles)
-            for b in scene.batches
-        ]
-        assert [b.name for b in scene.interactive_batches()] == ["npc"]
-
-    def test_static_split_partitions(self):
-        fg, bg = _scene().split_static()
-        assert {b.name for b in fg} == {"npc"}
-        assert {b.name for b in bg} == {"sky", "terrain"}
-
-    def test_workload_from_batches(self):
-        scene = _scene()
-        wl = scene.workload()
-        assert wl.vertices == pytest.approx(scene.total_triangles)
-        assert wl.draw_batches == 3
-        assert wl.fragments > 0
-
-    def test_workload_weighted_cycles(self):
-        wl = _scene().workload()
-        assert 50 < wl.fragment_cycles < 320
-
-    def test_empty_scene_errors(self):
-        with pytest.raises(WorkloadError):
-            SceneGeometry([], 1e6).closest_batch()
-
-    def test_invalid_batch(self):
-        with pytest.raises(WorkloadError):
-            DrawBatch("bad", -1, 1.0, 0.1, 10)
-        with pytest.raises(WorkloadError):
-            DrawBatch("bad", 1, 1.0, 2.0, 10)
 
 
 class TestLens:

@@ -1,13 +1,12 @@
-"""Tests for pose algebra, motion traces and sensor sampling."""
+"""Tests for pose algebra and motion traces."""
 
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ConfigurationError, WorkloadError
+from repro.errors import WorkloadError
 from repro.motion.dof import GazeDelta, GazePoint, Pose, PoseDelta
-from repro.motion.sensors import SampledSensor, eye_tracker, head_tracker
 from repro.motion.traces import (
     GazeMotionConfig,
     HeadMotionConfig,
@@ -27,12 +26,6 @@ class TestPoseAlgebra:
         a = Pose(yaw=170.0)
         b = Pose(yaw=-170.0)
         assert b.delta_from(a).dyaw == pytest.approx(20.0)
-
-    def test_magnitudes(self):
-        delta = PoseDelta(dx=3.0, dy=4.0)
-        assert delta.translation_magnitude_m == pytest.approx(5.0)
-        delta = PoseDelta(dyaw=3.0, dpitch=4.0)
-        assert delta.rotation_magnitude_deg == pytest.approx(5.0)
 
     def test_exceeds_flags(self):
         delta = PoseDelta(dx=0.01, dyaw=1.0)
@@ -88,7 +81,6 @@ class TestTraces:
         trace = generate_trace(300, 11.1, 1920, 2160, seed=5)
         for sample in trace:
             assert 0.0 <= sample.activity <= 1.0
-        assert trace.mean_activity > 0.0
 
     def test_motion_is_temporally_correlated(self):
         """OU velocities: adjacent frame deltas correlate, unlike white noise."""
@@ -118,45 +110,3 @@ class TestTraces:
             HeadMotionConfig(calm_scale=2.0)
         with pytest.raises(WorkloadError):
             GazeMotionConfig(center_bias=-0.1)
-
-
-class TestSensors:
-    def test_eye_tracker_is_120hz(self):
-        sensor = eye_tracker()
-        assert sensor.rate_hz == 120.0
-        assert sensor.period_ms == pytest.approx(1000.0 / 120.0)
-
-    def test_head_tracker_faster_than_eye(self):
-        assert head_tracker().period_ms < eye_tracker().period_ms
-
-    def test_latest_reading_respects_transport(self):
-        sensor = SampledSensor(rate_hz=100.0, transport_ms=2.0)
-        # At t=11: newest visible sample is k = floor((11-2)/10) = 0.
-        reading = sensor.latest_reading(11.0)
-        assert reading.sample_time_ms == 0.0
-        # At t=12.1: k = floor(10.1/10) = 1 -> sample at 10 ms.
-        reading = sensor.latest_reading(12.1)
-        assert reading.sample_time_ms == 10.0
-        assert reading.age_ms == pytest.approx(2.1)
-
-    def test_age_never_negative(self):
-        sensor = SampledSensor(rate_hz=90.0, transport_ms=2.0)
-        for t in (0.0, 1.0, 5.0, 100.0, 1000.5):
-            assert sensor.latest_reading(t).age_ms >= 0.0
-
-    def test_worst_case_age(self):
-        sensor = SampledSensor(rate_hz=100.0, transport_ms=2.0)
-        assert sensor.worst_case_age_ms() == pytest.approx(12.0)
-
-    def test_invalid_sensor(self):
-        with pytest.raises(ConfigurationError):
-            SampledSensor(rate_hz=0.0)
-        with pytest.raises(ConfigurationError):
-            SampledSensor(rate_hz=10.0, transport_ms=-1.0)
-
-    @given(st.floats(min_value=0, max_value=1e5))
-    @settings(max_examples=40)
-    def test_reading_age_bounded(self, t):
-        sensor = SampledSensor(rate_hz=120.0, transport_ms=2.0)
-        age = sensor.latest_reading(t).age_ms
-        assert age <= sensor.worst_case_age_ms() + 1e-9

@@ -132,10 +132,6 @@ class TestChannel:
         assert posterior == pytest.approx(channel.mean_effective_bytes_per_ms, rel=0.25)
         assert posterior != prior
 
-    def test_round_trip_is_twice_one_way(self):
-        channel = NetworkChannel(LTE_4G)
-        assert channel.round_trip_ms == pytest.approx(2 * channel.one_way_ms)
-
     @given(st.floats(min_value=1e3, max_value=1e7))
     @settings(max_examples=30)
     def test_transfer_time_positive_and_bounded(self, payload):

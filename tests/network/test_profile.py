@@ -38,7 +38,7 @@ class TestConstantProfile:
     def test_name_and_initial(self):
         profile = ConstantProfile(LTE_4G)
         assert profile.name == "4G LTE"
-        assert profile.initial_conditions is LTE_4G
+        assert profile.sampler(0).conditions_at(0.0) is LTE_4G
 
     def test_hashable_and_stable(self):
         assert ConstantProfile(WIFI) == ConstantProfile(WIFI)
@@ -222,7 +222,7 @@ class TestMarkovProfile:
         assert a != b
 
     def test_starts_good(self):
-        assert self._profile().initial_conditions is WIFI
+        assert self._profile().sampler(0).conditions_at(0.0) is WIFI
 
     def test_visits_both_states(self):
         profile = self._profile()

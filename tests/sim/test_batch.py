@@ -6,8 +6,12 @@ Bit-identity is asserted through ``pickle.dumps`` equality: dataclass
 patterns.
 """
 
+import os
 import pickle
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +23,6 @@ from repro.sim.runner import (
     RunSpec,
     Sweep,
     run,
-    run_batch,
     run_comparison,
     spec_key,
 )
@@ -35,6 +38,12 @@ def _shared_specs(*clients, n_frames: int = 40):
     from repro.sim.session import Session
 
     return Session(clients=clients).timeline(n_frames=n_frames).specs
+
+
+def _entry_file(directory):
+    """The one cache entry file in ``directory``."""
+    (path,) = directory.glob("*.pkl")
+    return path
 
 
 def _small_sweep() -> Sweep:
@@ -175,7 +184,7 @@ class TestDeterminism:
 
     def test_batch_matches_direct_run(self):
         spec = RunSpec(system="ffr", app="HL2-L", n_frames=25, warmup_frames=5)
-        batch = run_batch([spec])
+        batch = BatchEngine().run_specs([spec])
         assert _bit_identical(batch[spec], run(spec))
 
 
@@ -206,7 +215,7 @@ class TestCache:
         spec = RunSpec(system="local", app="Doom3-L", n_frames=25, warmup_frames=5)
         cache = ResultCache(tmp_path)
         cache.put(spec, run(spec))
-        cache.path_for(spec).write_bytes(b"not a pickle")
+        _entry_file(tmp_path).write_bytes(b"not a pickle")
         assert cache.get(spec) is None
 
     @pytest.mark.parametrize(
@@ -218,7 +227,8 @@ class TestCache:
         spec and overwrites the entry."""
         spec = RunSpec(system="local", app="Doom3-L", n_frames=25, warmup_frames=5)
         cache = ResultCache(tmp_path)
-        cache.path_for(spec).write_bytes(blob)
+        cache.put(spec, run(spec))
+        _entry_file(tmp_path).write_bytes(blob)
         engine = BatchEngine(cache_dir=tmp_path)
         result = engine.run_specs([spec])[spec]
         assert engine.stats.cache_hits == 0
@@ -229,19 +239,34 @@ class TestCache:
         """A valid pickle that is not the payload dict must not crash."""
         spec = RunSpec(system="local", app="Doom3-L", n_frames=25, warmup_frames=5)
         cache = ResultCache(tmp_path)
-        cache.path_for(spec).write_bytes(pickle.dumps(["not", "a", "payload"]))
+        cache.put(spec, run(spec))
+        _entry_file(tmp_path).write_bytes(pickle.dumps(["not", "a", "payload"]))
         assert cache.get(spec) is None
 
     def test_results_stream_into_cache_as_they_complete(self, tmp_path):
-        """A failing spec must not discard cache entries of finished runs."""
+        """A failing spec must not discard cache entries of finished runs.
+
+        The failing spec is the one the engine runs last (misses run in
+        memo-group order), so every other spec completes first; the
+        cache must then hold exactly the specs that completed.
+        """
+        from repro.workloads.apps import get_app
+        from repro.workloads.generator import memo_group
+
         specs = _small_sweep().specs()
+        failing = sorted(
+            specs, key=lambda s: memo_group(get_app(s.app), s.seed, s.n_frames)
+        )[-1]
         engine = BatchEngine(cache_dir=tmp_path)
         original_run = run
+        completed = []
 
         def boom(spec, engine):
-            if spec == specs[-1]:
+            if spec == failing:
                 raise RuntimeError("worker died")
-            return original_run(spec, engine)
+            result = original_run(spec, engine)
+            completed.append(spec)
+            return result
 
         import repro.sim.shard as shard_module
 
@@ -253,7 +278,10 @@ class TestCache:
         finally:
             monkey.undo()
         # Every spec that completed before the failure was persisted.
-        assert len(ResultCache(tmp_path)) == len(specs) - 1
+        assert set(completed) == set(specs) - {failing}
+        cache = ResultCache(tmp_path)
+        assert len(cache) == len(completed)
+        assert all(cache.get(spec) is not None for spec in completed)
 
     def test_each_lookup_hashes_its_spec_once(self, tmp_path, monkeypatch):
         """A cache ``get`` and a ``put`` each compute the spec key once."""
@@ -321,6 +349,30 @@ class TestEngineValidation:
         direct = run_comparison("Doom3-L", systems=("local",), n_frames=20)
         assert _bit_identical(via_engine["local"], direct["local"])
 
+    def test_pool_parent_never_imports_the_kernels(self):
+        """Ordering a pool batch's misses loads no kernel code in the parent."""
+        import repro
+
+        code = (
+            "import sys\n"
+            "from repro.sim.runner import BatchEngine, RunSpec\n"
+            "specs = [RunSpec(system=s, app='Doom3-L', n_frames=20, warmup_frames=5)\n"
+            "         for s in ('local', 'qvr')]\n"
+            "results = BatchEngine(jobs=2, shards=2).run_specs(specs)\n"
+            "assert len(results) == 2\n"
+            "print('repro.sim.kernels' in sys.modules)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(repro.__file__).parents[1]), env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
 
 class TestRunSpecValidation:
     def test_warmup_swallowing_run_rejected(self):
@@ -347,7 +399,7 @@ class TestRunSpecValidation:
         for n in (2, 4):
             degraded = _shared_specs(*("GRID",) * n)[0].effective_platform()
             observed[n] = (
-                degraded.network.initial_conditions.throughput_mbps,
+                degraded.network.sampler(0).conditions_at(0.0).throughput_mbps,
                 degraded.server_schedule[0][1],
             )
         assert observed[2][0] < solo.platform.network.throughput_mbps

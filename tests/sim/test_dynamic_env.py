@@ -174,6 +174,6 @@ class TestSharedDynamicProfiles:
         assert isinstance(degraded.network, AllocatedProfile)
         assert degraded.network.base == _drop_profile()
         assert (
-            degraded.network.initial_conditions.throughput_mbps
-            < solo.platform.network.initial_conditions.throughput_mbps
+            degraded.network.sampler(0).conditions_at(0.0).throughput_mbps
+            < solo.platform.network.sampler(0).conditions_at(0.0).throughput_mbps
         )

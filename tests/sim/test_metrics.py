@@ -116,18 +116,9 @@ class TestSimulationResult:
         result = self._result(path=21.0)
         assert result.mean_latency_ms == pytest.approx(21.0)
 
-    def test_pipeline_latency_separate(self):
-        result = self._result()
-        assert result.mean_pipeline_latency_ms == pytest.approx(15.0)
-
     def test_measured_fps_from_intervals(self):
         result = self._result(period=10.0)
         assert result.measured_fps == pytest.approx(100.0)
-
-    def test_formula_fps(self):
-        result = self._result()
-        # min(1000/8, 1000/4) = 125.
-        assert result.formula_fps == pytest.approx(125.0)
 
     def test_warmup_excluded(self):
         records = [record(0, 0, 1000, path=500.0)] + [
@@ -153,10 +144,6 @@ class TestSimulationResult:
         result = SimulationResult("local", "x", records, warmup_frames=0)
         assert math.isnan(result.mean_e1_deg)
 
-    def test_percentile(self):
-        result = self._result()
-        assert result.latency_percentile_ms(50) == pytest.approx(20.0)
-
     def test_empty_result(self):
         result = SimulationResult("x", "y", [], warmup_frames=0)
         assert math.isnan(result.mean_latency_ms)
@@ -165,13 +152,6 @@ class TestSimulationResult:
     def test_invalid_warmup(self):
         with pytest.raises(ConfigurationError):
             SimulationResult("x", "y", [], warmup_frames=-1)
-
-    def test_drop_rate(self):
-        records = [
-            record(i, 0, 1, dropped=(i % 4 == 0)) for i in range(8)
-        ]
-        result = SimulationResult("x", "y", records, warmup_frames=0)
-        assert result.drop_rate == pytest.approx(0.25)
 
 
 class TestTailFps:
@@ -255,54 +235,6 @@ class TestExactMoments:
             assert other.std == forward.std
             assert other.variance == forward.variance
 
-    def test_merge_order_invariant_bit_identical(self):
-        import numpy as np
-
-        values = list(np.random.default_rng(17).normal(50.0, 9.0, size=999))
-        chunks = [values[i::7] for i in range(7)]
-        parts = []
-        for chunk in chunks:
-            m = ExactMoments()
-            m.extend(chunk)
-            parts.append(m)
-        merged_forward = ExactMoments()
-        for part in parts:
-            merged_forward.merge(part)
-        merged_reverse = ExactMoments()
-        for part in reversed(parts):
-            merged_reverse.merge(part)
-        assert merged_forward.mean == merged_reverse.mean
-        assert merged_forward.std == merged_reverse.std
-        assert merged_forward.count == merged_reverse.count == 999
-
-    def test_merge_of_halves_equals_whole(self):
-        import numpy as np
-
-        values = np.random.default_rng(11).normal(50.0, 9.0, size=401)
-        whole = ExactMoments()
-        whole.extend(values)
-        left, right = ExactMoments(), ExactMoments()
-        left.extend(values[:137])
-        right.extend(values[137:])
-        left.merge(right)
-        assert left.count == whole.count
-        assert left.mean == whole.mean  # exact sums: bit-identical
-        assert left.variance == whole.variance
-        assert left.min == whole.min
-        assert left.max == whole.max
-
-    def test_merge_into_empty_copies(self):
-        source = ExactMoments()
-        source.extend([1.0, 2.0, 3.0])
-        target = ExactMoments()
-        target.merge(source)
-        assert target.count == 3
-        assert target.mean == 2.0
-        assert (target.min, target.max) == (1.0, 3.0)
-        source.merge(ExactMoments())  # merging an empty is a no-op
-        assert source.count == 3
-        assert source.mean == 2.0
-
     def test_nan_skipped_and_inf_saturates(self):
         moments = ExactMoments()
         moments.extend([1.0, float("nan"), 3.0])
@@ -318,33 +250,15 @@ class TestExactMoments:
         assert math.isnan(moments.variance)
         assert math.isnan(moments.std)
 
-    def test_mode_mixing_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ExactMoments().merge(QuantileSketch())
-
     def test_exact_stream_summary_uses_exact_moments(self):
         summary = StreamSummary()
         assert isinstance(summary.moments, ExactMoments)
         summary.extend([1.0, 2.0, 3.0])
         assert summary.mean == 2.0
-        other = StreamSummary()
-        other.extend([4.0])
-        summary.merge(other)
-        assert summary.mean == 2.5
-
-    def test_state_round_trip_is_exact(self):
-        values = [1e16, 1.0, -1e16, 0.5, float("inf")]
-        moments = ExactMoments()
-        moments.extend(values)
-        copy = ExactMoments.from_state(moments.state())
-        assert copy.state() == moments.state()
-        assert (copy.count, copy.min, copy.max) == (5, -1e16, float("inf"))
-        finite = ExactMoments()
-        finite.extend(values[:4])
-        # The 1.0 survives cancellation of the large terms exactly.
-        assert finite.state()["sum"] == [1.5]
-        assert ExactMoments.from_state(finite.state()).mean == finite.mean
-
+        # Exact sums keep the 1.0 that a running float sum of 1e16 loses.
+        summary = StreamSummary()
+        summary.extend([1e16, 1.0, -1e16, 0.5])
+        assert summary.mean == 0.375
 
 class TestQuantileSketch:
     def test_quantiles_within_relative_error_bound(self):
@@ -358,24 +272,6 @@ class TestQuantileSketch:
             exact = float(np.quantile(values, q))
             got = sketch.quantile(q)
             assert abs(got - exact) / exact <= 2 * bound
-
-    def test_merge_equals_whole_stream(self):
-        import numpy as np
-
-        values = np.random.default_rng(5).lognormal(1.0, 0.7, size=1000)
-        whole = QuantileSketch()
-        whole.extend(values)
-        left, right = QuantileSketch(), QuantileSketch()
-        left.extend(values[:333])
-        right.extend(values[333:])
-        left.merge(right)
-        assert left.count == whole.count
-        for q in (0.0, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0):
-            assert left.quantile(q) == whole.quantile(q)
-
-    def test_geometry_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError):
-            QuantileSketch().merge(QuantileSketch(bins_per_decade=8))
 
     def test_out_of_range_values_clamp(self):
         sketch = QuantileSketch(min_value=1.0, max_value=10.0)
@@ -406,17 +302,6 @@ class TestStreamSummary:
         assert row["min"] == 1.0
         assert row["max"] == 100.0
         assert row["p50"] == pytest.approx(50.5, rel=0.05)
-
-    def test_merge_across_shards(self):
-        parts = [StreamSummary() for _ in range(3)]
-        for index, part in enumerate(parts):
-            part.extend(float(v) for v in range(index * 100, (index + 1) * 100))
-        total = StreamSummary()
-        for part in parts:
-            total.merge(part)
-        assert total.count == 300
-        assert total.min == 0.0
-        assert total.max == 299.0
 
     def test_empty_summary_is_nan(self):
         summary = StreamSummary()

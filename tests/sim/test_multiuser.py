@@ -79,7 +79,7 @@ class TestHeterogeneousClients:
         assert [spec.system for spec in specs] == ["local", "qvr"]
 
     def test_heterogeneous_runs_through_batch_engine_unchanged(self):
-        from repro.sim.runner import run_batch
+        from repro.sim.runner import BatchEngine
 
         session = Session(
             clients=(
@@ -88,7 +88,7 @@ class TestHeterogeneousClients:
             )
         )
         specs = _specs(session, n_frames=40, seed=1)
-        batch = run_batch(specs)
+        batch = BatchEngine().run_specs(specs)
         assert len(batch) == 2
 
     def test_private_link_keeps_full_downlink(self):
@@ -101,7 +101,7 @@ class TestHeterogeneousClients:
         assert not private_spec.shared_downlink
         private = private_spec.effective_platform()
         # Full 4G capacity: not divided by the session's client count.
-        assert private.network.initial_conditions.throughput_mbps == (
+        assert private.network.sampler(0).conditions_at(0.0).throughput_mbps == (
             LTE_4G.throughput_mbps
         )
         # The rendering server is still time-shared.
@@ -109,7 +109,7 @@ class TestHeterogeneousClients:
         # The default-link client still pays the downlink division.
         shared = default_spec.effective_platform()
         assert (
-            shared.network.initial_conditions.throughput_mbps
+            shared.network.sampler(0).conditions_at(0.0).throughput_mbps
             < WIFI.throughput_mbps
         )
 
@@ -134,9 +134,9 @@ class TestSpecSurface:
         assert specs[0].seed == 3
         assert specs[1].seed == 3 + 97
         # Frozen specs run through the standard batch engine unchanged.
-        from repro.sim.runner import run_batch
+        from repro.sim.runner import BatchEngine
 
-        batch = run_batch(specs)
+        batch = BatchEngine().run_specs(specs)
         assert len(batch) == 2
 
     def test_engine_is_shared(self):

@@ -7,7 +7,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.network.conditions import LTE_4G, WIFI
 from repro.network.profile import AllocatedProfile, ConstantProfile, TraceProfile
-from repro.sim.runner import BatchEngine, RunSpec, run_batch, spec_key
+from repro.sim.runner import BatchEngine, RunSpec, spec_key
 from repro.sim.session import ClientSpec, Session, simulate_session
 from repro.sim.server import (
     ClientDemand,
@@ -346,8 +346,8 @@ class TestDeadlinePrediction:
 class TestDeterminism:
     def test_policy_runs_bit_identical_at_any_job_count(self):
         specs = _session("deadline").timeline(n_frames=40).specs
-        serial = run_batch(specs, jobs=1)
-        parallel = run_batch(specs, jobs=2)
+        serial = BatchEngine(jobs=1).run_specs(specs)
+        parallel = BatchEngine(jobs=2).run_specs(specs)
         for spec in specs:
             assert pickle.dumps(serial[spec]) == pickle.dumps(parallel[spec])
 

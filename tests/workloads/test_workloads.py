@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import WorkloadError
 from repro.motion.traces import generate_trace
 from repro.workloads.apps import APPS, TABLE3_ORDER, get_app
-from repro.workloads.generator import WorkloadGenerator, generate_workloads
+from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.scene_model import InteractionModel, SceneComplexityModel
-from repro.workloads.tethered import TABLE1_ORDER, TETHERED_APPS, get_tethered_app
+from repro.workloads.tethered import TABLE1_ORDER, TETHERED_APPS
 
 
 class TestApps:
@@ -88,10 +88,6 @@ class TestTetheredApps:
     def test_invalid_closeness(self):
         with pytest.raises(WorkloadError):
             TETHERED_APPS["Nature"].interactive_fraction(1.5)
-
-    def test_unknown_tethered_app(self):
-        with pytest.raises(WorkloadError):
-            get_tethered_app("Minecraft")
 
 
 class TestSceneComplexity:
@@ -175,8 +171,8 @@ class TestInteractionModel:
 
 class TestWorkloadGenerator:
     def test_deterministic(self):
-        a = generate_workloads(get_app("HL2-H"), 50, seed=9)
-        b = generate_workloads(get_app("HL2-H"), 50, seed=9)
+        a = WorkloadGenerator(get_app("HL2-H"), seed=9).generate(50)
+        b = WorkloadGenerator(get_app("HL2-H"), seed=9).generate(50)
         assert all(
             x.complexity == y.complexity and x.full.fragments == y.full.fragments
             for x, y in zip(a, b)
@@ -185,12 +181,12 @@ class TestWorkloadGenerator:
     def test_interactive_fraction_in_app_range(self):
         app = get_app("GRID")
         lo, hi = app.interactive_fraction_range
-        for frame in generate_workloads(app, 200, seed=4):
+        for frame in WorkloadGenerator(app, seed=4).generate(200):
             assert lo - 1e-9 <= frame.interactive_fraction <= hi + 1e-9
 
     def test_content_complexity_propagated(self):
         app = get_app("Wolf")
-        frames = generate_workloads(app, 10, seed=0)
+        frames = WorkloadGenerator(app, seed=0).generate(10)
         assert all(f.content_complexity == app.content_complexity for f in frames)
 
     def test_trace_matches_frames(self):
@@ -200,7 +196,7 @@ class TestWorkloadGenerator:
         assert [f.motion.gaze for f in frames] == [s.gaze for s in trace]
 
     def test_complexity_varies(self):
-        frames = generate_workloads(get_app("GRID"), 200, seed=6)
+        frames = WorkloadGenerator(get_app("GRID"), seed=6).generate(200)
         values = {round(f.complexity, 6) for f in frames}
         assert len(values) > 50
 
@@ -213,4 +209,4 @@ class TestWorkloadGenerator:
     @given(st.integers(min_value=0, max_value=60))
     @settings(max_examples=10, deadline=None)
     def test_generate_length(self, n):
-        assert len(generate_workloads(get_app("Doom3-L"), n, seed=0)) == n
+        assert len(WorkloadGenerator(get_app("Doom3-L"), seed=0).generate(n)) == n
