@@ -21,7 +21,7 @@ full 10,000+ client-session day:
 import sys
 from dataclasses import replace
 
-from repro.analysis import format_table
+from repro.analysis.report import format_table
 from repro.sim.demand import DemandScenario, run_population
 from repro.sim.runner import BatchEngine
 

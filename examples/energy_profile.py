@@ -13,8 +13,8 @@ Run:
 import sys
 
 from repro import PlatformConfig, get_app, make_system
-from repro.analysis import format_table
-from repro.energy import EnergyAccountant
+from repro.analysis.report import format_table
+from repro.energy.accounting import EnergyAccountant
 from repro.network.conditions import ALL_CONDITIONS
 
 

@@ -28,8 +28,8 @@ Run:
 import sys
 
 from repro import constants
-from repro.analysis import format_session
 from repro.analysis.experiments import default_failover_session
+from repro.analysis.report import format_session
 from repro.sim.session import simulate_session
 
 

@@ -14,7 +14,7 @@ Run:
 
 import sys
 
-from repro.analysis import format_table
+from repro.analysis.report import format_table
 from repro.sim.session import Session, simulate_session
 
 

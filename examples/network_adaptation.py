@@ -15,7 +15,7 @@ Run:
 import sys
 
 from repro import PlatformConfig, get_app, make_system
-from repro.analysis import format_table
+from repro.analysis.report import format_table
 from repro.network.conditions import ALL_CONDITIONS
 
 

@@ -16,7 +16,7 @@ Run:
 from dataclasses import replace
 
 from repro import DisplayGeometry, FoveationModel
-from repro.analysis import format_table
+from repro.analysis.report import format_table
 from repro.core.perception import check_plan, quality_score
 
 

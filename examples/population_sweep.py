@@ -19,7 +19,7 @@ Run:
 import sys
 import tempfile
 
-from repro.analysis import format_table
+from repro.analysis.report import format_table
 from repro.sim.metrics import StreamSummary
 from repro.sim.runner import BatchEngine, Sweep
 from repro.workloads.apps import TABLE3_ORDER

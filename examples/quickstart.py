@@ -13,7 +13,7 @@ Run:
 import sys
 
 from repro import run_comparison, speedup_over
-from repro.analysis import format_table
+from repro.analysis.report import format_table
 
 
 def main() -> None:

@@ -17,8 +17,8 @@ Run:
 
 import sys
 
-from repro.analysis import format_session
 from repro.analysis.experiments import default_churn_session
+from repro.analysis.report import format_session
 from repro.sim.session import simulate_session
 
 

@@ -684,11 +684,12 @@ def netdrop_adaptation(
     """Q-VR FPS/eccentricity adaptation under a bandwidth-drop trace.
 
     Runs Q-VR under a piecewise drop profile and reports per-window
-    steady-state metrics, classifying each frame by its display instant
-    against the profile's segment boundaries.
+    steady-state metrics (:func:`~repro.sim.metrics.window_stats`),
+    classifying each frame by its display instant against the profile's
+    segment boundaries.
     """
     profile = profile if profile is not None else default_netdrop_profile(n_frames)
-    boundaries = profile.boundaries_ms
+    edges = (0.0, *profile.boundaries_ms, float("inf"))
     names = (
         _NETDROP_WINDOWS
         if len(profile.segments) == 3
@@ -707,32 +708,16 @@ def netdrop_adaptation(
     rows: list[NetDropRow] = []
     for app in apps:
         result = batch[sweep.spec("qvr", app, platform, seed)]
-        windows: list[list] = [[] for _ in names]
-        for record in result.records:
-            index = sum(1 for b in boundaries if record.display_ms >= b)
-            windows[index].append(record)
-        for name, records in zip(names, windows):
-            if len(records) >= 2:
-                span_ms = records[-1].display_ms - records[0].display_ms
-                fps = 1000.0 * (len(records) - 1) / span_ms if span_ms > 0 else float("inf")
-            else:
-                fps = float("nan")
+        for name, start_ms, end_ms in zip(names, edges, edges[1:]):
+            stats = window_stats(result.records, start_ms, end_ms)
             rows.append(
                 NetDropRow(
                     app=app,
                     window=name,
-                    frames=len(records),
-                    mean_e1_deg=(
-                        float(np.mean([r.e1_deg for r in records]))
-                        if records
-                        else float("nan")
-                    ),
-                    measured_fps=fps,
-                    mean_kb_per_frame=(
-                        float(np.mean([r.transmitted_bytes for r in records])) / 1e3
-                        if records
-                        else float("nan")
-                    ),
+                    frames=stats.frames,
+                    mean_e1_deg=stats.mean_e1_deg,
+                    measured_fps=stats.mean_fps,
+                    mean_kb_per_frame=stats.mean_kb_per_frame,
                 )
             )
     return rows
@@ -792,12 +777,6 @@ def default_admission_trace(n_frames: int) -> "TraceProfile":
     )
 
 
-def _window_fps(records, start_ms: float, end_ms: float) -> tuple[float, float]:
-    """(mean FPS, p99 tail FPS) over frames displayed inside a window."""
-    stats = window_stats(records, start_ms, end_ms)
-    return stats.mean_fps, stats.p99_fps
-
-
 def admission_scheduling(
     n_frames: int = 240,
     seed: int = 0,
@@ -841,14 +820,14 @@ def admission_scheduling(
     for policy, timeline in timelines.items():
         for spec in timeline.specs:
             result = batch[spec]
-            drop_fps, drop_p99 = _window_fps(result.records, drop_start, drop_end)
+            drop = window_stats(result.records, drop_start, drop_end)
             rows.append(
                 AdmissionRow(
                     policy=policy,
                     app=spec.app,
                     mean_fps=result.measured_fps,
-                    drop_fps=drop_fps,
-                    drop_p99_fps=drop_p99,
+                    drop_fps=drop.mean_fps,
+                    drop_p99_fps=drop.p99_fps,
                     mean_e1_deg=result.mean_e1_deg,
                     mean_kb_per_frame=result.mean_transmitted_bytes / 1e3,
                 )

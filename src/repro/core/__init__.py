@@ -1,49 +1,1 @@
 """Q-VR core: foveation model, partition engine, LIWC, UCA, controllers."""
-
-from repro.core.controllers import (
-    ControlContext,
-    ControlFeedback,
-    EccentricityController,
-    FixedEccentricityController,
-    LIWCController,
-    SoftwareAdaptiveController,
-)
-from repro.core.foveation import (
-    DisplayGeometry,
-    FoveationModel,
-    LayerPartition,
-    MARModel,
-    PartitionPlan,
-)
-from repro.core.liwc import ACTIONS_DEG, LIWC, LIWCConfig, LatencyPredictor, MappingTable, MotionCodec
-from repro.core.partition import FramePartition, PartitionEngine
-from repro.core.perception import SurveyVerdict, check_plan, quality_score
-from repro.core.uca import TileStats, UCAConfig, UCAUnit
-
-__all__ = [
-    "MARModel",
-    "DisplayGeometry",
-    "FoveationModel",
-    "LayerPartition",
-    "PartitionPlan",
-    "SurveyVerdict",
-    "check_plan",
-    "quality_score",
-    "FramePartition",
-    "PartitionEngine",
-    "LIWC",
-    "LIWCConfig",
-    "MotionCodec",
-    "MappingTable",
-    "LatencyPredictor",
-    "ACTIONS_DEG",
-    "UCAConfig",
-    "UCAUnit",
-    "TileStats",
-    "ControlContext",
-    "ControlFeedback",
-    "EccentricityController",
-    "FixedEccentricityController",
-    "SoftwareAdaptiveController",
-    "LIWCController",
-]

@@ -12,9 +12,9 @@ This module models the hardware unit:
 * the frame is cut into 32x32-pixel tiles processed at a measured 532
   cycles per tile (Sec. 4.3), on :data:`~repro.constants.UCA_UNIT_COUNT`
   units clocked at the SoC frequency;
-* tiles are classified as **bound tiles** (crossing a layer border: they
-  need the fused trilinear path) or **non-overlapping tiles** (single
-  layer: plain bilinear), per Fig. 11;
+* every tile costs the same cycles, whether it is a **bound tile**
+  (crossing a layer border: the fused trilinear path) or a
+  **non-overlapping tile** (single layer: plain bilinear), per Fig. 11;
 * because UCA starts on non-overlapping tiles *before* rendering and
   streaming complete ("asynchronously executing them across frame tiles
   prior to the rendering completion"), only the tail of the tile stream
@@ -33,10 +33,9 @@ import math
 from dataclasses import dataclass
 
 from repro import constants
-from repro.core.foveation import PartitionPlan
 from repro.errors import ConfigurationError
 
-__all__ = ["UCAConfig", "TileStats", "UCAUnit"]
+__all__ = ["UCAConfig", "UCAUnit"]
 
 
 @dataclass(frozen=True)
@@ -77,14 +76,6 @@ class UCAConfig:
             )
 
 
-@dataclass(frozen=True)
-class TileStats:
-    """Tile classification for one frame (both eyes)."""
-
-    total_tiles: int
-    bound_tiles: int
-
-
 class UCAUnit:
     """Timing model of the unified composition and ATW hardware."""
 
@@ -104,29 +95,6 @@ class UCAUnit:
         """Total tiles per frame across both eyes."""
         tx, ty = self.tile_grid(width_px, height_px)
         return tx * ty * eyes
-
-    def classify_tiles(
-        self,
-        width_px: int,
-        height_px: int,
-        plan: PartitionPlan,
-        pixels_per_degree: float,
-        eyes: int = constants.EYES,
-    ) -> TileStats:
-        """Count bound tiles: those crossed by the e1 or e2 layer borders.
-
-        A circle of radius ``r`` crosses about ``2*pi*r / tile`` tiles of
-        side ``tile`` (circumference divided by tile pitch, the standard
-        rasterisation estimate), clipped to the panel's tile count.
-        """
-        total = self.tile_count(width_px, height_px, eyes)
-        per_eye_total = total // eyes if eyes else 0
-        bound = 0
-        for ecc in (plan.e1_deg, plan.e2_deg):
-            radius_px = ecc * pixels_per_degree
-            ring = int(2.0 * math.pi * radius_px / self.config.tile_px)
-            bound += min(ring, per_eye_total)
-        return TileStats(total_tiles=total, bound_tiles=min(bound * eyes, total))
 
     # -- timing --------------------------------------------------------------------
 

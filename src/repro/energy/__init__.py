@@ -1,28 +1,1 @@
 """Energy substrate: component power models, McPAT overheads, accounting."""
-
-from repro.energy.accounting import EnergyAccountant, EnergyBreakdown
-from repro.energy.mcpat import (
-    OverheadReport,
-    estimate_liwc,
-    estimate_sram,
-    estimate_uca,
-)
-from repro.energy.power import (
-    AcceleratorPower,
-    GPUPowerModel,
-    RADIO_POWER,
-    RadioPowerModel,
-)
-
-__all__ = [
-    "EnergyAccountant",
-    "EnergyBreakdown",
-    "OverheadReport",
-    "estimate_liwc",
-    "estimate_sram",
-    "estimate_uca",
-    "AcceleratorPower",
-    "GPUPowerModel",
-    "RadioPowerModel",
-    "RADIO_POWER",
-]

@@ -1,24 +1,1 @@
 """GPU timing substrate: mobile SoC GPU and remote multi-GPU server models."""
-
-from repro.gpu.config import (
-    GPUConfig,
-    MOBILE_BASELINE,
-    REMOTE_BASELINE,
-    RemoteServerConfig,
-)
-from repro.gpu.mobile_gpu import MobileGPU, PostPassCost
-from repro.gpu.perf_model import FrameTiming, GPUPerfModel, RenderWorkload
-from repro.gpu.remote_gpu import RemoteRenderer
-
-__all__ = [
-    "GPUConfig",
-    "RemoteServerConfig",
-    "MOBILE_BASELINE",
-    "REMOTE_BASELINE",
-    "MobileGPU",
-    "PostPassCost",
-    "GPUPerfModel",
-    "FrameTiming",
-    "RenderWorkload",
-    "RemoteRenderer",
-]

@@ -74,9 +74,9 @@ def classify_tiles_functional(
     """Boolean tile map: True where a tile needs the trilinear (bound) path.
 
     A tile is *bound* when more than one layer has non-zero weight inside
-    it — i.e. it straddles a layer border.  This is the functional ground
-    truth for the hardware tile classifier in
-    :meth:`repro.core.uca.UCAUnit.classify_tiles`.
+    it — i.e. it straddles a layer border and takes Fig. 11's trilinear
+    path.  The timing model (:mod:`repro.core.uca`) charges every tile the
+    same cycles, so it needs no classifier of its own.
     """
     weights = layer_weights(
         frame.native_height,

@@ -1,160 +1,1 @@
 """Pipeline simulation: DES scheduler, system designs, metrics, batch runner."""
-
-from repro.sim.demand import (
-    ArrivalProcess,
-    ChurnModel,
-    ClientTemplate,
-    DemandScenario,
-    DiurnalArrivals,
-    FlashCrowd,
-    PlannedSession,
-    PoissonArrivals,
-    SESSION_SEED_STRIDE,
-    run_population,
-)
-from repro.sim.fleet import (
-    FirstFitPlacement,
-    LeastLoadedPlacement,
-    PLACEMENT_NAMES,
-    PLACEMENTS,
-    PlacementPolicy,
-    RenderFleet,
-    ServerDown,
-    ServerFail,
-    ServerUp,
-    StickyPlacement,
-    placement_by_name,
-    plan_fleet_timeline,
-)
-from repro.sim.metrics import (
-    FrameRecord,
-    ServerStats,
-    ServerWindow,
-    SimulationResult,
-    aggregate_server_stats,
-    paper_fps,
-)
-from repro.sim.runner import (
-    BatchEngine,
-    BatchStats,
-    ResultCache,
-    RunSpec,
-    Sweep,
-    run,
-    run_comparison,
-    spec_key,
-    speedup_over,
-)
-from repro.sim.scheduler import Task, TaskGraphScheduler
-from repro.sim.session import (
-    CapacityEvent,
-    ClientSpec,
-    ClientTimeline,
-    Epoch,
-    Join,
-    Leave,
-    ProfileSwitch,
-    Session,
-    SessionEvent,
-    SessionResult,
-    SessionTimeline,
-    events_from_motion,
-    simulate_session,
-)
-from repro.sim.server import (
-    AdmissionDecision,
-    ClientDemand,
-    DeadlinePolicy,
-    FairSharePolicy,
-    POLICIES,
-    POLICY_NAMES,
-    RenderServer,
-    SchedulingPolicy,
-    ShareSchedule,
-    WeightedPolicy,
-    policy_by_name,
-)
-from repro.sim.systems import (
-    CollaborativeFoveatedSystem,
-    LocalOnlySystem,
-    PlatformConfig,
-    RemoteOnlySystem,
-    SYSTEM_NAMES,
-    StaticCollaborativeSystem,
-    VRSystem,
-    make_system,
-)
-
-__all__ = [
-    "FrameRecord",
-    "SimulationResult",
-    "paper_fps",
-    "RunSpec",
-    "Sweep",
-    "BatchEngine",
-    "BatchStats",
-    "ResultCache",
-    "run",
-    "run_comparison",
-    "spec_key",
-    "speedup_over",
-    "Task",
-    "TaskGraphScheduler",
-    "PlatformConfig",
-    "VRSystem",
-    "LocalOnlySystem",
-    "RemoteOnlySystem",
-    "StaticCollaborativeSystem",
-    "CollaborativeFoveatedSystem",
-    "SYSTEM_NAMES",
-    "make_system",
-    "ClientSpec",
-    "SessionEvent",
-    "CapacityEvent",
-    "Join",
-    "Leave",
-    "ProfileSwitch",
-    "Session",
-    "Epoch",
-    "ClientTimeline",
-    "SessionTimeline",
-    "SessionResult",
-    "events_from_motion",
-    "simulate_session",
-    "RenderFleet",
-    "ServerUp",
-    "ServerDown",
-    "ServerFail",
-    "PlacementPolicy",
-    "FirstFitPlacement",
-    "LeastLoadedPlacement",
-    "StickyPlacement",
-    "PLACEMENTS",
-    "PLACEMENT_NAMES",
-    "placement_by_name",
-    "plan_fleet_timeline",
-    "ServerWindow",
-    "ServerStats",
-    "aggregate_server_stats",
-    "RenderServer",
-    "SchedulingPolicy",
-    "FairSharePolicy",
-    "WeightedPolicy",
-    "DeadlinePolicy",
-    "AdmissionDecision",
-    "ClientDemand",
-    "ShareSchedule",
-    "POLICIES",
-    "POLICY_NAMES",
-    "policy_by_name",
-    "ArrivalProcess",
-    "PoissonArrivals",
-    "DiurnalArrivals",
-    "FlashCrowd",
-    "ClientTemplate",
-    "ChurnModel",
-    "DemandScenario",
-    "PlannedSession",
-    "SESSION_SEED_STRIDE",
-    "run_population",
-]

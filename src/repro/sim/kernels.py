@@ -922,7 +922,6 @@ def _run_foveated(
     requires_completed = controller.requires_completed_frame
     is_fixed = isinstance(controller, FixedEccentricityController)
     is_software = isinstance(controller, SoftwareAdaptiveController)
-    needs_context = not (is_fixed or is_software)
     # SoftwareAdaptiveController ignores every context field; one reusable
     # placeholder keeps the verbatim select_e1 call (its state transition)
     # without paying for the probe plan it never reads.

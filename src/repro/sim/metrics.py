@@ -6,10 +6,7 @@ Conventions:
   its motion sample (sensor capture) to display scan-out completion,
   matching the paper's "from tracking to display" accounting;
 * **measured FPS** is computed from steady-state display completion
-  intervals after a warm-up prefix;
-* **paper-formula FPS** (:func:`paper_fps`) is the paper's
-  ``FPS = min(1/T_GPU, 1/T_network)`` (Sec. 6.1) of one frame's
-  resource busy times.
+  intervals after a warm-up prefix.
 """
 
 from __future__ import annotations
@@ -37,7 +34,6 @@ __all__ = [
     "WindowStats",
     "aggregate_server_stats",
     "effective_warmup",
-    "paper_fps",
     "records_from_arrays",
     "tail_fps",
     "window_stats",
@@ -663,18 +659,6 @@ def records_from_arrays(index, **columns) -> list[FrameRecord]:
         record.__dict__.update(zip(_RECORD_FIELDS, row))
         append(record)
     return records
-
-
-def paper_fps(gpu_busy_ms: float, net_busy_ms: float) -> float:
-    """The paper's ``FPS = min(1/T_GPU, 1/T_network)`` in frames/second."""
-    bounds = []
-    if gpu_busy_ms > 0:
-        bounds.append(1000.0 / gpu_busy_ms)
-    if net_busy_ms > 0:
-        bounds.append(1000.0 / net_busy_ms)
-    if not bounds:
-        return float("inf")
-    return min(bounds)
 
 
 @dataclass

@@ -558,7 +558,8 @@ class BatchEngine:
         :data:`repro.sim.shard.SHARD_MODES`, runs shards in this process
         with one job and on a process pool with more.
     stream_dir:
-        Directory for the executor's spill-to-disk result stream.
+        Directory for the executor's spill-to-disk result streams, one
+        per batch, each in the subdirectory named by its plan digest.
         Reusing the directory resumes an interrupted sweep: completed
         shards are skipped and partial shard files resume after their
         salvaged prefix.  None spills multi-worker runs to a temporary

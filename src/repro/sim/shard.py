@@ -103,7 +103,7 @@ def plan_shards(specs: Sequence[RunSpec], shards: int) -> tuple[Shard, ...]:
 
 
 def _plan_digest(specs: Sequence[RunSpec], shards: int) -> str:
-    """Content hash binding a result stream to one (spec list, shards) plan."""
+    """Content hash of one (spec list, shards) plan; it names the plan's stream."""
     hasher = hashlib.sha256()
     hasher.update(str(shards).encode())
     for key in spec_keys(specs):
@@ -119,7 +119,8 @@ def _plan_digest(specs: Sequence[RunSpec], shards: int) -> str:
 class ResultStream:
     """Append-only per-shard result files with a manifest index.
 
-    Layout of the stream directory::
+    Layout of one stream's directory (:class:`ShardedExecutor` names it
+    by the plan digest)::
 
         manifest.json       the shard plan: n_shards, spec count, digest
         shard-0007.part     in-progress frames (appended, flushed per spec)
@@ -150,28 +151,16 @@ class ResultStream:
     # -- manifest ------------------------------------------------------------
 
     def write_manifest(self, shards: Sequence[Shard], digest: str) -> None:
-        """Record the shard plan; validate instead when one already exists.
-
-        A stream directory is bound to exactly one plan: resuming with a
-        different spec list or shard count would silently interleave two
-        sweeps' results, so a digest mismatch fails loudly.
-        """
+        """Record the shard plan, once: a resumed stream keeps its manifest."""
         path = self.directory / self.MANIFEST
+        if path.exists():
+            return
         payload = {
             "version": 1,
             "n_shards": len(shards),
             "n_specs": sum(len(s) for s in shards),
             "digest": digest,
         }
-        if path.exists():
-            existing = json.loads(path.read_text())
-            if existing.get("digest") != digest:
-                raise ConfigurationError(
-                    f"result stream at {self.directory} was created for a "
-                    "different sweep (spec list or shard count changed); "
-                    "use a fresh stream directory per sweep configuration"
-                )
-            return
         tmp = path.with_suffix(".tmp")
         tmp.write_text(json.dumps(payload, indent=2) + "\n")
         os.replace(tmp, path)
@@ -401,11 +390,13 @@ class ShardedExecutor:
         Concurrent workers.  One worker (or a single pending shard) runs
         the shards in this process; more run them on a process pool.
     stream_dir:
-        Directory for the :class:`ResultStream`.  Reusing a directory
-        resumes the identical sweep: completed shards are skipped, a
-        partial shard resumes after its salvaged prefix.  None spills
-        multi-worker runs through a temporary directory and keeps
-        in-process runs off disk entirely.
+        Directory of result streams: each shard plan streams to its own
+        :class:`ResultStream` in the subdirectory named by its plan
+        digest, so one directory serves every batch of an engine.
+        Reusing a directory resumes each identical sweep: completed
+        shards are skipped, a partial shard resumes after its salvaged
+        prefix.  None spills multi-worker runs through a temporary
+        directory and keeps in-process runs off disk entirely.
     engine:
         Execution engine (:data:`~repro.sim.runner.ENGINE_NAMES`) every
         shard runs its specs on.
@@ -431,11 +422,11 @@ class ShardedExecutor:
         self.stats = ShardStats()
         self.stream: ResultStream | None = None
 
-    def _resolve_stream(self) -> ResultStream:
+    def _resolve_stream(self, digest: str) -> ResultStream:
         if self._stream_dir is None:
             self._tempdir = tempfile.TemporaryDirectory(prefix="qvr-shards-")
             self._stream_dir = self._tempdir.name
-        self.stream = ResultStream(self._stream_dir)
+        self.stream = ResultStream(Path(self._stream_dir) / digest)
         return self.stream
 
     def cleanup(self) -> None:
@@ -474,8 +465,8 @@ class ShardedExecutor:
                     self.stats.executed += 1
                     yield frame
             return
-        stream = self._resolve_stream()
         digest = _plan_digest([s for shard in planned for s in shard.specs], len(planned))
+        stream = self._resolve_stream(digest)
         stream.write_manifest(planned, digest)
 
         done = set(stream.completed_shards())

@@ -3,7 +3,6 @@
 import pytest
 
 from repro import constants
-from repro.core.foveation import DisplayGeometry, FoveationModel
 from repro.core.uca import UCAConfig, UCAUnit
 from repro.errors import ConfigurationError
 
@@ -74,20 +73,3 @@ class TestUCATiming:
         assert slow.occupancy_ms(1920, 2160) == pytest.approx(
             2 * fast.occupancy_ms(1920, 2160)
         )
-
-class TestTileClassification:
-    def test_bound_tiles_scale_with_radius(self):
-        uca = UCAUnit()
-        model = FoveationModel(DisplayGeometry(1920, 2160))
-        ppd = model.display.pixels_per_degree
-        small = uca.classify_tiles(1920, 2160, model.plan(8.0), ppd)
-        large = uca.classify_tiles(1920, 2160, model.plan(30.0, e2_deg=45.0), ppd)
-        assert large.bound_tiles > small.bound_tiles
-
-    def test_bound_never_exceeds_total(self):
-        uca = UCAUnit()
-        model = FoveationModel(DisplayGeometry(1920, 2160))
-        ppd = model.display.pixels_per_degree
-        for e1 in (5.0, 25.0, 60.0):
-            stats = uca.classify_tiles(1920, 2160, model.plan(e1), ppd)
-            assert 0 <= stats.bound_tiles <= stats.total_tiles

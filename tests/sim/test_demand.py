@@ -398,12 +398,13 @@ class TestRunPopulation:
         first = engine()
         report = run_population(scenario, seed=7, engine=first, max_sessions=3)
         assert first.stream_dir == str(tmp_path)
-        # One manifest at the root covers every policy's specs; no
-        # per-policy subdirectories.
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        # One stream, named by its plan digest, covers every policy's
+        # specs; no per-policy subdirectories.
+        [stream_dir] = tmp_path.iterdir()
+        manifest = json.loads((stream_dir / "manifest.json").read_text())
         assert manifest["n_specs"] == report["client_sessions"]
-        assert not [path for path in tmp_path.iterdir() if path.is_dir()]
-        streamed = {spec.policy for spec, _ in ResultStream(tmp_path).iter_results()}
+        assert stream_dir.name == manifest["digest"]
+        streamed = {spec.policy for spec, _ in ResultStream(stream_dir).iter_results()}
         assert streamed == {"fair-share", "deadline"}
 
         rerun_engine = engine()

@@ -151,13 +151,24 @@ class TestExecutorValidation:
 
 class TestResultStream:
     def test_manifest_binds_stream_to_one_plan(self, tmp_path):
+        # Each plan streams to the subdirectory named by its digest, so a
+        # second plan in the same directory never touches the first's.
         specs = _sweep_specs(seeds=(0,))
-        executor = ShardedExecutor(shards=2, stream_dir=tmp_path)
-        _collect(executor, specs)
         other = _sweep_specs(seeds=(1,))
-        stale = ShardedExecutor(shards=2, stream_dir=tmp_path)
-        with pytest.raises(ConfigurationError):
-            list(stale.execute(other))
+        first = ShardedExecutor(shards=2, stream_dir=tmp_path)
+        reference = _collect(first, specs)
+        second = ShardedExecutor(shards=2, stream_dir=tmp_path)
+        assert _collect(second, other) == _reference(other)
+        assert second.stats.executed == len(other)
+        for executor, plan in ((first, specs), (second, other)):
+            digest = _plan_digest(plan, 2)
+            assert executor.stream.directory == tmp_path / digest
+            assert executor.stream.manifest()["digest"] == digest
+        # The second plan left the first one's stream resumable.
+        resumed = ShardedExecutor(shards=2, stream_dir=tmp_path)
+        assert _collect(resumed, specs) == reference
+        assert resumed.stats.executed == 0
+        assert resumed.stats.skipped_shards == 2
 
     def test_torn_tail_is_discarded(self, tmp_path):
         specs = _sweep_specs(seeds=(0,))[:2]
@@ -174,7 +185,7 @@ class TestResultStream:
         specs = _sweep_specs(seeds=(0,))
         executor = ShardedExecutor(shards=3, stream_dir=tmp_path)
         _collect(executor, specs)
-        assert len(ResultStream(tmp_path)) == len(specs)
+        assert len(ResultStream(executor.stream.directory)) == len(specs)
 
 
 class TestResume:
@@ -205,7 +216,7 @@ class TestResume:
             list(first.execute(specs))
         monkeypatch.setattr(shard_module, "run", real_run)
 
-        stream = ResultStream(tmp_path)
+        stream = first.stream
         assert stream.part_path(0).exists()
         assert not stream.is_complete(0)
         # A crash can also tear the tail of the spill file mid-write; the
@@ -229,8 +240,8 @@ class TestPoolFaults:
     ):
         specs = _sweep_specs(seeds=(0, 1))
         reference = _reference(specs)
-        clean = ResultStream(tmp_path / "clean")
-        _collect(ShardedExecutor(shards=2, workers=2, stream_dir=clean.directory), specs)
+        clean = ShardedExecutor(shards=2, workers=2, stream_dir=tmp_path / "clean")
+        _collect(clean, specs)
 
         # Past a shard's first spec the shard has spilled a frame; there
         # the first worker to win the O_EXCL marker SIGKILLs itself.
@@ -252,20 +263,19 @@ class TestPoolFaults:
             return real_run(spec, engine)
 
         monkeypatch.setattr(shard_module, "run", run_or_die)
-        stream = ResultStream(tmp_path / "stream")
         trace_dir = tmp_path / "trace"
         obs_trace.configure(trace_dir, process="parent")
         try:
             executor = ShardedExecutor(
-                shards=2, workers=2, stream_dir=stream.directory
+                shards=2, workers=2, stream_dir=tmp_path / "stream"
             )
             assert _collect(executor, specs) == reference
         finally:
             obs_trace.shutdown()
         for index in range(2):
             assert (
-                stream.results_path(index).read_bytes()
-                == clean.results_path(index).read_bytes()
+                executor.stream.results_path(index).read_bytes()
+                == clean.stream.results_path(index).read_bytes()
             )
         assert executor.stats.requeues >= 1
         assert executor.stats.salvaged >= 1
@@ -290,7 +300,7 @@ class TestPoolFaults:
         with pytest.raises(ValueError, match="injected worker fault"):
             _collect(executor, _sweep_specs(seeds=(0,)))
         assert executor.stats.requeues == 0
-        assert ResultStream(tmp_path).completed_shards() == []
+        assert executor.stream.completed_shards() == []
 
 
 class TestBatchEngineIntegration:
@@ -351,7 +361,8 @@ class TestBatchEngineIntegration:
         reference = {
             spec_key(s): pickle.dumps(r) for s, r in first.run_specs(specs).items()
         }
-        manifest = ResultStream(tmp_path).manifest()
+        [stream_dir] = tmp_path.iterdir()
+        manifest = ResultStream(stream_dir).manifest()
         assert manifest is not None
         assert manifest["n_specs"] == len(specs)
         assert manifest["n_shards"] == first.last_shard_stats.shards == 4

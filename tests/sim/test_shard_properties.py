@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.runner import Sweep
-from repro.sim.shard import ResultStream, ShardedExecutor
+from repro.sim.shard import ResultStream, ShardedExecutor, _plan_digest
 
 SHARDS = 2
 
@@ -35,8 +35,9 @@ def _specs():
 def reference() -> list[bytes]:
     """Each shard's ``.results`` bytes from an uninterrupted serial run."""
     with tempfile.TemporaryDirectory() as directory:
-        list(ShardedExecutor(shards=SHARDS, stream_dir=directory).execute(_specs()))
-        stream = ResultStream(directory)
+        executor = ShardedExecutor(shards=SHARDS, stream_dir=directory)
+        list(executor.execute(_specs()))
+        stream = executor.stream
         return [stream.results_path(i).read_bytes() for i in range(SHARDS)]
 
 
@@ -55,7 +56,7 @@ _DAMAGE = st.tuples(
 def test_resume_from_any_kill_point_is_byte_identical(reference, damage, workers):
     specs = _specs()
     with tempfile.TemporaryDirectory() as directory:
-        stream = ResultStream(directory)
+        stream = ResultStream(Path(directory) / _plan_digest(specs, SHARDS))
         for index, (cut, garbage) in enumerate(damage):
             intact = reference[index]
             torn = intact[: round(cut * len(intact))] + garbage

@@ -1,14 +1,11 @@
 """Integration tests for the seven system designs."""
 
-import math
-
 import numpy as np
 import pytest
 
 from repro import constants
 from repro.errors import ConfigurationError
 from repro.network.conditions import EARLY_5G, LTE_4G
-from repro.sim.metrics import paper_fps
 from repro.sim.runner import RunSpec, run, run_comparison, speedup_over
 from repro.sim.systems import PlatformConfig, SYSTEM_NAMES, make_system
 from repro.workloads.apps import get_app
@@ -225,14 +222,3 @@ class TestNetworkSensitivity:
         heavy = make_system("qvr", get_app("GRID")).run(n_frames=N_FRAMES)
         assert light.mean_e1_deg > heavy.mean_e1_deg
 
-
-class TestPaperFPSFormula:
-    def test_min_of_bounds(self):
-        assert paper_fps(10.0, 5.0) == pytest.approx(100.0)
-        assert paper_fps(5.0, 10.0) == pytest.approx(100.0)
-
-    def test_zero_busy_unbounded(self):
-        assert math.isinf(paper_fps(0.0, 0.0))
-
-    def test_single_bound(self):
-        assert paper_fps(4.0, 0.0) == pytest.approx(250.0)

@@ -121,10 +121,27 @@ class TestBatchCommand:
         ]
         assert main(argv) == 0
         assert "28 executed" in capsys.readouterr().out
-        assert (stream / "manifest.json").exists()
+        [plan_dir] = stream.iterdir()
+        assert (plan_dir / "manifest.json").exists()
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "shards: 4 planned (28 specs), 4 resumed complete" in out
+
+    def test_stream_resumes_a_run_of_several_batches(self, capsys, tmp_path):
+        stream = tmp_path / "stream"
+        argv = [
+            "batch", "--experiments", "fig12", "fig13", "--frames", "30",
+            "--stream", str(stream),
+        ]
+        assert main(argv) == 0
+        capsys.readouterr()
+        # Each batch streams to its own plan's subdirectory.
+        assert len(list(stream.iterdir())) == 2
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"\b0 executed\b", out)
+        shards = re.search(r"^shards: (\d+) planned .*, (\d+) resumed complete", out, re.M)
+        assert shards is not None and shards[1] == shards[2] != "0"
 
     def test_serial_batch_prints_no_shard_line(self, capsys):
         assert main(["batch", "--experiments", "fig13", "--frames", "40"]) == 0

@@ -14,8 +14,9 @@ from repro import (
 )
 from repro.codec.h264 import H264Model
 from repro.core.partition import PartitionEngine
-from repro.energy import EnergyAccountant
-from repro.gpu import MobileGPU, RemoteRenderer
+from repro.energy.accounting import EnergyAccountant
+from repro.gpu.mobile_gpu import MobileGPU
+from repro.gpu.remote_gpu import RemoteRenderer
 
 
 class TestReadmeQuickstart:
