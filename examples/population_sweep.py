@@ -47,7 +47,7 @@ def main() -> None:
         engine = BatchEngine(shards=16, stream_dir=stream_dir)
         for spec, result in engine.stream_sweep(sweep):
             result.fold_into(latency=latency[spec.system], fps=fps[spec.system])
-        stats = engine.last_shard_stats
+        stats = engine.stats
 
     rows = []
     for name in SYSTEMS:

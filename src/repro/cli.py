@@ -359,27 +359,35 @@ def _cmd_batch(args: argparse.Namespace) -> None:
             ),
         )
     )
-    stats = engine.stats
-    print(
-        f"specs: {stats.requested} requested, {stats.unique} unique, "
-        f"{stats.executed} executed, {stats.cache_hits} cache hits, "
-        f"{stats.deduplicated} deduplicated in-batch; total {total_s:.2f}s"
-    )
-    if engine.last_shard_stats is not None:
-        print(_shard_line(engine.last_shard_stats))
+    for line in _stats_lines(engine, total_s):
+        print(line)
     if measured:
         print()
         print(format_scorecard(measured))
 
 
-def _shard_line(stats) -> str:
-    """The ``shards:`` report line of a batch that ran sharded."""
-    return (
-        f"shards: {stats.shards} planned ({stats.specs} specs), "
-        f"{stats.skipped_shards} resumed complete, "
-        f"{stats.salvaged} frames salvaged, {stats.requeues} requeues, "
-        f"{stats.workers} workers"
-    )
+def _stats_lines(engine: BatchEngine, total_s: float) -> list[str]:
+    """The ``specs:`` line and, once a batch ran sharded, the ``shards:`` line.
+
+    Both sum over every batch the engine ran.  A plain serial engine (one
+    in-process worker, no shard count, no stream) prints no shard line.
+    """
+    stats = engine.stats
+    lines = [
+        f"specs: {stats.requested} requested, {stats.unique} unique, "
+        f"{stats.executed} executed, {stats.cache_hits} cache hits, "
+        f"{stats.resumed} resumed, {stats.deduplicated} deduplicated in-batch; "
+        f"total {total_s:.2f}s"
+    ]
+    sharded = engine.shards is not None or engine.stream_dir is not None
+    if stats.shards and (sharded or stats.workers > 1):
+        lines.append(
+            f"shards: {stats.shards} planned ({stats.shard_specs} specs), "
+            f"{stats.resumed_shards} resumed complete, "
+            f"{stats.salvaged} frames salvaged, {stats.requeues} requeues, "
+            f"{stats.workers} workers"
+        )
+    return lines
 
 
 def _parse_client(token: str, base_dir: str | None = None) -> ClientSpec:
@@ -659,15 +667,8 @@ def _cmd_population(args: argparse.Namespace) -> None:
             json.dump(report, handle, indent=2)
             handle.write("\n")
         print(f"report written to {args.report}", file=sys.stderr)
-    stats = engine.stats
-    print(
-        f"specs: {stats.requested} requested, {stats.unique} unique, "
-        f"{stats.executed} executed, {stats.cache_hits} cache hits; "
-        f"total {wall:.2f}s",
-        file=sys.stderr,
-    )
-    if engine.last_shard_stats is not None:
-        print(_shard_line(engine.last_shard_stats), file=sys.stderr)
+    for line in _stats_lines(engine, wall):
+        print(line, file=sys.stderr)
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:

@@ -876,8 +876,8 @@ def run_population(
     dropped, so results held do not grow with city size; requests do:
     every planned session is expanded up front, and the engine holds
     every spec before it executes any.  When the engine spills to a
-    configured stream directory, the run's one stream (one manifest,
-    every policy) lives in the subdirectory named by its plan digest.
+    configured stream directory, the run's one stream (every policy's
+    shard files) lives in the subdirectory named by its plan digest.
 
     Returns the deterministic population report: per-policy client-window
     counts, streamed latency / FPS / per-client-p99 summaries, and SLO

@@ -61,13 +61,18 @@ searched directly and kept nowhere.  Render times are not memoized:
 keyed by (workload, plan) such a memo hit 25% of frames, each hit
 saving no more than hashing its key cost.
 
-Memory: the integration scratch buffers live on the lattice — one set
-per resolution per process, however many gaze kernels use it — so a
-gaze kernel retains only its results: per-frame sweeps and the
+Memory: the 129-sample integration scratch buffers live on the lattice
+— one set per resolution per process, however many gaze kernels use it
+— so a gaze kernel retains only its results: per-frame sweeps and the
 memoized plans and area integrals, about 380 KB for a 120-frame GRID
-kernel.  Holding the direct plans too, and batch-integrating every
-frame's area of each recurring eccentricity into a row (25,320 areas
-on that pass), bought no resolvable wall time and raised
+kernel.  :meth:`_Lattice.disc_area_256` keeps no scratch: written
+with temporaries it stays bit-identical and costs about 1 µs a call
+more than with workspaces (11–12 against 10.7–11 µs; under 10 ms over
+the pass's 7,863 integrals).  :meth:`_Lattice.disc_areas` keeps its
+workspaces: the same rewrite ran 2.0–2.3x slower at 113–147 rows.
+Holding the direct plans too, and batch-integrating every frame's area
+of each recurring eccentricity into a row (25,320 areas on that pass),
+bought no resolvable wall time and raised
 ``fig12-grid`` peak RSS from 68.6 to 72.3 MB (10 of 10 pairs).  A
 frame's sweep covers only the master-lattice suffix from the smallest
 ``e1`` offset asked at that frame, extended downward when a smaller one
@@ -290,11 +295,6 @@ class _Lattice:
         self._ws_sout = np.empty(m)
         self._ws_mid = np.empty(m)
         self._ws_cost = np.empty(m)
-        self._ys1d = np.empty(_SAMPLES_1D)
-        self._a1d = np.empty(_SAMPLES_1D)
-        self._b1d = np.empty(_SAMPLES_1D)
-        self._d1d = np.empty(_SAMPLES_1D - 1)
-        self._e1d = np.empty(_SAMPLES_1D - 1)
         obs_metrics.counter("kernels.lattice.scratch").inc()
 
     # -- integration kernels (replicas of foveation._disc_rect_area*) ------
@@ -307,31 +307,17 @@ class _Lattice:
             return 0.0
         # np.linspace(y_lo, y_hi, 256) decomposes into exactly these ops.
         step = (y_hi - y_lo) / (_SAMPLES_1D - 1)
-        ys = self._ys1d
-        np.multiply(self.idx1d, step, out=ys)
-        ys += y_lo
+        ys = self.idx1d * step + y_lo
         ys[-1] = y_hi
-        a = self._a1d
-        np.subtract(ys, cy, out=a)
-        a *= a
-        np.subtract(r * r, a, out=a)
-        np.maximum(a, 0.0, out=a)
-        np.sqrt(a, out=a)  # half chord
-        b = self._b1d
-        np.subtract(cx, a, out=b)
-        np.maximum(0.0, b, out=b)  # x_lo
-        np.add(cx, a, out=a)
-        np.minimum(self.width, a, out=a)  # x_hi
-        np.subtract(a, b, out=a)
-        np.maximum(a, 0.0, out=a)  # widths
-        d = self._d1d
-        e = self._e1d
-        np.subtract(ys[1:], ys[:-1], out=d)
-        np.add(a[1:], a[:-1], out=e)
-        e *= d
+        dy = ys - cy
+        half = np.sqrt(np.maximum(r * r - dy * dy, 0.0))
+        x_lo = np.maximum(0.0, cx - half)
+        x_hi = np.minimum(self.width, cx + half)
+        widths = np.maximum(x_hi - x_lo, 0.0)
         # ``/ 2.0`` moved past the sum: power-of-two scaling is exact, so
         # halving the sum once equals halving every term, bit for bit.
-        return float(np.add.reduce(e)) * 0.5
+        terms = (widths[1:] + widths[:-1]) * (ys[1:] - ys[:-1])
+        return float(np.add.reduce(terms)) * 0.5
 
     def disc_areas(self, cx: float, cy: float, radii: np.ndarray) -> np.ndarray:
         """Bit-identical replica of ``_disc_rect_areas`` (samples=129).

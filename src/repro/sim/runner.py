@@ -517,12 +517,31 @@ class ResultCache:
 
 @dataclass
 class BatchStats:
-    """Cumulative accounting of an engine's executions and cache traffic."""
+    """Cumulative accounting of an engine's batches, summed over every batch.
+
+    Each requested spec counts once, in exactly one of ``executed``,
+    ``resumed`` (read back from a result stream: a completed shard or a
+    salvaged ``.part`` prefix), ``cache_hits`` (the engine memo or the
+    disk cache) and :attr:`deduplicated`, so once a batch finishes
+    ``requested == executed + resumed + cache_hits + deduplicated``.
+    The shard counts cover every batch the sharded executor ran:
+    ``shards`` planned holding ``shard_specs`` specs, ``resumed_shards``
+    found complete on disk, ``salvaged`` frames kept from ``.part``
+    prefixes, ``requeues`` after a pool worker died, and ``workers``,
+    the most any batch ran on.
+    """
 
     requested: int = 0
     unique: int = 0
     executed: int = 0
+    resumed: int = 0
     cache_hits: int = 0
+    shards: int = 0
+    shard_specs: int = 0
+    resumed_shards: int = 0
+    salvaged: int = 0
+    requeues: int = 0
+    workers: int = 0
 
     @property
     def deduplicated(self) -> int:
@@ -583,9 +602,9 @@ class BatchEngine:
     (:meth:`stream_specs` / :meth:`stream_sweep`) skip that memo —
     results flow straight from the executor to the caller.
 
-    :attr:`last_shard_stats` holds the executor statistics of the last
-    batch run with an explicit shard count or through a result stream;
-    serial batches with neither leave it None.
+    :attr:`stats` (:class:`BatchStats`) is the engine's one account: it
+    sums every batch the engine runs, the sharded executor's counts
+    included.
     """
 
     def __init__(
@@ -614,7 +633,6 @@ class BatchEngine:
         self.stream_dir = stream_dir
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
         self.stats = BatchStats()
-        self.last_shard_stats = None
         self._memo: dict[RunSpec, SimulationResult] = {}
 
     # -- execution -------------------------------------------------------------
@@ -650,8 +668,8 @@ class BatchEngine:
         land in the same or adjacent shards).  Executed results land in
         the disk cache, and with ``memoize`` every result also lands in
         the engine memo.
-        ``stats.executed`` counts what the executor ran, not the frames a
-        resumed stream read back from disk.
+        ``stats.executed`` counts what the executor ran and
+        ``stats.resumed`` the frames a resumed stream read back from disk.
         """
         seen: set[RunSpec] = set()
         misses: list[RunSpec] = []
@@ -701,13 +719,11 @@ class BatchEngine:
             workers=self.jobs,
             stream_dir=self.stream_dir,
             engine=self.engine,
+            stats=self.stats,
         )
         try:
             yield from executor.execute(specs)
         finally:
-            self.stats.executed += executor.stats.executed
-            if self.shards is not None or executor.stream is not None:
-                self.last_shard_stats = executor.stats
             executor.cleanup()
 
     def run_sweep(self, sweep: Sweep) -> dict[RunSpec, SimulationResult]:

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import hashlib
-import json
 import os
 import pickle
 import tempfile
@@ -46,6 +45,7 @@ from repro.obs import trace as obs_trace
 from repro.sim.metrics import SimulationResult
 from repro.sim.runner import (
     _UNPICKLE_ERRORS,
+    BatchStats,
     RunSpec,
     _check_engine,
     run,
@@ -55,7 +55,6 @@ from repro.sim.runner import (
 
 __all__ = [
     "Shard",
-    "ShardStats",
     "ShardedExecutor",
     "ResultStream",
     "SHARD_MODES",
@@ -117,12 +116,11 @@ def _plan_digest(specs: Sequence[RunSpec], shards: int) -> str:
 
 
 class ResultStream:
-    """Append-only per-shard result files with a manifest index.
+    """Append-only per-shard result files.
 
     Layout of one stream's directory (:class:`ShardedExecutor` names it
-    by the plan digest)::
+    by the plan digest, which binds the stream to one shard plan)::
 
-        manifest.json       the shard plan: n_shards, spec count, digest
         shard-0007.part     in-progress frames (appended, flushed per spec)
         shard-0007.results  completed shard (atomic rename of the .part)
 
@@ -131,8 +129,6 @@ class ResultStream:
     every instant and a truncated tail (from a crash mid-write) is
     detected and discarded on the next scan.
     """
-
-    MANIFEST = "manifest.json"
 
     def __init__(self, directory: str | os.PathLike) -> None:
         self.directory = Path(directory)
@@ -147,30 +143,6 @@ class ResultStream:
     def part_path(self, index: int) -> Path:
         """In-progress partial file for shard ``index``."""
         return self.directory / f"shard-{index:04d}.part"
-
-    # -- manifest ------------------------------------------------------------
-
-    def write_manifest(self, shards: Sequence[Shard], digest: str) -> None:
-        """Record the shard plan, once: a resumed stream keeps its manifest."""
-        path = self.directory / self.MANIFEST
-        if path.exists():
-            return
-        payload = {
-            "version": 1,
-            "n_shards": len(shards),
-            "n_specs": sum(len(s) for s in shards),
-            "digest": digest,
-        }
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(payload, indent=2) + "\n")
-        os.replace(tmp, path)
-
-    def manifest(self) -> dict | None:
-        """The recorded shard plan, or None for a fresh directory."""
-        path = self.directory / self.MANIFEST
-        if not path.exists():
-            return None
-        return json.loads(path.read_text())
 
     # -- completion state ------------------------------------------------------
 
@@ -187,11 +159,10 @@ class ResultStream:
 
     # -- reading ---------------------------------------------------------------
 
-    @staticmethod
-    def _iter_frames(path: Path) -> Iterator[tuple[RunSpec, SimulationResult]]:
-        """Yield the valid frame prefix of one shard file, one at a time."""
+    def iter_shard(self, index: int) -> Iterator[tuple[RunSpec, SimulationResult]]:
+        """Yield the valid frame prefix of one completed shard, in order."""
         try:
-            handle = path.open("rb")
+            handle = self.results_path(index).open("rb")
         except OSError:
             return
         with handle:
@@ -203,19 +174,6 @@ class ResultStream:
                 if not isinstance(frame, tuple) or len(frame) != 2:
                     return
                 yield frame
-
-    def iter_shard(self, index: int) -> Iterator[tuple[RunSpec, SimulationResult]]:
-        """Yield one completed shard's ``(spec, result)`` frames in order."""
-        yield from self._iter_frames(self.results_path(index))
-
-    def iter_results(self) -> Iterator[tuple[RunSpec, SimulationResult]]:
-        """Yield every completed frame, shard by shard, lazily from disk."""
-        for index in self.completed_shards():
-            yield from self.iter_shard(index)
-
-    def __len__(self) -> int:
-        """Completed frames on disk (consumes only counters, not results)."""
-        return sum(1 for _ in self.iter_results())
 
 
 def _valid_prefix(stream: ResultStream, shard: Shard) -> tuple[int, int]:
@@ -357,24 +315,6 @@ def _execute_shard(
 
 
 # ---------------------------------------------------------------------------
-# Executor statistics
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ShardStats:
-    """Accounting of one sharded execution."""
-
-    shards: int = 0
-    specs: int = 0
-    executed: int = 0
-    salvaged: int = 0
-    skipped_shards: int = 0
-    requeues: int = 0
-    workers: int = 0
-
-
-# ---------------------------------------------------------------------------
 # The executor
 # ---------------------------------------------------------------------------
 
@@ -400,6 +340,11 @@ class ShardedExecutor:
     engine:
         Execution engine (:data:`~repro.sim.runner.ENGINE_NAMES`) every
         shard runs its specs on.
+    stats:
+        The :class:`~repro.sim.runner.BatchStats` every execution adds
+        its shard counts and its executed and resumed specs to; a
+        :class:`~repro.sim.runner.BatchEngine` passes its own.  None
+        starts a fresh account.
     """
 
     def __init__(
@@ -408,6 +353,7 @@ class ShardedExecutor:
         workers: int = 1,
         stream_dir: str | os.PathLike | None = None,
         engine: str = "vector",
+        stats: BatchStats | None = None,
     ) -> None:
         _check_engine(engine)
         if shards < 1:
@@ -419,7 +365,7 @@ class ShardedExecutor:
         self.engine = engine
         self._stream_dir = stream_dir
         self._tempdir = None
-        self.stats = ShardStats()
+        self.stats = stats if stats is not None else BatchStats()
         self.stream: ResultStream | None = None
 
     def _resolve_stream(self, digest: str) -> ResultStream:
@@ -454,12 +400,12 @@ class ShardedExecutor:
         spec, and the on-disk stream itself is deterministic.
         """
         planned = plan_shards(list(specs), self.shards)
-        self.stats.shards = len(planned)
-        self.stats.specs = sum(len(s) for s in planned)
+        self.stats.shards += len(planned)
+        self.stats.shard_specs += sum(len(s) for s in planned)
         if not planned:
             return
         if self._stream_dir is None and self._in_process(len(planned)):
-            self.stats.workers = 1
+            self.stats.workers = max(self.stats.workers, 1)
             for shard in planned:
                 for frame in _shard_frames(shard, None, self.engine):
                     self.stats.executed += 1
@@ -467,17 +413,18 @@ class ShardedExecutor:
             return
         digest = _plan_digest([s for shard in planned for s in shard.specs], len(planned))
         stream = self._resolve_stream(digest)
-        stream.write_manifest(planned, digest)
 
         done = set(stream.completed_shards())
         pending = [shard for shard in planned if shard.index not in done]
-        self.stats.skipped_shards = len(planned) - len(pending)
-        for index in sorted(done):
-            yield from stream.iter_shard(index)
+        for shard in planned:
+            if shard.index in done:
+                self.stats.resumed_shards += 1
+                self.stats.resumed += len(shard.specs)
+                yield from stream.iter_shard(shard.index)
         if not pending:
             return
         if self._in_process(len(pending)):
-            self.stats.workers = 1
+            self.stats.workers = max(self.stats.workers, 1)
             runner = (
                 self._tally(_execute_shard(shard, stream.directory, self.engine))
                 for shard in pending
@@ -491,6 +438,7 @@ class ShardedExecutor:
         """Account one :func:`_execute_shard` outcome; returns its index."""
         index, salvaged, executed = outcome
         self.stats.salvaged += salvaged
+        self.stats.resumed += salvaged
         self.stats.executed += executed
         return index
 
@@ -512,7 +460,7 @@ class ShardedExecutor:
         from concurrent.futures.process import BrokenProcessPool
 
         workers = min(self.workers, len(pending))
-        self.stats.workers = workers
+        self.stats.workers = max(self.stats.workers, workers)
         tracer = obs_trace.active()
         directory = str(self.stream.directory)
         broken = []

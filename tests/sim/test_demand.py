@@ -401,17 +401,17 @@ class TestRunPopulation:
         # One stream, named by its plan digest, covers every policy's
         # specs; no per-policy subdirectories.
         [stream_dir] = tmp_path.iterdir()
-        manifest = json.loads((stream_dir / "manifest.json").read_text())
-        assert manifest["n_specs"] == report["client_sessions"]
-        assert stream_dir.name == manifest["digest"]
-        streamed = {spec.policy for spec, _ in ResultStream(stream_dir).iter_results()}
-        assert streamed == {"fair-share", "deadline"}
+        stream = ResultStream(stream_dir)
+        frames = [frame for index in (0, 1) for frame in stream.iter_shard(index)]
+        assert len(frames) == report["client_sessions"] == first.stats.shard_specs
+        assert {spec.policy for spec, _ in frames} == {"fair-share", "deadline"}
 
         rerun_engine = engine()
         rerun = run_population(scenario, seed=7, engine=rerun_engine, max_sessions=3)
-        stats = rerun_engine.last_shard_stats
-        assert stats.skipped_shards == stats.shards == 2
+        stats = rerun_engine.stats
+        assert stats.resumed_shards == stats.shards == 2
         assert stats.executed == 0
+        assert stats.resumed == report["client_sessions"]
         assert json.dumps(rerun, sort_keys=True) == json.dumps(report, sort_keys=True)
 
 
@@ -436,7 +436,7 @@ class TestShippedCity:
         goldens = json.loads((REPO / "perfbench" / "goldens.json").read_text())
         engine = BatchEngine(jobs=2, shards=4)
         report = run_population(city, seed=7, engine=engine, max_sessions=60)
-        assert engine.last_shard_stats.workers == 2
+        assert engine.stats.workers == 2
         digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode())
         assert digest.hexdigest() == goldens["city-serial"]["7"]["digest"]
 

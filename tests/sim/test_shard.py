@@ -150,7 +150,7 @@ class TestExecutorValidation:
 
 
 class TestResultStream:
-    def test_manifest_binds_stream_to_one_plan(self, tmp_path):
+    def test_digest_directory_binds_stream_to_one_plan(self, tmp_path):
         # Each plan streams to the subdirectory named by its digest, so a
         # second plan in the same directory never touches the first's.
         specs = _sweep_specs(seeds=(0,))
@@ -161,14 +161,19 @@ class TestResultStream:
         assert _collect(second, other) == _reference(other)
         assert second.stats.executed == len(other)
         for executor, plan in ((first, specs), (second, other)):
-            digest = _plan_digest(plan, 2)
-            assert executor.stream.directory == tmp_path / digest
-            assert executor.stream.manifest()["digest"] == digest
+            directory = tmp_path / _plan_digest(plan, 2)
+            assert executor.stream.directory == directory
+            assert sorted(path.name for path in directory.iterdir()) == [
+                "shard-0000.results", "shard-0001.results",
+            ]
+        # The same specs in another shard plan stream elsewhere.
+        assert _plan_digest(specs, 3) != _plan_digest(specs, 2)
         # The second plan left the first one's stream resumable.
         resumed = ShardedExecutor(shards=2, stream_dir=tmp_path)
         assert _collect(resumed, specs) == reference
         assert resumed.stats.executed == 0
-        assert resumed.stats.skipped_shards == 2
+        assert resumed.stats.resumed == len(specs)
+        assert resumed.stats.resumed_shards == 2
 
     def test_torn_tail_is_discarded(self, tmp_path):
         specs = _sweep_specs(seeds=(0,))[:2]
@@ -181,12 +186,6 @@ class TestResultStream:
         assert len(frames) == 1
         assert pickle.dumps(frames[0][1]) == pickle.dumps(run(specs[0]))
 
-    def test_len_counts_completed_frames(self, tmp_path):
-        specs = _sweep_specs(seeds=(0,))
-        executor = ShardedExecutor(shards=3, stream_dir=tmp_path)
-        _collect(executor, specs)
-        assert len(ResultStream(executor.stream.directory)) == len(specs)
-
 
 class TestResume:
     def test_completed_stream_is_not_reexecuted(self, tmp_path):
@@ -196,7 +195,8 @@ class TestResume:
         second = ShardedExecutor(shards=3, stream_dir=tmp_path)
         assert _collect(second, specs) == reference
         assert second.stats.executed == 0
-        assert second.stats.skipped_shards == 3
+        assert second.stats.resumed == len(specs)
+        assert second.stats.resumed_shards == 3
 
     def test_interrupt_then_resume_is_bit_identical(self, tmp_path, monkeypatch):
         specs = _sweep_specs(seeds=(0,))
@@ -226,7 +226,7 @@ class TestResume:
 
         second = ShardedExecutor(shards=1, stream_dir=tmp_path)
         assert _collect(second, specs) == reference
-        assert second.stats.salvaged == 2
+        assert second.stats.salvaged == second.stats.resumed == 2
         assert second.stats.executed == len(specs) - 2
 
 
@@ -316,8 +316,7 @@ class TestBatchEngineIntegration:
                 spec_key(s): pickle.dumps(r) for s, r in engine.run_specs(specs).items()
             }
             assert got == reference
-            assert engine.last_shard_stats is not None
-            assert engine.last_shard_stats.specs == len(specs)
+            assert engine.stats.shard_specs == len(specs)
 
     def test_stream_specs_is_bit_identical_and_unmemoized(self):
         specs = _sweep_specs(seeds=(0,))
@@ -362,17 +361,20 @@ class TestBatchEngineIntegration:
             spec_key(s): pickle.dumps(r) for s, r in first.run_specs(specs).items()
         }
         [stream_dir] = tmp_path.iterdir()
-        manifest = ResultStream(stream_dir).manifest()
-        assert manifest is not None
-        assert manifest["n_specs"] == len(specs)
-        assert manifest["n_shards"] == first.last_shard_stats.shards == 4
+        stream = ResultStream(stream_dir)
+        assert stream.completed_shards() == list(range(first.stats.shards))
+        assert first.stats.shards == 4
+        assert sum(
+            len(list(stream.iter_shard(index))) for index in range(4)
+        ) == first.stats.shard_specs == len(specs)
         second = BatchEngine(jobs=1, stream_dir=tmp_path)
         got = {
             spec_key(s): pickle.dumps(r) for s, r in second.run_specs(specs).items()
         }
         assert got == reference
-        assert second.last_shard_stats.skipped_shards == manifest["n_shards"]
-        assert second.last_shard_stats.executed == 0
+        assert second.stats.resumed_shards == 4
+        assert second.stats.resumed == len(specs)
+        assert second.stats.executed == 0
 
     def test_resumed_stream_reports_nothing_executed(self, tmp_path):
         specs = _sweep_specs(seeds=(0,))
@@ -388,7 +390,28 @@ class TestBatchEngineIntegration:
         assert got == reference
         # Frames read back from the stream were executed by the first run.
         assert second.stats.executed == 0
-        assert second.last_shard_stats.skipped_shards == 2
+        assert second.stats.resumed == len(specs)
+        assert second.stats.resumed_shards == 2
+
+    def test_stats_sum_over_every_batch(self, tmp_path):
+        first_batch = _sweep_specs(seeds=(0,))
+        second_batch = _sweep_specs(seeds=(1,)) + first_batch[:2]
+
+        def run_both(engine):
+            engine.run_specs(first_batch)
+            engine.run_specs(second_batch)
+            stats = engine.stats
+            assert stats.requested == 14 and stats.cache_hits == 2
+            assert stats.shards == 4 and stats.shard_specs == 12
+            assert stats.requested == (
+                stats.executed + stats.resumed + stats.cache_hits + stats.deduplicated
+            )
+            return stats
+
+        ran = run_both(BatchEngine(shards=2, stream_dir=tmp_path))
+        assert (ran.executed, ran.resumed, ran.resumed_shards) == (12, 0, 0)
+        rerun = run_both(BatchEngine(shards=2, stream_dir=tmp_path))
+        assert (rerun.executed, rerun.resumed, rerun.resumed_shards) == (0, 12, 4)
 
     def test_serial_engine_stays_off_disk(self, tmp_path, monkeypatch):
         import tempfile
@@ -396,16 +419,17 @@ class TestBatchEngineIntegration:
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         engine = BatchEngine()
         assert len(engine.run_specs(_sweep_specs(seeds=(0,)))) == 6
-        assert engine.last_shard_stats is None
+        assert engine.stats.workers == 1
+        assert engine.stats.resumed == 0
         assert list(tmp_path.iterdir()) == []
 
     def test_derived_shard_count_is_four_per_job(self):
         specs = _sweep_specs()
         engine = BatchEngine(jobs=2)
         engine.run_specs(specs)
-        assert engine.last_shard_stats.shards == 8
-        assert engine.last_shard_stats.workers == 2
-        assert engine.last_shard_stats.executed == len(specs)
+        assert engine.stats.shards == 8
+        assert engine.stats.workers == 2
+        assert engine.stats.executed == len(specs)
 
     def test_resumable_stream_dir_through_engine(self, tmp_path):
         specs = _sweep_specs(seeds=(0,))
@@ -418,5 +442,5 @@ class TestBatchEngineIntegration:
             spec_key(s): pickle.dumps(r) for s, r in second.run_specs(specs).items()
         }
         assert got == reference
-        assert second.last_shard_stats.executed == 0
-        assert second.last_shard_stats.skipped_shards == 3
+        assert second.stats.executed == 0
+        assert second.stats.resumed_shards == 3

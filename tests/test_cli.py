@@ -122,7 +122,9 @@ class TestBatchCommand:
         assert main(argv) == 0
         assert "28 executed" in capsys.readouterr().out
         [plan_dir] = stream.iterdir()
-        assert (plan_dir / "manifest.json").exists()
+        assert sorted(path.name for path in plan_dir.iterdir()) == [
+            f"shard-{index:04d}.results" for index in range(4)
+        ]
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "shards: 4 planned (28 specs), 4 resumed complete" in out
@@ -134,14 +136,17 @@ class TestBatchCommand:
             "--stream", str(stream),
         ]
         assert main(argv) == 0
-        capsys.readouterr()
+        # The two lines sum over both batches: 4 shards over fig12's 42
+        # misses and 4 over fig13's 7 (fig13's other 21 specs are fig12's).
+        first = capsys.readouterr().out
+        assert "70 requested, 70 unique, 49 executed, 21 cache hits, 0 resumed," in first
+        assert "shards: 8 planned (49 specs), 0 resumed complete" in first
         # Each batch streams to its own plan's subdirectory.
         assert len(list(stream.iterdir())) == 2
         assert main(argv) == 0
         out = capsys.readouterr().out
-        assert re.search(r"\b0 executed\b", out)
-        shards = re.search(r"^shards: (\d+) planned .*, (\d+) resumed complete", out, re.M)
-        assert shards is not None and shards[1] == shards[2] != "0"
+        assert "70 requested, 70 unique, 0 executed, 21 cache hits, 49 resumed," in out
+        assert "shards: 8 planned (49 specs), 8 resumed complete" in out
 
     def test_serial_batch_prints_no_shard_line(self, capsys):
         assert main(["batch", "--experiments", "fig13", "--frames", "40"]) == 0
