@@ -95,9 +95,10 @@ def fig12_gates(jobs: int, shards: int) -> dict[str, float]:
                 obs_trace.shutdown()
         untraced_s = min(untraced_s, _timed(_run_all, specs))
 
-    # The batched leg persists through the result cache and the sharded
-    # leg through its spill stream: each starts empty and leaves the
-    # store its next run would resume from.  Both are cold: pool workers
+    # The batched leg puts every run into a result cache that starts
+    # empty; the sharded leg's pool workers hand results back through
+    # spill files that are removed when the batch ends (with one job it
+    # runs in-process and spills nothing).  Both are cold: pool workers
     # fork from this process, which holds the lattices and one group.
     cold_s = shard_s = float("inf")
     for _ in range(FIG12_REPS):

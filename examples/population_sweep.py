@@ -8,16 +8,15 @@ aggregates per-system latency and frame-rate statistics *while results
 stream past*.  No full-sweep result list ever exists:
 each ``(spec, result)`` pair is folded into O(1) mergeable summaries
 (:class:`~repro.sim.metrics.StreamSummary`) and dropped, so peak memory
-is one in-flight result regardless of population size.  The spill
-stream on disk doubles as a resumable checkpoint: re-running against
-the same ``stream_dir`` would skip every completed shard.
+is one in-flight result regardless of population size.  Nothing is kept
+on disk; give the engine a ``cache_dir`` and a re-run (or the rerun of
+an interrupted sweep) executes only the runs the cache lacks.
 
 Run:
     python examples/population_sweep.py [n_seeds]
 """
 
 import sys
-import tempfile
 
 from repro.analysis.report import format_table
 from repro.sim.metrics import StreamSummary
@@ -43,11 +42,10 @@ def main() -> None:
 
     latency = {name: StreamSummary() for name in SYSTEMS}
     fps = {name: StreamSummary() for name in SYSTEMS}
-    with tempfile.TemporaryDirectory(prefix="qvr-population-") as stream_dir:
-        engine = BatchEngine(shards=16, stream_dir=stream_dir)
-        for spec, result in engine.stream_sweep(sweep):
-            result.fold_into(latency=latency[spec.system], fps=fps[spec.system])
-        stats = engine.stats
+    engine = BatchEngine(shards=16)
+    for spec, result in engine.stream_sweep(sweep):
+        result.fold_into(latency=latency[spec.system], fps=fps[spec.system])
+    stats = engine.stats
 
     rows = []
     for name in SYSTEMS:

@@ -93,15 +93,6 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         "bit-identical at any shard/worker count)",
     )
     parser.add_argument(
-        "--stream", nargs="?", const="", default=None, metavar="DIR",
-        dest="stream_dir",
-        help="stream results through a spill-to-disk directory; with "
-        "DIR, reusing it resumes an interrupted sweep (completed shards "
-        "are skipped, partial shard files resume after their valid "
-        "prefix); without DIR, nothing is kept: multi-worker runs spill "
-        "through a temporary directory and in-process runs do not spill",
-    )
-    parser.add_argument(
         "--trace", default=None, metavar="DIR", dest="trace_dir",
         help="record spans, instants, and metric snapshots to JSONL files "
         "under DIR (one file per process); inspect with 'repro obs' — "
@@ -276,13 +267,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _engine_from(args: argparse.Namespace) -> BatchEngine:
-    stream_dir = getattr(args, "stream_dir", None)
     return BatchEngine(
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         engine=args.engine,
         shards=getattr(args, "shards", None),
-        stream_dir=stream_dir or None,
     )
 
 
@@ -370,22 +359,18 @@ def _stats_lines(engine: BatchEngine, total_s: float) -> list[str]:
     """The ``specs:`` line and, once a batch ran sharded, the ``shards:`` line.
 
     Both sum over every batch the engine ran.  A plain serial engine (one
-    in-process worker, no shard count, no stream) prints no shard line.
+    in-process worker, no shard count) prints no shard line.
     """
     stats = engine.stats
     lines = [
         f"specs: {stats.requested} requested, {stats.unique} unique, "
         f"{stats.executed} executed, {stats.cache_hits} cache hits, "
-        f"{stats.resumed} resumed, {stats.deduplicated} deduplicated in-batch; "
-        f"total {total_s:.2f}s"
+        f"{stats.deduplicated} deduplicated in-batch; total {total_s:.2f}s"
     ]
-    sharded = engine.shards is not None or engine.stream_dir is not None
-    if stats.shards and (sharded or stats.workers > 1):
+    if stats.shards and (engine.shards is not None or stats.workers > 1):
         lines.append(
             f"shards: {stats.shards} planned ({stats.shard_specs} specs), "
-            f"{stats.resumed_shards} resumed complete, "
-            f"{stats.salvaged} frames salvaged, {stats.requeues} requeues, "
-            f"{stats.workers} workers"
+            f"{stats.requeues} requeues, {stats.workers} workers"
         )
     return lines
 

@@ -3,8 +3,7 @@
 Each traced process appends newline-delimited JSON records to its own
 file in the trace directory (``<process>.jsonl``), flushed per record
 so a SIGKILL can tear at most the final line.  Readers keep the valid
-prefix and drop a torn tail — the same salvage contract the sharded
-executor's spill files honor — so a dead worker's trace merges cleanly.
+prefix and drop a torn tail, so a dead worker's trace merges cleanly.
 
 Every file opens with a ``process`` anchor record carrying a paired
 (wall, monotonic) clock sample.  Event timestamps are monotonic within

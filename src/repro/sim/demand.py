@@ -875,9 +875,9 @@ def run_population(
     folds into the :class:`_PolicyAccumulator` of ``spec.policy`` and is
     dropped, so results held do not grow with city size; requests do:
     every planned session is expanded up front, and the engine holds
-    every spec before it executes any.  When the engine spills to a
-    configured stream directory, the run's one stream (every policy's
-    shard files) lives in the subdirectory named by its plan digest.
+    every spec before it executes any.  With a cache directory, every
+    policy's runs land in the engine's one result cache, so a rerun of
+    an interrupted pass executes only what the cache lacks.
 
     Returns the deterministic population report: per-policy client-window
     counts, streamed latency / FPS / per-client-p99 summaries, and SLO

@@ -19,10 +19,11 @@ through one engine:
 Every batch executes through the sharded executor
 (:mod:`repro.sim.shard`): serial execution is its one-worker case, run
 in this process; with more jobs the miss list is partitioned into spec
-shards for a process pool, every completed run streams to an
-append-only spill file, and — via :meth:`BatchEngine.stream_specs` —
+shards for a process pool, and — via :meth:`BatchEngine.stream_specs` —
 ``(spec, result)`` pairs are yielded in bounded memory instead of
-materializing the whole sweep's output.
+materializing the whole sweep's output.  The result cache is the one
+store that outlives a batch: each run is put there where it executes,
+so a rerun resumes any interrupted batch.
 
 Execution is deterministic per spec: every run derives all randomness
 from ``spec.seed``, so the same spec produces bit-identical results at
@@ -68,7 +69,6 @@ __all__ = [
     "run",
     "run_comparison",
     "spec_key",
-    "spec_keys",
     "speedup_over",
     "effective_warmup",
     "DEFAULT_FRAMES",
@@ -418,21 +418,11 @@ def spec_key(spec: RunSpec) -> str:
     return _spec_key(spec, {})
 
 
-def spec_keys(specs: Iterable[RunSpec]) -> list[str]:
-    """:func:`spec_key` of every spec, with one canonical-form memo.
-
-    Equal to ``[spec_key(s) for s in specs]``; sub-objects the specs
-    share by identity are canonicalised once for the whole list.
-    """
-    memo: dict[int, tuple[object, object]] = {}
-    return [_spec_key(spec, memo) for spec in specs]
-
-
 #: What unpickling damaged bytes raises: the pickle machinery raises
 #: different exception types depending on where the bytes were cut or
 #: garbled (mid-length prefix, unknown opcode, bad protocol marker, bad
-#: literal, missing global), and every reader of a cache entry or spill
-#: frame treats all of them as "unreadable".
+#: literal, missing global): a cache reader treats all of them as a
+#: miss, and a spill reader as a damaged frame.
 _UNPICKLE_ERRORS = (
     EOFError,
     pickle.UnpicklingError,
@@ -447,9 +437,9 @@ class ResultCache:
     """On-disk memoization of completed runs, one pickle per spec hash.
 
     Entries are written atomically (temp file + rename) so concurrent
-    writers — parallel benchmark workers sharing one cache directory —
-    can never expose a torn file; unreadable or mismatched entries are
-    treated as misses and overwritten.
+    writers — pool workers sharing one cache directory — can never
+    expose a torn file; unreadable or mismatched entries are treated as
+    misses and overwritten.
     """
 
     def __init__(self, directory: str | os.PathLike) -> None:
@@ -495,14 +485,17 @@ class ResultCache:
         Stale entries (older schema or package versions) are unreachable
         anyway — their keys no longer match — but they still occupy disk;
         this is the eviction helper behind ``repro batch --clear-cache``.
+        It also removes the ``*.tmp`` files a writer killed between
+        creating and renaming one leaves behind.
         """
         removed = 0
-        for path in self.directory.glob("*.pkl"):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
+        for pattern in ("*.pkl", "*.tmp"):
+            for path in self.directory.glob(pattern):
+                try:
+                    path.unlink()
+                    removed += 1
+                except OSError:
+                    pass
         obs_metrics.counter("runner.cache.evict").inc(removed)
         return removed
 
@@ -520,26 +513,21 @@ class BatchStats:
     """Cumulative accounting of an engine's batches, summed over every batch.
 
     Each requested spec counts once, in exactly one of ``executed``,
-    ``resumed`` (read back from a result stream: a completed shard or a
-    salvaged ``.part`` prefix), ``cache_hits`` (the engine memo or the
-    disk cache) and :attr:`deduplicated`, so once a batch finishes
-    ``requested == executed + resumed + cache_hits + deduplicated``.
-    The shard counts cover every batch the sharded executor ran:
-    ``shards`` planned holding ``shard_specs`` specs, ``resumed_shards``
-    found complete on disk, ``salvaged`` frames kept from ``.part``
-    prefixes, ``requeues`` after a pool worker died, and ``workers``,
-    the most any batch ran on.
+    ``cache_hits`` (the engine memo or the disk cache, which holds every
+    run an interrupted batch finished) and :attr:`deduplicated`, so once
+    a batch finishes ``requested == executed + cache_hits +
+    deduplicated``.  The shard counts cover every batch the sharded
+    executor ran: ``shards`` planned holding ``shard_specs`` specs,
+    ``requeues`` after a pool worker died, and ``workers``, the most any
+    batch ran on.
     """
 
     requested: int = 0
     unique: int = 0
     executed: int = 0
-    resumed: int = 0
     cache_hits: int = 0
     shards: int = 0
     shard_specs: int = 0
-    resumed_shards: int = 0
-    salvaged: int = 0
     requeues: int = 0
     workers: int = 0
 
@@ -559,8 +547,11 @@ class BatchEngine:
         Results are bit-identical at any job count because each run is
         deterministic in its spec.
     cache_dir:
-        Optional directory for the on-disk :class:`ResultCache`; None
-        keeps memoization in-memory only.
+        Optional directory for the on-disk :class:`ResultCache`, the one
+        store that outlives a batch: every run is put there where it
+        executes, in this process or a pool worker, so rerunning an
+        interrupted batch at any job or shard count executes only the
+        specs it lacks.  None keeps memoization in-memory only.
     engine:
         Execution engine (:data:`ENGINE_NAMES`) for every spec this batch
         engine executes.  Both engines are bit-identical, so the choice
@@ -577,13 +568,10 @@ class BatchEngine:
         :data:`repro.sim.shard.SHARD_MODES`, runs shards in this process
         with one job and on a process pool with more.
     stream_dir:
-        Directory for the executor's spill-to-disk result streams, one
-        per batch, each in the subdirectory named by its plan digest.
-        Reusing the directory resumes an interrupted sweep: completed
-        shards are skipped and partial shard files resume after their
-        salvaged prefix.  None spills multi-worker runs to a temporary
-        directory that is removed when execution finishes, and keeps
-        in-process runs off disk.
+        Where multi-worker batches spill: pool workers hand their
+        results to this process through files in a temporary directory
+        inside it, removed when the batch ends.  None uses the system's
+        temporary directory.  In-process runs never spill.
 
     Misses execute in :func:`~repro.workloads.generator.memo_group`
     order, a stable sort by ``(seed, n_frames, panel resolution, app)``,
@@ -591,8 +579,7 @@ class BatchEngine:
     gaze kernel run back to back, so the kernels' one-group memos serve
     every reuse the batch has, in this process and in each pool worker
     (shards are contiguous slices of the sorted list).  Results are
-    returned keyed by spec, so the order never reaches outputs; it does
-    fix the shard plan a ``stream_dir`` resumes against.
+    returned keyed by spec, so the order never reaches outputs.
 
     Completed runs are always memoized in-memory for the engine's
     lifetime, so overlapping batches (e.g. Table 4 and Fig. 15 sharing
@@ -644,7 +631,7 @@ class BatchEngine:
 
         Duplicate specs are executed once; cached specs are loaded from
         disk; the remainder runs on the sharded executor (in-process with
-        one job) and lands in the cache for the next batch.
+        one job), which puts each run into the cache as it finishes.
         """
         requested = list(specs)
         unique = list(dict.fromkeys(requested))
@@ -665,11 +652,9 @@ class BatchEngine:
         input is drained, stably sorted by
         :func:`~repro.workloads.generator.memo_group` so that the specs
         sharing a workload stream or gaze kernel run back to back (and
-        land in the same or adjacent shards).  Executed results land in
-        the disk cache, and with ``memoize`` every result also lands in
-        the engine memo.
-        ``stats.executed`` counts what the executor ran and
-        ``stats.resumed`` the frames a resumed stream read back from disk.
+        land in the same or adjacent shards).  The executor puts each
+        run into the disk cache where it executes; with ``memoize`` every
+        result also lands in the engine memo.
         """
         seen: set[RunSpec] = set()
         misses: list[RunSpec] = []
@@ -693,8 +678,6 @@ class BatchEngine:
         for spec, result in self._execute(misses):
             if memoize:
                 self._memo[spec] = result
-            if self.cache is not None:
-                self.cache.put(spec, result)
             yield spec, result
 
     def _execute(
@@ -702,29 +685,23 @@ class BatchEngine:
     ) -> Iterator[tuple[RunSpec, SimulationResult]]:
         """Yield (spec, result) as runs complete, through the sharded executor.
 
-        Results stream back in completion order so each lands in the
-        cache immediately — an interrupted or partially failed sweep
-        keeps every run that finished.  Callers key by spec, so the
-        non-deterministic completion order never reaches outputs.  A
-        temporary stream directory is removed once the batch finishes,
-        while a configured ``stream_dir`` keeps its spill files for
-        resumption and post-hoc reads.
+        Results stream back in completion order; callers key by spec, so
+        the non-deterministic completion order never reaches outputs.
+        Each run lands in the cache where it executes, so an interrupted
+        or partially failed sweep keeps every run that finished.
         """
         from repro.sim.shard import ShardedExecutor
 
         if not specs:
             return
-        executor = ShardedExecutor(
+        yield from ShardedExecutor(
             shards=self.shards if self.shards is not None else 4 * self.jobs,
             workers=self.jobs,
             stream_dir=self.stream_dir,
             engine=self.engine,
             stats=self.stats,
-        )
-        try:
-            yield from executor.execute(specs)
-        finally:
-            executor.cleanup()
+            cache=self.cache,
+        ).execute(specs)
 
     def run_sweep(self, sweep: Sweep) -> dict[RunSpec, SimulationResult]:
         """Expand and execute a declarative sweep."""

@@ -319,6 +319,18 @@ class TestCache:
     def test_clear_on_empty_cache(self, tmp_path):
         assert ResultCache(tmp_path).clear() == 0
 
+    def test_clear_removes_orphaned_temp_files(self, tmp_path):
+        # A writer killed between creating its temp file and renaming it
+        # leaves the temp file behind; it is no entry, but clear() owns it.
+        cache = ResultCache(tmp_path)
+        spec = _small_sweep().specs()[0]
+        cache.put(spec, run(spec))
+        orphan = tmp_path / "tmpk3x9_q1a.tmp"
+        orphan.write_bytes(b"\x80partial")
+        assert len(cache) == 1
+        assert cache.clear() == 2
+        assert list(tmp_path.iterdir()) == []
+
     def test_in_memory_memo_dedupes_across_batches(self):
         engine = BatchEngine()
         spec = RunSpec(system="local", app="Doom3-L", n_frames=25, warmup_frames=5)

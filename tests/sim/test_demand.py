@@ -24,9 +24,8 @@ from repro.sim.demand import (
     run_population,
 )
 from repro.sim.fleet import RenderFleet
-from repro.sim.runner import BatchEngine
+from repro.sim.runner import BatchEngine, ResultCache
 from repro.sim.session import Join, Leave, ProfileSwitch
-from repro.sim.shard import ResultStream
 from repro.workloads.apps import APPS
 
 REPO = Path(__file__).resolve().parents[2]
@@ -392,26 +391,25 @@ class TestRunPopulation:
         assert seen[-1][1] == seen[-1][2] > 0
 
     def test_stream_dir_holds_one_stream_for_every_policy(self, scenario, tmp_path):
-        def engine():
-            return BatchEngine(shards=2, stream_dir=str(tmp_path))
+        stream, cache = tmp_path / "stream", tmp_path / "cache"
 
-        first = engine()
+        def engine(jobs):
+            return BatchEngine(jobs=jobs, shards=2, stream_dir=stream, cache_dir=cache)
+
+        first = engine(2)
         report = run_population(scenario, seed=7, engine=first, max_sessions=3)
-        assert first.stream_dir == str(tmp_path)
-        # One stream, named by its plan digest, covers every policy's
-        # specs; no per-policy subdirectories.
-        [stream_dir] = tmp_path.iterdir()
-        stream = ResultStream(stream_dir)
-        frames = [frame for index in (0, 1) for frame in stream.iter_shard(index)]
-        assert len(frames) == report["client_sessions"] == first.stats.shard_specs
-        assert {spec.policy for spec, _ in frames} == {"fair-share", "deadline"}
+        # One pass runs every policy's specs; the pool workers' spills are
+        # gone, and the cache holds one run per client-session.
+        assert first.stats.shard_specs == report["client_sessions"]
+        assert list(stream.iterdir()) == []
+        assert len(ResultCache(cache)) == report["client_sessions"]
+        assert set(report["policies"]) == {"fair-share", "deadline"}
 
-        rerun_engine = engine()
+        rerun_engine = engine(1)
         rerun = run_population(scenario, seed=7, engine=rerun_engine, max_sessions=3)
         stats = rerun_engine.stats
-        assert stats.resumed_shards == stats.shards == 2
-        assert stats.executed == 0
-        assert stats.resumed == report["client_sessions"]
+        assert stats.executed == stats.shards == 0
+        assert stats.cache_hits == report["client_sessions"]
         assert json.dumps(rerun, sort_keys=True) == json.dumps(report, sort_keys=True)
 
 

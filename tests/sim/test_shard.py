@@ -1,4 +1,4 @@
-"""Tests for the sharded executor and its result stream.
+"""Tests for the sharded executor, its spill files and cache resume.
 
 Bit-identity is asserted through ``pickle.dumps`` equality (dataclass
 ``==`` is false-negative on NaN fields); the determinism contract under
@@ -6,28 +6,19 @@ test is that any shard count, worker count, crash, or resume produces
 byte-identical results to a flat serial run.
 """
 
-import hashlib
 import multiprocessing
 import os
 import pickle
 import signal
-from dataclasses import replace
 
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.network.conditions import WIFI
+from repro.errors import ConfigurationError, ReproError
 from repro.obs import sinks as obs_sinks
 from repro.obs import trace as obs_trace
-from repro.sim.runner import BatchEngine, RunSpec, Sweep, run, spec_key, spec_keys
+from repro.sim.runner import BatchEngine, ResultCache, RunSpec, Sweep, run, spec_key
 from repro.sim import shard as shard_module
-from repro.sim.shard import (
-    _plan_digest,
-    ResultStream,
-    ShardedExecutor,
-    plan_shards,
-)
-from repro.sim.systems import PlatformConfig
+from repro.sim.shard import ShardedExecutor, plan_shards
 
 
 def _sweep_specs(seeds=(0, 1, 2)) -> list[RunSpec]:
@@ -45,13 +36,28 @@ def _reference(specs) -> dict[str, bytes]:
 
 
 def _collect(executor: ShardedExecutor, specs) -> dict[str, bytes]:
-    try:
-        return {
-            spec_key(spec): pickle.dumps(result)
-            for spec, result in executor.execute(specs)
-        }
-    finally:
-        executor.cleanup()
+    return {
+        spec_key(spec): pickle.dumps(result)
+        for spec, result in executor.execute(specs)
+    }
+
+
+def _keyed(results) -> dict[str, bytes]:
+    return {spec_key(s): pickle.dumps(r) for s, r in dict(results).items()}
+
+
+def _interrupt_after(monkeypatch, runs: int) -> None:
+    """Make the ``runs + 1``-th spec run in this process raise KeyboardInterrupt."""
+    real_run = shard_module.run
+    calls = []
+
+    def interrupted(spec, engine):
+        if len(calls) == runs:
+            raise KeyboardInterrupt
+        calls.append(spec)
+        return real_run(spec, engine)
+
+    monkeypatch.setattr(shard_module, "run", interrupted)
 
 
 class TestPlanShards:
@@ -79,44 +85,16 @@ class TestPlanShards:
             plan_shards(_sweep_specs(), 0)
 
 
-class TestPlanDigest:
-    """The digest canonicalises shared sub-objects once, by identity."""
-
-    @staticmethod
-    def _per_spec_digest(specs, shards):
-        hasher = hashlib.sha256()
-        hasher.update(str(shards).encode())
-        for spec in specs:
-            hasher.update(spec_key(spec).encode())
-        return hasher.hexdigest()
-
-    def test_memoised_digest_equals_the_per_spec_keys(self):
-        positive = PlatformConfig(network=replace(WIFI, propagation_ms=0.0))
-        negative = PlatformConfig(network=replace(WIFI, propagation_ms=-0.0))
-        # Equal by dataclass equality, distinct by float.hex.
-        assert positive == negative
-        specs = list(_sweep_specs())
-        specs += [
-            RunSpec(system="qvr", app="GRID", platform=positive),
-            RunSpec(system="qvr", app="GRID", platform=negative),
-            RunSpec(system="qvr", app="GRID", platform=positive, seed=1),
-        ]
-        keys = spec_keys(specs)
-        assert keys == [spec_key(spec) for spec in specs]
-        assert keys[-3] != keys[-2]
-        assert _plan_digest(specs, 4) == self._per_spec_digest(specs, 4)
-
-
 class TestBitParityAcrossShards:
     def test_inline_parity_at_every_shard_count(self, tmp_path):
         specs = _sweep_specs()
         reference = _reference(specs)
         for shards in (1, 4, 16):
-            # In-process, both live (no stream) and through the spill files.
-            assert _collect(ShardedExecutor(shards=shards), specs) == reference
-            spilled = ShardedExecutor(shards=shards, stream_dir=tmp_path / str(shards))
-            assert _collect(spilled, specs) == reference
-            assert spilled.stats.executed == len(specs)
+            executor = ShardedExecutor(shards=shards, stream_dir=tmp_path)
+            assert _collect(executor, specs) == reference
+            assert executor.stats.executed == len(specs)
+        # In-process execution never spills, stream directory or not.
+        assert list(tmp_path.iterdir()) == []
 
     def test_process_pool_parity_with_stealing(self):
         specs = _sweep_specs()
@@ -149,85 +127,88 @@ class TestExecutorValidation:
             ShardedExecutor(workers=0)
 
 
-class TestResultStream:
-    def test_digest_directory_binds_stream_to_one_plan(self, tmp_path):
-        # Each plan streams to the subdirectory named by its digest, so a
-        # second plan in the same directory never touches the first's.
-        specs = _sweep_specs(seeds=(0,))
-        other = _sweep_specs(seeds=(1,))
-        first = ShardedExecutor(shards=2, stream_dir=tmp_path)
-        reference = _collect(first, specs)
-        second = ShardedExecutor(shards=2, stream_dir=tmp_path)
-        assert _collect(second, other) == _reference(other)
-        assert second.stats.executed == len(other)
-        for executor, plan in ((first, specs), (second, other)):
-            directory = tmp_path / _plan_digest(plan, 2)
-            assert executor.stream.directory == directory
-            assert sorted(path.name for path in directory.iterdir()) == [
-                "shard-0000.results", "shard-0001.results",
-            ]
-        # The same specs in another shard plan stream elsewhere.
-        assert _plan_digest(specs, 3) != _plan_digest(specs, 2)
-        # The second plan left the first one's stream resumable.
-        resumed = ShardedExecutor(shards=2, stream_dir=tmp_path)
-        assert _collect(resumed, specs) == reference
-        assert resumed.stats.executed == 0
-        assert resumed.stats.resumed == len(specs)
-        assert resumed.stats.resumed_shards == 2
+class TestSpill:
+    """Spill files only carry a pool worker's results to the parent."""
 
-    def test_torn_tail_is_discarded(self, tmp_path):
-        specs = _sweep_specs(seeds=(0,))[:2]
-        stream = ResultStream(tmp_path)
-        path = stream.results_path(0)
-        with path.open("wb") as handle:
-            pickle.dump((specs[0], run(specs[0])), handle)
-            handle.write(b"\x80torn-frame-garbage")
-        frames = list(stream.iter_shard(0))
-        assert len(frames) == 1
-        assert pickle.dumps(frames[0][1]) == pickle.dumps(run(specs[0]))
+    def test_pool_spills_inside_stream_dir_and_removes_them(self, tmp_path):
+        specs = _sweep_specs(seeds=(0,))
+        executor = ShardedExecutor(shards=3, workers=2, stream_dir=tmp_path / "spill")
+        frames = executor.execute(specs)
+        got = dict([next(frames)])
+        [spill_dir] = (tmp_path / "spill").iterdir()
+        assert spill_dir.name.startswith("qvr-shards-")
+        got.update(frames)
+        assert _keyed(got) == _reference(specs)
+        assert list((tmp_path / "spill").iterdir()) == []
+
+    def test_abandoned_pool_run_removes_its_spills(self, tmp_path):
+        specs = _sweep_specs(seeds=(0,))
+        frames = ShardedExecutor(shards=3, workers=2, stream_dir=tmp_path).execute(specs)
+        next(frames)
+        frames.close()
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("damage", ["torn", "garbage", "missing", "trailing"])
+    def test_damaged_spill_raises_instead_of_truncating(self, tmp_path, damage):
+        [shard] = plan_shards(_sweep_specs(seeds=(0,))[:2], 1)
+        first, second = (pickle.dumps(run(spec)) for spec in shard.specs)
+        payload = {
+            "torn": first + second[: len(second) // 2],
+            "garbage": first + b"\x80torn-frame-garbage",
+            "missing": first,
+            "trailing": first + second + pickle.dumps(1),
+        }[damage]
+        path = tmp_path / "shard-0000.results"
+        path.write_bytes(payload)
+        with pytest.raises(ReproError):
+            list(shard_module._read_spill(path, shard))
 
 
 class TestResume:
+    """An interrupted batch resumes from the result cache, at any plan."""
+
     def test_completed_stream_is_not_reexecuted(self, tmp_path):
         specs = _sweep_specs(seeds=(0,))
-        first = ShardedExecutor(shards=3, stream_dir=tmp_path)
-        reference = _collect(first, specs)
-        second = ShardedExecutor(shards=3, stream_dir=tmp_path)
-        assert _collect(second, specs) == reference
+        first = BatchEngine(shards=3, cache_dir=tmp_path)
+        reference = _keyed(first.run_specs(specs))
+        second = BatchEngine(jobs=2, shards=2, cache_dir=tmp_path)
+        assert _keyed(second.run_specs(specs)) == reference
         assert second.stats.executed == 0
-        assert second.stats.resumed == len(specs)
-        assert second.stats.resumed_shards == 3
+        assert second.stats.cache_hits == len(specs)
+        assert second.stats.shards == 0
 
     def test_interrupt_then_resume_is_bit_identical(self, tmp_path, monkeypatch):
         specs = _sweep_specs(seeds=(0,))
         reference = _reference(specs)
-        real_run = shard_module.run
-        calls = []
-
-        def interrupted(spec, engine):
-            if len(calls) == 2:
-                raise KeyboardInterrupt
-            calls.append(spec)
-            return real_run(spec, engine)
-
-        monkeypatch.setattr(shard_module, "run", interrupted)
-        first = ShardedExecutor(shards=1, stream_dir=tmp_path)
+        _interrupt_after(monkeypatch, 2)
         with pytest.raises(KeyboardInterrupt):
-            list(first.execute(specs))
-        monkeypatch.setattr(shard_module, "run", real_run)
+            BatchEngine(shards=1, cache_dir=tmp_path).run_specs(specs)
+        monkeypatch.undo()
+        assert len(ResultCache(tmp_path)) == 2
 
-        stream = first.stream
-        assert stream.part_path(0).exists()
-        assert not stream.is_complete(0)
-        # A crash can also tear the tail of the spill file mid-write; the
-        # salvage scan must drop exactly the torn frame and keep the prefix.
-        with stream.part_path(0).open("ab") as handle:
-            handle.write(b"\x80torn")
-
-        second = ShardedExecutor(shards=1, stream_dir=tmp_path)
-        assert _collect(second, specs) == reference
-        assert second.stats.salvaged == second.stats.resumed == 2
+        second = BatchEngine(shards=4, cache_dir=tmp_path)
+        assert _keyed(second.run_specs(specs)) == reference
+        assert second.stats.cache_hits == 2
         assert second.stats.executed == len(specs) - 2
+
+    def test_interrupted_batch_with_a_stream_dir_resumes_from_the_cache(
+        self, tmp_path, monkeypatch
+    ):
+        # Given both, the cache alone resumes the batch, and the stream
+        # directory keeps nothing from either run.
+        specs = _sweep_specs(seeds=(0,))
+        stream, cache = tmp_path / "stream", tmp_path / "cache"
+        reference = _reference(specs)
+        _interrupt_after(monkeypatch, 3)
+        with pytest.raises(KeyboardInterrupt):
+            BatchEngine(shards=2, stream_dir=stream, cache_dir=cache).run_specs(specs)
+        monkeypatch.undo()
+        assert list(stream.rglob("*")) == []
+
+        engine = BatchEngine(shards=2, stream_dir=stream, cache_dir=cache)
+        assert _keyed(engine.run_specs(specs)) == reference
+        assert (engine.stats.executed, engine.stats.cache_hits) == (3, 3)
+        assert list(stream.rglob("*")) == []
 
 
 @pytest.mark.skipif(
@@ -235,20 +216,26 @@ class TestResume:
     reason="the faults are patched into run() before the pool forks",
 )
 class TestPoolFaults:
-    def test_killed_worker_mid_shard_finishes_from_salvaged_prefix(
+    def test_killed_worker_mid_shard_reruns_its_shard_in_the_parent(
         self, tmp_path, monkeypatch
     ):
         specs = _sweep_specs(seeds=(0, 1))
         reference = _reference(specs)
-        clean = ShardedExecutor(shards=2, workers=2, stream_dir=tmp_path / "clean")
-        _collect(clean, specs)
 
-        # Past a shard's first spec the shard has spilled a frame; there
-        # the first worker to win the O_EXCL marker SIGKILLs itself.
+        # Past a shard's first spec the shard has put a run into the
+        # cache; there the first worker to win the O_EXCL marker
+        # SIGKILLs itself.  Every finished put is logged with its pid.
         firsts = {shard.specs[0] for shard in plan_shards(specs, 2)}
         marker = tmp_path / "killed"
+        puts = tmp_path / "puts"
         parent = os.getpid()
         real_run = shard_module.run
+        real_put = ResultCache.put
+
+        def logged_put(cache, spec, result):
+            real_put(cache, spec, result)
+            with puts.open("a") as handle:
+                handle.write(f"{os.getpid()} {spec_key(spec)}\n")
 
         def run_or_die(spec, engine):
             if os.getpid() != parent and spec not in firsts:
@@ -263,28 +250,39 @@ class TestPoolFaults:
             return real_run(spec, engine)
 
         monkeypatch.setattr(shard_module, "run", run_or_die)
+        monkeypatch.setattr(ResultCache, "put", logged_put)
         trace_dir = tmp_path / "trace"
+        cache = ResultCache(tmp_path / "cache")
         obs_trace.configure(trace_dir, process="parent")
         try:
             executor = ShardedExecutor(
-                shards=2, workers=2, stream_dir=tmp_path / "stream"
+                shards=2, workers=2, stream_dir=tmp_path / "stream", cache=cache
             )
             assert _collect(executor, specs) == reference
         finally:
             obs_trace.shutdown()
-        for index in range(2):
-            assert (
-                executor.stream.results_path(index).read_bytes()
-                == clean.stream.results_path(index).read_bytes()
-            )
         assert executor.stats.requeues >= 1
-        assert executor.stats.salvaged >= 1
+        assert executor.stats.executed == len(specs)
+        assert list((tmp_path / "stream").iterdir()) == []
+
+        # The killed worker put the runs it finished before it died.
+        pid = marker.read_text()
+        by_key = {spec_key(spec): spec for spec in specs}
+        finished = [
+            by_key[key]
+            for line in puts.read_text().splitlines()
+            for put_pid, key in [line.split()]
+            if put_pid == pid
+        ]
+        assert finished
+        for spec in finished:
+            assert pickle.dumps(cache.get(spec)) == reference[spec_key(spec)]
 
         # The SIGKILLed worker's per-process trace stream still merges:
         # the salvage read keeps the valid prefix (its completed spans)
         # and drops at most a torn final line.
         events, _ = obs_sinks.merge_trace_dir(trace_dir)
-        dead = f"pid-{marker.read_text()}"
+        dead = f"pid-{pid}"
         assert "shard.execute" in {e["name"] for e in events if e["proc"] == dead}
         assert "shard.requeue" in {e["name"] for e in events if e["proc"] == "parent"}
         # Span pairing tolerates the begin the kill left unmatched.
@@ -300,7 +298,7 @@ class TestPoolFaults:
         with pytest.raises(ValueError, match="injected worker fault"):
             _collect(executor, _sweep_specs(seeds=(0,)))
         assert executor.stats.requeues == 0
-        assert executor.stream.completed_shards() == []
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestBatchEngineIntegration:
@@ -355,43 +353,37 @@ class TestBatchEngineIntegration:
             BatchEngine(shards=2, shard_mode="subprocess")
 
     def test_stream_dir_without_shards_spills_and_resumes(self, tmp_path):
+        # A derived shard count on a pool spills inside the stream
+        # directory, leaves nothing there, and resumes from the cache.
         specs = _sweep_specs(seeds=(0,))
-        first = BatchEngine(jobs=1, stream_dir=tmp_path)
-        reference = {
-            spec_key(s): pickle.dumps(r) for s, r in first.run_specs(specs).items()
-        }
-        [stream_dir] = tmp_path.iterdir()
-        stream = ResultStream(stream_dir)
-        assert stream.completed_shards() == list(range(first.stats.shards))
-        assert first.stats.shards == 4
-        assert sum(
-            len(list(stream.iter_shard(index))) for index in range(4)
-        ) == first.stats.shard_specs == len(specs)
-        second = BatchEngine(jobs=1, stream_dir=tmp_path)
-        got = {
-            spec_key(s): pickle.dumps(r) for s, r in second.run_specs(specs).items()
-        }
-        assert got == reference
-        assert second.stats.resumed_shards == 4
-        assert second.stats.resumed == len(specs)
-        assert second.stats.executed == 0
+        stream, cache = tmp_path / "stream", tmp_path / "cache"
+        first = BatchEngine(jobs=2, stream_dir=stream, cache_dir=cache)
+        reference = _keyed(first.run_specs(specs))
+        assert (first.stats.shards, first.stats.workers) == (6, 2)
+        assert first.stats.executed == first.stats.shard_specs == len(specs)
+        assert list(stream.iterdir()) == []
+        assert len(ResultCache(cache)) == len(specs)
+        second = BatchEngine(jobs=2, stream_dir=stream, cache_dir=cache)
+        assert _keyed(second.run_specs(specs)) == reference
+        assert second.stats.cache_hits == len(specs)
+        assert second.stats.executed == second.stats.shards == 0
 
     def test_resumed_stream_reports_nothing_executed(self, tmp_path):
+        # Pool workers put their runs into the cache, so a streamed
+        # rerun in this process executes nothing.
         specs = _sweep_specs(seeds=(0,))
-        first = BatchEngine(shards=2, stream_dir=tmp_path)
+        first = BatchEngine(jobs=2, shards=2, cache_dir=tmp_path)
         reference = {
             spec_key(s): pickle.dumps(r) for s, r in first.stream_specs(specs)
         }
         assert first.stats.executed == len(specs)
-        second = BatchEngine(shards=2, stream_dir=tmp_path)
+        second = BatchEngine(shards=3, cache_dir=tmp_path)
         got = {
             spec_key(s): pickle.dumps(r) for s, r in second.stream_specs(specs)
         }
         assert got == reference
-        # Frames read back from the stream were executed by the first run.
         assert second.stats.executed == 0
-        assert second.stats.resumed == len(specs)
-        assert second.stats.resumed_shards == 2
+        assert second.stats.cache_hits == len(specs)
 
     def test_stats_sum_over_every_batch(self, tmp_path):
         first_batch = _sweep_specs(seeds=(0,))
@@ -401,26 +393,26 @@ class TestBatchEngineIntegration:
             engine.run_specs(first_batch)
             engine.run_specs(second_batch)
             stats = engine.stats
-            assert stats.requested == 14 and stats.cache_hits == 2
-            assert stats.shards == 4 and stats.shard_specs == 12
+            assert stats.requested == 14
             assert stats.requested == (
-                stats.executed + stats.resumed + stats.cache_hits + stats.deduplicated
+                stats.executed + stats.cache_hits + stats.deduplicated
             )
             return stats
 
-        ran = run_both(BatchEngine(shards=2, stream_dir=tmp_path))
-        assert (ran.executed, ran.resumed, ran.resumed_shards) == (12, 0, 0)
-        rerun = run_both(BatchEngine(shards=2, stream_dir=tmp_path))
-        assert (rerun.executed, rerun.resumed, rerun.resumed_shards) == (0, 12, 4)
+        ran = run_both(BatchEngine(shards=2, cache_dir=tmp_path))
+        assert (ran.executed, ran.cache_hits) == (12, 2)
+        assert (ran.shards, ran.shard_specs) == (4, 12)
+        rerun = run_both(BatchEngine(jobs=2, shards=3, cache_dir=tmp_path))
+        assert (rerun.executed, rerun.cache_hits) == (0, 14)
+        assert (rerun.shards, rerun.shard_specs) == (0, 0)
 
     def test_serial_engine_stays_off_disk(self, tmp_path, monkeypatch):
         import tempfile
 
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        engine = BatchEngine()
+        engine = BatchEngine(shards=3, stream_dir=tmp_path / "stream")
         assert len(engine.run_specs(_sweep_specs(seeds=(0,)))) == 6
         assert engine.stats.workers == 1
-        assert engine.stats.resumed == 0
         assert list(tmp_path.iterdir()) == []
 
     def test_derived_shard_count_is_four_per_job(self):
@@ -432,15 +424,13 @@ class TestBatchEngineIntegration:
         assert engine.stats.executed == len(specs)
 
     def test_resumable_stream_dir_through_engine(self, tmp_path):
+        # The resume is bound to no shard plan: a rerun at another job
+        # count (and so another derived shard count) executes nothing.
         specs = _sweep_specs(seeds=(0,))
-        first = BatchEngine(shards=3, stream_dir=tmp_path)
-        reference = {
-            spec_key(s): pickle.dumps(r) for s, r in first.run_specs(specs).items()
-        }
-        second = BatchEngine(shards=3, stream_dir=tmp_path)
-        got = {
-            spec_key(s): pickle.dumps(r) for s, r in second.run_specs(specs).items()
-        }
-        assert got == reference
+        stream, cache = tmp_path / "stream", tmp_path / "cache"
+        first = BatchEngine(stream_dir=stream, cache_dir=cache)
+        reference = _keyed(first.run_specs(specs))
+        second = BatchEngine(jobs=2, stream_dir=stream, cache_dir=cache)
+        assert _keyed(second.run_specs(specs)) == reference
         assert second.stats.executed == 0
-        assert second.stats.resumed_shards == 3
+        assert second.stats.cache_hits == len(specs)

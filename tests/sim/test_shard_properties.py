@@ -1,18 +1,11 @@
-"""Generated kill points for the spill-to-disk result stream.
-
-A crash can leave a shard's ``.part`` file cut at any byte, or followed
-by bytes no frame wrote.  Whatever the damage, resuming must salvage
-exactly the intact frame prefix, execute the rest, and publish a
-``.results`` file byte-identical to an uninterrupted run's — in this
-process (one worker) and on the process pool (two workers).  One
-reference run serves both worker counts: each frame pickles a fresh
-copy of its spec, so the spill bytes do not depend on which process
-wrote them.
+"""Generated interrupt points for a batch that resumes from its cache.
 
 A batch engine interrupted at any spec and resumed by a fresh engine on
-the same stream directory must return the uninterrupted run's results
-and shard files, and its one account must add up: every requested spec
-is executed, resumed from the stream, a cache hit or a duplicate.
+the same result cache, at another shard and job count, must return the
+uninterrupted run's results, execute exactly the specs the interrupted
+run had not yielded, leave nothing in its stream directory, and keep one
+account that adds up: every requested spec is executed, a cache hit or a
+duplicate.
 """
 
 import pickle
@@ -24,62 +17,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sim import shard as shard_module
 from repro.sim.runner import BatchEngine, Sweep, spec_key
-from repro.sim.shard import ResultStream, ShardedExecutor, _plan_digest
-
-SHARDS = 2
-
-
-def _specs():
-    return Sweep(
-        systems=("local", "static"),
-        apps=("Doom3-L", "GRID"),
-        n_frames=25,
-        warmup_frames=5,
-    ).specs()
-
-
-@pytest.fixture(scope="module")
-def reference() -> list[bytes]:
-    """Each shard's ``.results`` bytes from an uninterrupted serial run."""
-    with tempfile.TemporaryDirectory() as directory:
-        executor = ShardedExecutor(shards=SHARDS, stream_dir=directory)
-        list(executor.execute(_specs()))
-        stream = executor.stream
-        return [stream.results_path(i).read_bytes() for i in range(SHARDS)]
-
-
-_DAMAGE = st.tuples(
-    # Where to cut, as a fraction of the file; 1.0 keeps every frame.
-    st.just(1.0) | st.floats(min_value=0.0, max_value=1.0),
-    st.binary(max_size=48),  # garbage appended after the cut
-)
-
-
-@settings(derandomize=True, max_examples=25, deadline=None)
-@given(
-    damage=st.lists(_DAMAGE, min_size=SHARDS, max_size=SHARDS),
-    workers=st.sampled_from([1, 2]),
-)
-def test_resume_from_any_kill_point_is_byte_identical(reference, damage, workers):
-    specs = _specs()
-    with tempfile.TemporaryDirectory() as directory:
-        stream = ResultStream(Path(directory) / _plan_digest(specs, SHARDS))
-        for index, (cut, garbage) in enumerate(damage):
-            intact = reference[index]
-            torn = intact[: round(cut * len(intact))] + garbage
-            stream.part_path(index).write_bytes(torn)
-        executor = ShardedExecutor(
-            shards=SHARDS, workers=workers, stream_dir=directory
-        )
-        results = list(executor.execute(specs))
-        assert sorted(spec.app + spec.system for spec, _ in results) == sorted(
-            spec.app + spec.system for spec in specs
-        )
-        for index in range(SHARDS):
-            assert Path(stream.results_path(index)).read_bytes() == reference[index]
-            assert not stream.part_path(index).exists()
-        stats = executor.stats
-        assert stats.salvaged + stats.executed == len(specs)
 
 
 def _engine_specs():
@@ -93,25 +30,11 @@ def _engine_specs():
     return specs + specs[:2]
 
 
-def _shard_bytes(directory) -> dict[str, bytes]:
-    return {
-        path.name: path.read_bytes() for path in Path(directory).glob("*/shard-*")
-    }
-
-
 @pytest.fixture(scope="module")
-def uninterrupted() -> dict[int, tuple[dict[str, bytes], dict[str, bytes]]]:
-    """Per shard count, results and shard-file bytes of an uninterrupted batch."""
-    runs = {}
-    for shards in range(1, 7):
-        with tempfile.TemporaryDirectory() as directory:
-            engine = BatchEngine(shards=shards, stream_dir=directory)
-            results = engine.run_specs(_engine_specs())
-            runs[shards] = (
-                {spec_key(s): pickle.dumps(r) for s, r in results.items()},
-                _shard_bytes(directory),
-            )
-    return runs
+def uninterrupted() -> dict[str, bytes]:
+    """Results of an uninterrupted batch, keyed by spec key."""
+    results = BatchEngine().run_specs(_engine_specs())
+    return {spec_key(s): pickle.dumps(r) for s, r in results.items()}
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)
@@ -123,7 +46,10 @@ def test_interrupted_engine_resumes_bit_identical_and_counts_every_spec(
     unique = len(set(specs))
     # Interrupt as the run of the (done + 1)-th spec starts.
     done = data.draw(st.integers(min_value=0, max_value=unique - 1), label="done")
-    results, shard_bytes = uninterrupted[shards]
+    rerun_shards = data.draw(
+        st.integers(min_value=1, max_value=6).filter(lambda n: n != shards),
+        label="rerun_shards",
+    )
     real_run = shard_module.run
     calls = []
 
@@ -134,18 +60,32 @@ def test_interrupted_engine_resumes_bit_identical_and_counts_every_spec(
         return real_run(spec, engine)
 
     with tempfile.TemporaryDirectory() as directory:
+        cache, stream = Path(directory, "cache"), Path(directory, "stream")
+        yielded = []
         shard_module.run = interrupted
         try:
             with pytest.raises(KeyboardInterrupt):
-                BatchEngine(shards=shards, stream_dir=directory).run_specs(specs)
+                first = BatchEngine(shards=shards, cache_dir=cache, stream_dir=stream)
+                for spec, _ in first.stream_specs(specs):
+                    yielded.append(spec)
         finally:
             shard_module.run = real_run
-        engine = BatchEngine(shards=shards, stream_dir=directory)
-        got = engine.run_specs(specs)
-        assert {spec_key(s): pickle.dumps(r) for s, r in got.items()} == results
-        assert _shard_bytes(directory) == shard_bytes
+        assert len(yielded) == done
+
+        # The rerun runs on a two-worker pool whenever it has two shards.
+        engine = BatchEngine(
+            jobs=2, shards=rerun_shards, cache_dir=cache, stream_dir=stream
+        )
+        got, executed = {}, []
+        for spec, result in engine.stream_specs(specs):
+            if engine.stats.executed > len(executed):
+                executed.append(spec)
+            got[spec_key(spec)] = pickle.dumps(result)
+        assert got == uninterrupted
+        assert sorted(map(spec_key, executed)) == sorted(
+            spec_key(spec) for spec in set(specs) - set(yielded)
+        )
+        assert list(stream.rglob("*")) == []
     stats = engine.stats
-    assert (stats.resumed, stats.executed) == (done, unique - done)
-    assert stats.requested == (
-        stats.executed + stats.resumed + stats.cache_hits + stats.deduplicated
-    )
+    assert (stats.executed, stats.cache_hits) == (unique - done, done)
+    assert stats.requested == stats.executed + stats.cache_hits + stats.deduplicated

@@ -114,39 +114,38 @@ class TestBatchCommand:
         assert "0 executed, 28 cache hits" in second
 
     def test_stream_without_shards_spills_and_resumes(self, capsys, tmp_path):
-        stream = tmp_path / "stream"
+        # A pool run with a derived shard count puts every run into the
+        # cache from its workers; an in-process rerun executes nothing.
         argv = [
             "batch", "--experiments", "fig13", "--frames", "40",
-            "--stream", str(stream),
+            "--cache-dir", str(tmp_path),
         ]
-        assert main(argv) == 0
-        assert "28 executed" in capsys.readouterr().out
-        [plan_dir] = stream.iterdir()
-        assert sorted(path.name for path in plan_dir.iterdir()) == [
-            f"shard-{index:04d}.results" for index in range(4)
-        ]
+        assert main(argv + ["--jobs", "2"]) == 0
+        first = capsys.readouterr().out
+        assert "28 executed, 0 cache hits" in first
+        assert "shards: 8 planned (28 specs), 0 requeues, 2 workers" in first
         assert main(argv) == 0
         out = capsys.readouterr().out
-        assert "shards: 4 planned (28 specs), 4 resumed complete" in out
+        assert "0 executed, 28 cache hits" in out
+        assert "shards:" not in out
 
     def test_stream_resumes_a_run_of_several_batches(self, capsys, tmp_path):
-        stream = tmp_path / "stream"
         argv = [
             "batch", "--experiments", "fig12", "fig13", "--frames", "30",
-            "--stream", str(stream),
+            "--cache-dir", str(tmp_path),
         ]
-        assert main(argv) == 0
+        assert main(argv + ["--shards", "4"]) == 0
         # The two lines sum over both batches: 4 shards over fig12's 42
         # misses and 4 over fig13's 7 (fig13's other 21 specs are fig12's).
         first = capsys.readouterr().out
-        assert "70 requested, 70 unique, 49 executed, 21 cache hits, 0 resumed," in first
-        assert "shards: 8 planned (49 specs), 0 resumed complete" in first
-        # Each batch streams to its own plan's subdirectory.
-        assert len(list(stream.iterdir())) == 2
-        assert main(argv) == 0
+        assert "70 requested, 70 unique, 49 executed, 21 cache hits, 0 dedup" in first
+        assert "shards: 8 planned (49 specs), 0 requeues, 1 workers" in first
+        # The rerun, on another shard plan, serves every spec from the
+        # cache (fig13's 21 shared specs from the engine memo).
+        assert main(argv + ["--shards", "3", "--jobs", "2"]) == 0
         out = capsys.readouterr().out
-        assert "70 requested, 70 unique, 0 executed, 21 cache hits, 49 resumed," in out
-        assert "shards: 8 planned (49 specs), 8 resumed complete" in out
+        assert "70 requested, 70 unique, 0 executed, 70 cache hits, 0 dedup" in out
+        assert "shards:" not in out
 
     def test_serial_batch_prints_no_shard_line(self, capsys):
         assert main(["batch", "--experiments", "fig13", "--frames", "40"]) == 0
@@ -598,15 +597,6 @@ class TestPopulationCommand:
         assert args.seed == 0
         assert args.policy is None
         assert args.max_sessions is None
-        assert args.stream_dir is None
-
-    def test_bare_stream_flag_parses_to_empty(self):
-        args = build_parser().parse_args(["population", "city.json", "--stream"])
-        assert args.stream_dir == ""
-        args = build_parser().parse_args(
-            ["population", "city.json", "--stream", "spill-dir"]
-        )
-        assert args.stream_dir == "spill-dir"
 
     def test_population_requires_scenario(self):
         with pytest.raises(SystemExit):
@@ -652,7 +642,7 @@ class TestPopulationCommand:
         report_path = tmp_path / "report.json"
         assert main(
             ["population", scenario, "--seed", "7", "--max-sessions", "6",
-             "--shards", "4", "--stream", str(tmp_path / "stream"),
+             "--shards", "4",
              "--report", str(report_path)]
         ) == 0
         err = capsys.readouterr().err
